@@ -43,21 +43,21 @@ lint:
 soarlint:
 	$(GO) run ./cmd/soarlint ./...
 
-# Bench trajectory: run the key benchmarks once and keep the raw
-# test2json streams as artifacts, so performance history accumulates
-# alongside the code (both files are also uploaded by CI). One
-# iteration per benchmark keeps this fast enough to run on every push;
-# use `go test -bench . -benchtime 3s ./...` for real measurements.
-# BENCH_sched.json tracks the serving layer (scheduler, re-packer);
-# BENCH_core.json tracks the solver hot path (plain, memoized, sparse
-# and incremental Gather).
+# Bench trajectory: run the key benchmarks warm (-benchtime 300ms, five
+# counts) and *append* one record per file — commit, time, cpu and each
+# benchmark's min-of-counts ns/op (cmd/benchgate -record) — so the
+# committed files accumulate a comparable history instead of holding one
+# cold sample. BENCH_sched.json tracks the serving layer (scheduler,
+# re-packer); BENCH_core.json tracks the solver hot path (plain,
+# memoized, sparse and incremental Gather). A few minutes on two cores.
+BENCHFLAGS = -run '^$$' -benchtime 300ms -count 5
+COMMIT = $(shell git rev-parse --short HEAD)$(shell git diff --quiet HEAD || echo -dirty)
+
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkScheduler|BenchmarkRepackRound' \
-		-benchtime 1x -json ./internal/sched > BENCH_sched.json
-	@echo "BENCH_sched.json: $$(grep -c 'ns/op' BENCH_sched.json) benchmark results"
-	$(GO) test -run '^$$' -bench 'BenchmarkGather$$|BenchmarkGatherMemo|BenchmarkGatherSparse|BenchmarkIncremental' \
-		-benchtime 1x -json . > BENCH_core.json
-	@echo "BENCH_core.json: $$(grep -c 'ns/op' BENCH_core.json) benchmark results"
+	$(GO) test $(BENCHFLAGS) -bench 'BenchmarkScheduler|BenchmarkRepackRound' ./internal/sched \
+		| $(GO) run ./cmd/benchgate -record BENCH_sched.json -commit $(COMMIT)
+	$(GO) test $(BENCHFLAGS) -bench 'BenchmarkGather$$|BenchmarkGatherMemo|BenchmarkGatherSparse|BenchmarkIncremental' . \
+		| $(GO) run ./cmd/benchgate -record BENCH_core.json -commit $(COMMIT)
 
 # Coverage gate (CI's coverage job): the solver core must stay at or
 # above 85% statement coverage and the module overall at or above 70%.
@@ -77,4 +77,4 @@ cover:
 		exit bad }'
 
 clean:
-	rm -f BENCH_sched.json BENCH_core.json cover.out cover_core.out cover.html
+	rm -f cover.out cover_core.out cover.html

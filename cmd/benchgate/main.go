@@ -7,7 +7,7 @@
 // Usage:
 //
 //	benchgate -base base.txt -head head.txt [-threshold 0.30] [-match regexp]
-//	          [-min-speedup ratio -speedup-match regexp]
+//	go test -bench ... | benchgate -record BENCH_x.json -commit HASH
 //
 // Each benchmark's samples (from -count N) collapse to their minimum —
 // the most noise-robust central tendency for "how fast can this go" on
@@ -16,16 +16,18 @@
 // file are reported but never fail the gate (they were added or
 // removed). Exit status 1 on any regression.
 //
-// The -min-speedup mode is the inverse gate, for PRs that land an
-// optimization and must prove it: every benchmark matching
-// -speedup-match and present in BOTH files must satisfy
-// min(base)/min(head) ≥ ratio. A match with no benchmark present on
-// both sides fails too — a renamed benchmark must not silently disarm
-// the gate.
+// The -record mode keeps the trajectory (`make bench`): it reads bench
+// output on standard input, passes it through, and appends one JSON
+// line to the named file — the commit, the time, the cpu line of the
+// run and each benchmark's min-of-counts ns/op — so the file
+// accumulates one comparable record per commit instead of being
+// overwritten.
 package main
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -34,6 +36,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 func main() {
@@ -41,9 +44,21 @@ func main() {
 	head := flag.String("head", "", "bench output of the head commit")
 	threshold := flag.Float64("threshold", 0.30, "maximum allowed relative slowdown (0.30 = +30%)")
 	match := flag.String("match", "", "only gate benchmarks whose name matches this regexp (empty = all)")
-	minSpeedup := flag.Float64("min-speedup", 0, "require min(base)/min(head) ≥ this ratio for benchmarks matching -speedup-match (0 disables)")
-	speedupMatch := flag.String("speedup-match", "", "regexp selecting the benchmarks the -min-speedup requirement applies to")
+	record := flag.String("record", "", "append a min-of-counts record of the bench output on standard input to this file")
+	commit := flag.String("commit", "", "commit hash stamped on the -record line")
 	flag.Parse()
+	if *record != "" {
+		var in bytes.Buffer
+		if _, err := io.Copy(io.MultiWriter(&in, os.Stdout), os.Stdin); err != nil {
+			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+			os.Exit(2)
+		}
+		if err := Record(*record, *commit, time.Now().UTC(), in.String()); err != nil {
+			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+			os.Exit(2)
+		}
+		return
+	}
 	if *base == "" || *head == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -base and -head are required")
 		os.Exit(2)
@@ -65,33 +80,55 @@ func main() {
 	}
 	report, regressions := Compare(baseNs, headNs, re, *threshold)
 	fmt.Print(report)
-	failed := false
 	if len(regressions) > 0 {
 		fmt.Printf("\nFAIL: %d benchmark(s) regressed beyond +%.0f%%: %s\n",
 			len(regressions), *threshold*100, strings.Join(regressions, ", "))
-		failed = true
-	} else {
-		fmt.Printf("\nPASS: no benchmark regressed beyond +%.0f%%\n", *threshold*100)
-	}
-	if *minSpeedup > 0 {
-		spRe, err := compileMatch(*speedupMatch)
-		if err != nil || spRe == nil {
-			fmt.Fprintf(os.Stderr, "benchgate: -min-speedup needs a valid -speedup-match: %v\n", err)
-			os.Exit(2)
-		}
-		spReport, misses := CompareSpeedup(baseNs, headNs, spRe, *minSpeedup)
-		fmt.Print(spReport)
-		if len(misses) > 0 {
-			fmt.Printf("\nFAIL: %d benchmark(s) below the required %.2fx speedup: %s\n",
-				len(misses), *minSpeedup, strings.Join(misses, ", "))
-			failed = true
-		} else {
-			fmt.Printf("\nPASS: all gated benchmarks hold ≥ %.2fx over base\n", *minSpeedup)
-		}
-	}
-	if failed {
 		os.Exit(1)
 	}
+	fmt.Printf("\nPASS: no benchmark regressed beyond +%.0f%%\n", *threshold*100)
+}
+
+// Record appends one trajectory line for the bench output in text to
+// the file at path: min-of-counts ns/op per benchmark, stamped with the
+// commit, the time and the machine the output names.
+func Record(path, commit string, at time.Time, text string) error {
+	samples, err := ParseBench(strings.NewReader(text))
+	if err != nil {
+		return err
+	}
+	if len(samples) == 0 {
+		return fmt.Errorf("no benchmark results to record in %s", path)
+	}
+	rec := struct {
+		Commit  string             `json:"commit"`
+		Time    string             `json:"time"`
+		CPU     string             `json:"cpu,omitempty"`
+		Samples int                `json:"samples"`
+		NsPerOp map[string]float64 `json:"ns_per_op"`
+	}{Commit: commit, Time: at.Format(time.RFC3339), NsPerOp: make(map[string]float64, len(samples))}
+	for _, line := range strings.Split(text, "\n") {
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			rec.CPU = cpu
+			break
+		}
+	}
+	for name, xs := range samples {
+		rec.NsPerOp[name] = minOf(xs)
+		rec.Samples = max(rec.Samples, len(xs))
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func compileMatch(expr string) (*regexp.Regexp, error) {
@@ -192,40 +229,6 @@ func Compare(base, head map[string][]float64, re *regexp.Regexp, threshold float
 		}
 	}
 	return b.String(), regressions
-}
-
-// CompareSpeedup renders the speedup table and returns the names
-// failing the ≥ minRatio requirement. Only benchmarks matching re and
-// present in both maps count; if re selects nothing present on both
-// sides, the gate fails with a synthetic "(no benchmark matched)"
-// entry, so a renamed benchmark cannot silently disarm it.
-func CompareSpeedup(base, head map[string][]float64, re *regexp.Regexp, minRatio float64) (string, []string) {
-	names := make([]string, 0, len(base))
-	for name := range base {
-		if _, ok := head[name]; ok && re.MatchString(name) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "\n%-60s %14s %14s %9s\n", "speedup gate", "base ns/op", "head ns/op", "ratio")
-	var misses []string
-	if len(names) == 0 {
-		fmt.Fprintf(&b, "%-60s\n", "(no benchmark matched on both sides)")
-		return b.String(), []string{"(no benchmark matched)"}
-	}
-	for _, name := range names {
-		bm, hm := minOf(base[name]), minOf(head[name])
-		ratio := bm / hm
-		mark := ""
-		if ratio < minRatio {
-			mark = " !"
-			misses = append(misses, name)
-		}
-		fmt.Fprintf(&b, "%-60s %14.0f %14.0f %8.2fx%s\n", name, bm, hm, ratio, mark)
-	}
-	return b.String(), misses
 }
 
 func minOf(xs []float64) float64 {

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 const sampleBase = `goos: linux
@@ -75,36 +79,42 @@ func TestCompareMatchFilter(t *testing.T) {
 	}
 }
 
-func TestCompareSpeedup(t *testing.T) {
-	base := map[string][]float64{
-		"BenchmarkGatherMemo/n=2048/k=128": {240000, 250000},
-		"BenchmarkSchedulerSparse/memo":    {66000},
-		"BenchmarkUnrelated/other":         {100},
-		"BenchmarkOnlyInBase/n=2048/k=128": {500},
+// TestRecordAppends: two runs leave two lines, each the min of its
+// counts, and the earlier line is untouched.
+func TestRecordAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	at := time.Date(2026, 9, 28, 12, 0, 0, 0, time.UTC)
+	if err := Record(path, "abc1234", at, "cpu: Test CPU @ 2GHz\n"+sampleBase); err != nil {
+		t.Fatal(err)
 	}
-	head := map[string][]float64{
-		"BenchmarkGatherMemo/n=2048/k=128": {100000, 95000},
-		"BenchmarkSchedulerSparse/memo":    {31000},
-		"BenchmarkUnrelated/other":         {100000}, // slower, but not matched
+	if err := Record(path, "def5678-dirty", at.Add(time.Hour), sampleHead); err != nil {
+		t.Fatal(err)
 	}
-	re := regexp.MustCompile(`^BenchmarkGatherMemo/n=2048/k=128$|^BenchmarkSchedulerSparse/memo$`)
-	// 240000/95000 = 2.53x and 66000/31000 = 2.13x: both hold at 2.0.
-	report, misses := CompareSpeedup(base, head, re, 2.0)
-	if len(misses) != 0 {
-		t.Fatalf("unexpected misses at 2.0x: %v\nreport:\n%s", misses, report)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if strings.Contains(report, "Unrelated") || strings.Contains(report, "OnlyInBase") {
-		t.Fatalf("unmatched/one-sided benchmarks leaked into the gate:\n%s", report)
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("%d lines after two records, want 2:\n%s", len(lines), raw)
 	}
-	// At 2.25x the scheduler cell (2.13x) fails, the gather cell holds.
-	report, misses = CompareSpeedup(base, head, re, 2.25)
-	if len(misses) != 1 || misses[0] != "BenchmarkSchedulerSparse/memo" {
-		t.Fatalf("misses at 2.25x = %v\nreport:\n%s", misses, report)
+	var first struct {
+		Commit, Time, CPU string
+		Samples           int
+		NsPerOp           map[string]float64 `json:"ns_per_op"`
 	}
-	// A pattern matching nothing present on both sides must fail loudly.
-	_, misses = CompareSpeedup(base, head, regexp.MustCompile(`^BenchmarkRenamed$`), 2.0)
-	if len(misses) != 1 {
-		t.Fatalf("empty match did not fail the gate: %v", misses)
+	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
+		t.Fatal(err)
+	}
+	if first.Commit != "abc1234" || first.CPU != "Test CPU @ 2GHz" || first.Samples != 2 ||
+		first.Time != "2026-09-28T12:00:00Z" || first.NsPerOp["BenchmarkGather/n=1024/k=32"] != 1000000 {
+		t.Fatalf("first record = %+v", first)
+	}
+	if !strings.Contains(lines[1], `"def5678-dirty"`) || !strings.Contains(lines[1], `"BenchmarkAdded":400000`) {
+		t.Fatalf("second record = %s", lines[1])
+	}
+	if err := Record(path, "x", at, "PASS\n"); err == nil {
+		t.Fatal("output without results recorded")
 	}
 }
 

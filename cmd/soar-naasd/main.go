@@ -5,8 +5,9 @@
 //
 //	soar-naasd -addr 127.0.0.1:7070 -topo bt -n 256 -capacity 4
 //
-// Admission is served by the internal/sched scheduler: arrivals batch
-// inside -window, solve on a pool of -workers incremental engines, and
+// Admission is served by the internal/sched scheduler: arrivals that
+// queue up during one solve form the next batch, solve on a pool of
+// -workers incremental engines, and
 // a background re-packer (-repack-every, -repack-moves) recovers the
 // utilization that tenant departures fragment away.
 //
@@ -91,7 +92,6 @@ func main() {
 	capacity := flag.Int("capacity", 4, "per-switch aggregation capacity (0 = unlimited)")
 	seed := flag.Int64("seed", 1, "seed for random topologies")
 	workers := flag.Int("workers", 0, "scheduler engine-pool size (0 = GOMAXPROCS)")
-	window := flag.Duration("window", 200*time.Microsecond, "admission batching window")
 	repackEvery := flag.Duration("repack-every", time.Second, "background re-packing period (0 = off)")
 	repackMoves := flag.Int("repack-moves", 8, "migration budget per re-packing round")
 	ckptPath := flag.String("checkpoint", "", "checkpoint file: restored on start if present, written periodically, on POST /v1/checkpoint and on shutdown (empty = off)")
@@ -133,7 +133,6 @@ func main() {
 	schedCfg := sched.Config{
 		Capacity: *capacity,
 		Workers:  *workers,
-		Window:   *window,
 		Repack:   sched.RepackConfig{Every: *repackEvery, MaxMoves: *repackMoves},
 	}
 

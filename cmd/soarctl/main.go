@@ -15,7 +15,7 @@
 //	                [-caps uniform|tiered|tor|powerlaw]
 //	soarctl cluster [-n 64] [-k 8] [-seed 1]
 //	soarctl sched   [-n 1024] [-k 8] [-capacity 16] [-caps profile]
-//	                [-tenants 2000] [-clients 8] [-workers 0] [-window 200us]
+//	                [-tenants 2000] [-clients 8] [-workers 0]
 //	                [-racks 8] [-churn 0.5] [-repack-every 25ms]
 //	                [-repack-moves 16] [-seed 1] [-baseline]
 //	soarctl top     [-addr http://127.0.0.1:7070] [-every 1s] [-n 0] [-once]

@@ -164,7 +164,7 @@ func TestRunPlaceRejectsBadCapsProfiles(t *testing.T) {
 func TestRunSchedCapsProfile(t *testing.T) {
 	err := runSched([]string{
 		"-n", "32", "-k", "2", "-caps", "tor:1,2", "-tenants", "30",
-		"-clients", "2", "-racks", "4", "-window", "100us", "-baseline",
+		"-clients", "2", "-racks", "4", "-baseline",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestRunExpHeteroQuick(t *testing.T) {
 func TestRunSchedQuick(t *testing.T) {
 	err := runSched([]string{
 		"-n", "64", "-k", "4", "-capacity", "2", "-tenants", "60",
-		"-clients", "4", "-racks", "4", "-window", "100us",
+		"-clients", "4", "-racks", "4",
 		"-repack-every", "2ms", "-repack-moves", "4", "-baseline",
 	})
 	if err != nil {

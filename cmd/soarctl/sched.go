@@ -31,7 +31,6 @@ func runSched(args []string) error {
 	tenants := fs.Int("tenants", 2000, "total tenants to admit")
 	clients := fs.Int("clients", 8, "concurrent client goroutines")
 	workers := fs.Int("workers", 0, "scheduler engine-pool size (0 = GOMAXPROCS)")
-	window := fs.Duration("window", 200*time.Microsecond, "batching window")
 	racks := fs.Int("racks", 8, "leaves each tenant loads (sparse tenants)")
 	churn := fs.Float64("churn", 0.5, "probability a client releases one of its tenants after an admission")
 	repackEvery := fs.Duration("repack-every", 25*time.Millisecond, "background re-packing period (0 = off)")
@@ -58,14 +57,13 @@ func runSched(args []string) error {
 		Capacity:   *capacity,
 		Capacities: caps,
 		Workers:    *workers,
-		Window:     *window,
 		Memo:       *memo,
 		Repack:     sched.RepackConfig{Every: *repackEvery, MaxMoves: *repackMoves},
 	})
 	defer s.Close()
 
-	fmt.Printf("scheduler: BT(%d) switches=%d k=%d capacity=%d clients=%d window=%v repack=%v/%d memo=%v\n",
-		*n, tr.N(), *k, *capacity, *clients, *window, *repackEvery, *repackMoves, *memo)
+	fmt.Printf("scheduler: BT(%d) switches=%d k=%d capacity=%d clients=%d repack=%v/%d memo=%v\n",
+		*n, tr.N(), *k, *capacity, *clients, *repackEvery, *repackMoves, *memo)
 	if caps != nil {
 		fmt.Printf("capacity profile: %s (%s)\n", *capsSpec, capsSummary(caps))
 	}

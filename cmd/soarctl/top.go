@@ -15,11 +15,13 @@ import (
 
 // runTop polls a running soar-naasd and renders a terminal summary of
 // the numbers an operator watches: admission rate and latency
-// quantiles (from the soar_sched_place_seconds histogram), batch
-// coalescing, memo hit ratio, conflicts, degraded cluster runs and
-// re-packer Φ recovered. It is a scrape consumer like any other — it
-// reads GET /metrics and computes rates from successive snapshots, so
-// what it shows is exactly what a Prometheus dashboard would.
+// quantiles (from the soar_sched_place_seconds histogram), the median
+// queue wait (soar_sched_queue_wait_seconds: submission to the start of
+// the request's batch), batch coalescing, memo hit ratio, conflicts,
+// degraded cluster runs and re-packer Φ recovered. It is a scrape
+// consumer like any other — it reads GET /metrics and computes rates
+// from successive snapshots, so what it shows is exactly what a
+// Prometheus dashboard would.
 func runTop(args []string) error {
 	fs := newFlagSet("top")
 	addr := fs.String("addr", "http://127.0.0.1:7070", "daemon base URL")
@@ -44,7 +46,7 @@ type topSnapshot struct {
 	degraded, clusterRuns                     float64
 	phiRecovered                              float64
 	tenants, capUsed, capTotal                float64
-	p50, p95, p99                             float64
+	p50, p95, p99, queueWait                  float64
 }
 
 func scrapeTop(ctx context.Context, c *naas.Client) (*topSnapshot, error) {
@@ -85,15 +87,35 @@ func scrapeTop(ctx context.Context, c *naas.Client) (*topSnapshot, error) {
 			}
 		}
 	}
-	if f, ok := byName["soar_sched_place_seconds"]; ok {
+	// quantiles of one histogram family; NaN (rendered "-") when the
+	// daemon does not export it.
+	quantiles := func(name string, qs ...float64) ([]float64, error) {
+		out := make([]float64, len(qs))
+		f, ok := byName[name]
+		if !ok {
+			for i := range out {
+				out[i] = math.NaN()
+			}
+			return out, nil
+		}
 		bounds, cum, _, err := obs.HistogramSeries(f, nil)
 		if err != nil {
-			return nil, fmt.Errorf("place_seconds histogram: %w", err)
+			return nil, fmt.Errorf("%s histogram: %w", name, err)
 		}
-		snap.p50 = obs.HistogramQuantile(0.50, bounds, cum)
-		snap.p95 = obs.HistogramQuantile(0.95, bounds, cum)
-		snap.p99 = obs.HistogramQuantile(0.99, bounds, cum)
+		for i, q := range qs {
+			out[i] = obs.HistogramQuantile(q, bounds, cum)
+		}
+		return out, nil
 	}
+	place, err := quantiles("soar_sched_place_seconds", 0.50, 0.95, 0.99)
+	if err != nil {
+		return nil, err
+	}
+	wait, err := quantiles("soar_sched_queue_wait_seconds", 0.50)
+	if err != nil {
+		return nil, err
+	}
+	snap.p50, snap.p95, snap.p99, snap.queueWait = place[0], place[1], place[2], wait[0]
 	return snap, nil
 }
 
@@ -105,8 +127,8 @@ func topLoop(w io.Writer, addr string, every time.Duration, polls int) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	fmt.Fprintf(w, "%-8s %9s %8s %8s %8s %8s %8s %7s %7s %9s %9s\n",
-		"time", "adm/s", "p50", "p95", "p99", "tenants", "cap%", "batch", "memo%", "degraded", "Φrec")
+	fmt.Fprintf(w, "%-8s %9s %8s %8s %8s %8s %8s %8s %7s %7s %9s %9s\n",
+		"time", "adm/s", "p50", "p95", "p99", "qwait50", "tenants", "cap%", "batch", "memo%", "degraded", "Φrec")
 	var prev *topSnapshot
 	prevAt := time.Now()
 	for i := 0; polls <= 0 || i < polls; i++ {
@@ -140,9 +162,9 @@ func topLoop(w io.Writer, addr string, every time.Duration, polls int) error {
 		if ops := snap.hits + snap.misses; ops > 0 {
 			memoPct = fmt.Sprintf("%.1f", 100*snap.hits/ops)
 		}
-		fmt.Fprintf(w, "%-8s %9.1f %8s %8s %8s %8.0f %7.1f%% %7.2f %7s %9.0f %9.3f\n",
+		fmt.Fprintf(w, "%-8s %9.1f %8s %8s %8s %8s %8.0f %7.1f%% %7.2f %7s %9.0f %9.3f\n",
 			now.Format("15:04:05"), rate,
-			fmtSeconds(snap.p50), fmtSeconds(snap.p95), fmtSeconds(snap.p99),
+			fmtSeconds(snap.p50), fmtSeconds(snap.p95), fmtSeconds(snap.p99), fmtSeconds(snap.queueWait),
 			snap.tenants, capPct, meanBatch, memoPct, snap.degraded, snap.phiRecovered)
 		prev, prevAt = snap, now
 	}

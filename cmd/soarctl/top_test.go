@@ -29,15 +29,19 @@ func TestTopLoopAgainstLiveService(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "adm/s") {
+	if !strings.Contains(out, "adm/s") || !strings.Contains(out, "qwait50") {
 		t.Fatalf("missing header:\n%s", out)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("want header + 2 poll lines, got %d:\n%s", len(lines), out)
 	}
-	// One tenant is active; the tenants column must say so on each line.
+	// One tenant is active; the tenants column must say so on each line,
+	// and its admission gave the queue-wait column (6th) a reading.
 	for _, ln := range lines[1:] {
+		if f := strings.Fields(ln); len(f) < 6 || f[5] == "-" {
+			t.Fatalf("poll line shows no queue wait: %q", ln)
+		}
 		if !strings.Contains(ln, " 1 ") {
 			t.Fatalf("poll line does not show the active tenant: %q", ln)
 		}

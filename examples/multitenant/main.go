@@ -104,7 +104,6 @@ func concurrentScheduler() {
 	)
 	s := sched.New(t, sched.Config{
 		Capacity: capacity,
-		Window:   200 * time.Microsecond,
 		Repack:   sched.RepackConfig{Every: 20 * time.Millisecond, MaxMoves: 16},
 	})
 	defer s.Close()

@@ -48,10 +48,33 @@ func deltaFromEvent(shard uint32, epoch uint64, ev sched.JournalEvent) (*wire.Le
 	return d, nil
 }
 
-// eventFromDelta converts a received lease-delta frame back into a
-// journal event over a shard tree of n switches, validating ranges so
-// a corrupt peer cannot panic the replica.
-func eventFromDelta(d *wire.LeaseDelta, n int) (sched.JournalEvent, error) {
+// checkDelta validates a received lease-delta frame against a shard
+// tree of n switches — a known operation, every blue and load switch in
+// range — so a corrupt peer cannot panic the replica at promotion.
+func checkDelta(d *wire.LeaseDelta, n int) error {
+	if d.Op < wire.DeltaPlace || d.Op > wire.DeltaMigrate {
+		return fmt.Errorf("ha: delta op %d unknown", d.Op)
+	}
+	if len(d.LoadN) != len(d.LoadV) {
+		return fmt.Errorf("ha: delta has %d load switches for %d counts", len(d.LoadV), len(d.LoadN))
+	}
+	for _, v := range d.Blue {
+		if int(v) >= n {
+			return fmt.Errorf("ha: delta blue switch %d of %d", v, n)
+		}
+	}
+	for _, v := range d.LoadV {
+		if int(v) >= n {
+			return fmt.Errorf("ha: delta load switch %d of %d", v, n)
+		}
+	}
+	return nil
+}
+
+// eventFromDelta converts a lease-delta frame that passed checkDelta
+// back into a journal event over a shard tree of n switches, densifying
+// the load.
+func eventFromDelta(d *wire.LeaseDelta, n int) sched.JournalEvent {
 	ev := sched.JournalEvent{
 		Seq:    d.Seq,
 		ID:     int64(d.ID),
@@ -66,26 +89,18 @@ func eventFromDelta(d *wire.LeaseDelta, n int) (sched.JournalEvent, error) {
 		ev.Op = sched.JournalRelease
 	case wire.DeltaMigrate:
 		ev.Op = sched.JournalMigrate
-	default:
-		return ev, fmt.Errorf("ha: delta op %d unknown", d.Op)
 	}
 	if ev.Op != sched.JournalRelease {
 		ev.Blue = make([]int, len(d.Blue))
 		for i, v := range d.Blue {
-			if int(v) >= n {
-				return ev, fmt.Errorf("ha: delta blue switch %d of %d", v, n)
-			}
 			ev.Blue[i] = int(v)
 		}
 	}
 	if ev.Op == sched.JournalPlace {
 		ev.Load = make([]int, n)
 		for i, v := range d.LoadV {
-			if int(v) >= n {
-				return ev, fmt.Errorf("ha: delta load switch %d of %d", v, n)
-			}
-			ev.Load[int(v)] = int(d.LoadN[i])
+			ev.Load[v] = int(d.LoadN[i])
 		}
 	}
-	return ev, nil
+	return ev
 }

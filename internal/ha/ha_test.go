@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -250,9 +251,12 @@ func TestReplicationCatchUp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("replica lost lease %d: %v", local, err)
 		}
-		if math.Float64bits(pl.Phi) != math.Float64bits(rl.Phi) || len(pl.Blue) != len(rl.Blue) {
+		if !reflect.DeepEqual(pl, rl) {
 			t.Fatalf("lease %d diverged: primary %+v, replica %+v", local, pl, rl)
 		}
+	}
+	if !reflect.DeepEqual(replica.Residual(), prim.Residual()) {
+		t.Fatal("replica and primary ledgers diverge")
 	}
 }
 

@@ -150,7 +150,7 @@ func (m *Mirror) Registry() *obs.Registry { return m.reg }
 // afterwards, whether promotion succeeded or not.
 func (m *Mirror) Promote(base sched.Config) (*sched.Scheduler, error) {
 	m.st.halt()
-	ckpt, seq, journal, _, ok := m.st.state()
+	ckpt, seq, journal, epoch, ok := m.st.state()
 	if !ok {
 		return nil, fmt.Errorf("ha: mirror of shard %d has no checkpoint to promote", m.shard)
 	}
@@ -165,6 +165,8 @@ func (m *Mirror) Promote(base sched.Config) (*sched.Scheduler, error) {
 		sch.Close()
 		return nil, err
 	}
+	// The mirror serves as the successor of the last epoch it heard.
+	sch.SeedNextID(epochIDFloor(epoch + 1))
 	return sch, nil
 }
 

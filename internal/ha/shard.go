@@ -210,6 +210,16 @@ func (s *shard) onSilence(obsEpoch uint64) {
 	s.promoteLocked()
 }
 
+// epochIDFloor is the first shard-local lease id an incarnation
+// promoted at epoch may issue. A primary acknowledges a commit before
+// its standbys hold the delta, so the state a standby replays can be
+// behind ids clients already hold; starting every promoted epoch in its
+// own 2³²-id band keeps such an id from being granted twice. The band
+// of epoch e is [e·2³², (e+1)·2³²) inside the 48-bit local id space:
+// room for 65535 failovers of one shard, and for four billion
+// admissions per epoch before an incarnation runs into the next band.
+func epochIDFloor(epoch uint64) int64 { return int64(epoch) << 32 }
+
 // promoteLocked fails the shard over: advance the epoch (fencing every
 // older incarnation), replay the freshest standby's checkpoint+journal
 // into a new scheduler, audit it, and start serving. Caller holds mu.
@@ -247,7 +257,11 @@ func (s *shard) promoteLocked() {
 	sb.halt()
 	ckpt, seq, journal, _, _ := sb.state()
 	inc, err := s.spawnPrimary(sb.cfg.node, newEpoch, func(sch *sched.Scheduler) error {
-		return replay(sch, ckpt, seq, journal)
+		if err := replay(sch, ckpt, seq, journal); err != nil {
+			return err
+		}
+		sch.SeedNextID(epochIDFloor(newEpoch))
+		return nil
 	})
 	if err != nil {
 		// The shard is headless until another silence verdict retries

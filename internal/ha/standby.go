@@ -69,7 +69,11 @@ type standby struct {
 	ckptSeq   uint64
 	lastSeq   uint64
 	epoch     uint64
-	journal   []sched.JournalEvent
+	// journal holds the deltas past the checkpoint as the sparse frames
+	// they arrived in (range-checked by absorb); replay densifies them
+	// one at a time. A dense load vector per event would make a long
+	// journal the replica's whole heap.
+	journal []*wire.LeaseDelta
 }
 
 func newStandby(cfg standbyConfig, primaryAddr string) *standby {
@@ -120,7 +124,7 @@ func (s *standby) stopped() bool {
 // checkpoint, the sequence it was stamped with, the delta journal
 // accumulated since, and the epoch it was heard at. ok is false until
 // a first checkpoint has landed.
-func (s *standby) state() (ckpt []byte, seq uint64, journal []sched.JournalEvent, epoch uint64, ok bool) {
+func (s *standby) state() (ckpt []byte, seq uint64, journal []*wire.LeaseDelta, epoch uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ckpt, s.ckptSeq, s.journal, s.epoch, s.haveState
@@ -285,9 +289,9 @@ func streamNoise(err error) bool {
 }
 
 // absorb appends one delta to the journal, skipping the prefix the
-// checkpoint already covers and treating any sequence gap or journal
-// overflow as a resync trigger (error → re-attach for a fresh
-// checkpoint).
+// checkpoint already covers and treating any sequence gap, journal
+// overflow or out-of-range frame as a resync trigger (error →
+// re-attach for a fresh checkpoint).
 func (s *standby) absorb(d *wire.LeaseDelta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -300,27 +304,28 @@ func (s *standby) absorb(d *wire.LeaseDelta) error {
 	if len(s.journal) >= s.cfg.maxJournal {
 		return fmt.Errorf("journal overflow at %d events", len(s.journal))
 	}
-	ev, err := eventFromDelta(d, s.cfg.treeN)
-	if err != nil {
+	if err := checkDelta(d, s.cfg.treeN); err != nil {
 		return err
 	}
-	s.journal = append(s.journal, ev)
+	s.journal = append(s.journal, d)
 	s.lastSeq = d.Seq
 	return nil
 }
 
 // replay folds a standby's replication state into a fresh scheduler:
 // restore the checkpoint, seed the journal sequence it was stamped
-// with, apply the delta suffix, then prove conservation from first
-// principles before the replica may serve.
-func replay(sch *sched.Scheduler, ckpt []byte, seq uint64, journal []sched.JournalEvent) error {
+// with, apply the delta suffix (each frame densified over the shard
+// tree only for the moment it is applied), then prove conservation from
+// first principles before the replica may serve.
+func replay(sch *sched.Scheduler, ckpt []byte, seq uint64, journal []*wire.LeaseDelta) error {
 	if err := sch.Restore(bytes.NewReader(ckpt)); err != nil {
 		return fmt.Errorf("ha: replay restore: %w", err)
 	}
 	sch.SeedJournal(seq)
-	for _, ev := range journal {
-		if err := sch.ApplyEvent(ev); err != nil {
-			return fmt.Errorf("ha: replay event %d: %w", ev.Seq, err)
+	n := sch.Tree().N()
+	for _, d := range journal {
+		if err := sch.ApplyEvent(eventFromDelta(d, n)); err != nil {
+			return fmt.Errorf("ha: replay event %d: %w", d.Seq, err)
 		}
 	}
 	if err := sch.Audit(); err != nil {

@@ -53,6 +53,7 @@ var hotpathStdlib = map[string]bool{
 	"time.Now":              true,
 	"time.Since":            true,
 	"time.Duration.Seconds": true,
+	"time.Time.Sub":         true,
 	"time.Time.UnixNano":    true,
 }
 

@@ -34,8 +34,8 @@ import (
 
 // placeRequest is the admission request body.
 type placeRequest struct {
-	Load []int `json:"load"`
-	K    int   `json:"k"`
+	Load loadVec `json:"load"`
+	K    int     `json:"k"`
 }
 
 // leaseJSON is the wire form of a Lease.
@@ -107,19 +107,18 @@ func (s *Service) handleTenants(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
-	var req placeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	sc := placePool.Get().(*placeScratch)
+	defer placePool.Put(sc)
+	req, err := decodePlace(http.MaxBytesReader(w, r.Body, maxPlaceBody), sc)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
-	lease, err := s.Place(req.Load, req.K)
-	if err != nil {
+	if err := s.s.PlaceInto(req.Load, req.K, &sc.lease); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, toLeaseJSON(lease))
+	writeJSON(w, http.StatusCreated, toLeaseJSON(&sc.lease))
 }
 
 func (s *Service) handleTenantByID(w http.ResponseWriter, r *http.Request) {

@@ -2,7 +2,6 @@ package naas
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -101,10 +100,10 @@ func (f *Sharded) handleTenants(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
-	var req placeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	sc := placePool.Get().(*placeScratch)
+	defer placePool.Put(sc)
+	req, err := decodePlace(http.MaxBytesReader(w, r.Body, maxPlaceBody), sc)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}

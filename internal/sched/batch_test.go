@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"soar/internal/core"
 	"soar/internal/load"
@@ -68,7 +67,7 @@ func TestSolveBatchedMatchesSolve(t *testing.T) {
 // residuals consistent with the held slots.
 func TestSchedulerBatchSolveInvariants(t *testing.T) {
 	tr := topology.MustBT(64)
-	s := New(tr, Config{Capacity: 2, Workers: 4, Window: 100 * time.Microsecond, BatchSolve: true})
+	s := New(tr, Config{Capacity: 2, Workers: 4, BatchSolve: true})
 	defer s.Close()
 
 	const goroutines = 8

@@ -20,9 +20,13 @@ import (
 // checksum, and full capacity conservation — before installing any of
 // it, so a truncated or corrupted checkpoint is rejected atomically.
 //
-// The recovery model is snapshot-consistency: a checkpoint taken under
-// mu observes every lease either fully committed or not at all (commit
-// publishes each lease atomically under the same lock). Leases admitted
+// The recovery model is snapshot-consistency: a checkpoint is taken on
+// the dispatcher goroutine under mu, so it observes every lease either
+// fully committed or not at all (commit publishes each lease atomically
+// under the same lock) and never a re-packing round in progress (a
+// round credits a candidate's slots while it re-solves it with mu
+// released; the dispatcher runs rounds and snapshots one after the
+// other). Leases admitted
 // after the snapshot are lost on restore — exactly the contract of
 // periodic checkpointing; the chaos soak (soak_test.go) churns tenants
 // through kill/restore cycles and proves what survives is conserved:
@@ -39,10 +43,34 @@ type ckptSnapshot struct {
 	tenants  []*tenant
 }
 
+// snapshot obtains a consistent copy of the durable state from the
+// dispatcher (an opCheckpoint request, see runBatch). Once the scheduler
+// is closed there is no dispatcher to ask and no re-packer to race:
+// wait for the background goroutines to exit and copy directly.
+func (s *Scheduler) snapshot() ckptSnapshot {
+	r := s.reqPool.Get().(*request)
+	r.op, r.t0 = opCheckpoint, time.Now()
+	if err := s.submit(r); err != nil {
+		s.reqPool.Put(r)
+		s.bg.Wait()
+		return s.snapshotState()
+	}
+	<-r.done
+	snap, err := r.snap, r.err
+	r.snap = ckptSnapshot{}
+	s.finish(r)
+	if err != nil { // Close drained the queue before the dispatcher got to it
+		s.bg.Wait()
+		return s.snapshotState()
+	}
+	return snap
+}
+
 // snapshotState deep-copies the durable state under mu. The lock is
 // the scheduler's //soar:critical commit lock, so soarlint's
 // lockdiscipline analyzer proves this snapshot never blocks admission
 // on a channel, a solve or a pool Get — it copies and releases.
+// Callers are the dispatcher, or anyone once the dispatcher has exited.
 func (s *Scheduler) snapshotState() ckptSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -82,9 +110,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // Checkpoint writes the scheduler's durable state — capacity ledger,
 // every active lease, and the tenant-id high-water mark — to w in the
 // internal/wire checkpoint format. The snapshot is consistent: it is
-// taken atomically with respect to commits and releases, then encoded
-// outside the lock. Checkpoint is safe to call concurrently with
-// serving traffic and with other Checkpoints.
+// taken atomically with respect to commits, releases and re-packing
+// rounds, then encoded outside the lock. Checkpoint is safe to call
+// concurrently with serving traffic and with other Checkpoints.
 func (s *Scheduler) Checkpoint(w io.Writer) error {
 	_, err := s.CheckpointSeq(w)
 	return err
@@ -116,7 +144,7 @@ func (s *Scheduler) CheckpointSeq(w io.Writer) (uint64, error) {
 }
 
 func (s *Scheduler) checkpoint(w io.Writer) (uint64, error) {
-	snap := s.snapshotState()
+	snap := s.snapshot()
 	h := fnv.New64a()
 	hw := io.MultiWriter(w, h)
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"soar/internal/load"
 	"soar/internal/topology"
@@ -231,6 +232,66 @@ func TestCheckpointIsConcurrencySafe(t *testing.T) {
 		fresh.Close()
 	}
 	close(stop)
+}
+
+// TestCheckpointDuringRepackRestores is the regression test for the
+// checkpoint-vs-re-packer defect: a round credits a candidate's slots
+// and re-solves it with the commit lock released, so a snapshot taken
+// under the lock alone could land in between and fail Restore's
+// conservation check (270 of 300 did, with a 1 ms re-packer). Snapshots
+// now run on the dispatcher, between rounds; every one must restore.
+func TestCheckpointDuringRepackRestores(t *testing.T) {
+	tr := topology.MustBT(64)
+	s := New(tr, Config{Capacity: 2, Workers: 2, Repack: RepackConfig{Every: time.Millisecond}})
+	stop := make(chan struct{})
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		rng := rand.New(rand.NewSource(5))
+		var ids []int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			loads := load.GenerateSparse(tr, load.PaperPowerLaw(), 3, rng)
+			if l, err := s.Place(loads, 2); err == nil {
+				ids = append(ids, l.ID)
+			}
+			if len(ids) > 30 {
+				s.Release(ids[0])
+				ids = ids[1:]
+			}
+		}
+	}()
+	check := func(i int) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := s.Checkpoint(&buf); err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+		fresh := New(tr, Config{Capacity: 2})
+		defer fresh.Close()
+		if err := fresh.Restore(&buf); err != nil {
+			t.Fatalf("restore of checkpoint %d: %v", i, err)
+		}
+		if err := fresh.Audit(); err != nil {
+			t.Fatalf("audit of checkpoint %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		check(i)
+	}
+	if s.Metrics().RepackRounds == 0 {
+		t.Fatal("no re-packing round ran: the test raced nothing")
+	}
+	close(stop)
+	<-churned
+	// A closed scheduler has no dispatcher to ask; the snapshot is then
+	// taken directly (nothing can be mid-round any more).
+	s.Close()
+	check(300)
 }
 
 func TestAuditDetectsCorruption(t *testing.T) {

@@ -107,6 +107,18 @@ func (s *Scheduler) SeedJournal(seq uint64) {
 	s.journalSeq = seq
 }
 
+// SeedNextID raises the id the next admission receives to at least
+// floor (it never lowers it). A replica promoted from a checkpoint and
+// a journal suffix calls it after the replay: the old primary
+// acknowledges a commit before its standbys hold the delta, so the
+// replayed high-water mark can be behind an id a client already holds.
+// Must happen before traffic.
+func (s *Scheduler) SeedNextID(floor int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nextID = max(s.nextID, floor)
+}
+
 // ApplyEvent replays one journal event into the scheduler, validating
 // it the way Restore validates a checkpoint: sequence-dense, ids fresh
 // (or live, for release/migrate), switches in range with residual

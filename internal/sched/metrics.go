@@ -62,6 +62,7 @@ type metrics struct {
 	batches   *obs.Counter
 	batchSize *obs.Histogram
 	batchMax  *obs.Gauge
+	queueWait *obs.Histogram
 
 	placeSeconds   *obs.Histogram
 	releaseSeconds *obs.Histogram
@@ -112,6 +113,8 @@ func (s *Scheduler) initMetrics(reg *obs.Registry, tr *obs.Trace) {
 		"Requests coalesced per batch.", nil, obs.SizeBuckets())
 	m.batchMax = reg.Gauge("soar_sched_batch_max",
 		"Largest batch observed.", nil)
+	m.queueWait = reg.Histogram("soar_sched_queue_wait_seconds",
+		"Time a request waited in the queue, submission to the start of its batch.", nil, obs.LatencyBuckets())
 	m.placeSeconds = reg.Histogram("soar_sched_place_seconds",
 		"Admission latency, submission to commit.", nil, obs.LatencyBuckets())
 	m.releaseSeconds = reg.Histogram("soar_sched_release_seconds",
@@ -280,8 +283,8 @@ type Metrics struct {
 	// Conflicts counts batch placements that lost a capacity race to an
 	// earlier member of their own batch and were re-solved at commit.
 	Conflicts uint64
-	// Batches, MeanBatch and MaxBatch describe how well the batching
-	// window coalesces the request stream.
+	// Batches, MeanBatch and MaxBatch describe how well the dispatcher
+	// coalesces the request stream.
 	Batches   uint64
 	MeanBatch float64
 	MaxBatch  int

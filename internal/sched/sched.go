@@ -6,8 +6,10 @@
 //
 // A Scheduler owns one tree network plus its per-switch lease capacities
 // (a Ledger) and admits Place/Release requests from any number of
-// goroutines. Requests are coalesced inside a short batching window and
-// dispatched to a pool of reusable core.Incremental engines — one per
+// goroutines. Requests that queue up while the previous batch is being
+// solved are coalesced into the next one (work-conserving group commit:
+// the dispatcher never idles to let a batch grow) and dispatched to a
+// pool of reusable core.Incremental engines — one per
 // worker, patched with load and availability deltas via SetLoads /
 // SetAvails instead of re-solving from scratch — so steady-state
 // admission is allocation-free and the solves of one batch run in
@@ -124,10 +126,10 @@ type Config struct {
 	// solves (default GOMAXPROCS). Each worker owns one reusable
 	// core.Incremental engine.
 	Workers int
-	// Window is the batching window: after the first request of a batch
-	// arrives, the dispatcher keeps admitting requests into the batch for
-	// this long before solving. 0 still coalesces whatever is already
-	// queued, without waiting.
+	// Window is ignored.
+	//
+	// Deprecated: ignored — batches form during the previous solve;
+	// delete with the next benchmark PR (bench/layers.go still sets it).
 	Window time.Duration
 	// QueueDepth bounds the number of buffered requests (default
 	// max(64, 4·Workers)); submitters beyond it block.
@@ -184,6 +186,7 @@ const (
 	opPlace opcode = iota
 	opRelease
 	opRepack
+	opCheckpoint
 )
 
 // request is one queued operation. Requests are pooled: the submitting
@@ -208,6 +211,8 @@ type request struct {
 	// repack outputs
 	moved     int
 	recovered float64
+	// checkpoint output
+	snap ckptSnapshot
 	// conflicted marks a placement re-solved during commit; the metric
 	// is counted under mu, the detection happens outside it.
 	conflicted bool
@@ -270,7 +275,6 @@ type Scheduler struct {
 	batchWG   sync.WaitGroup
 	bgSol     solver // dispatcher-owned: single solves, conflicts, re-packing
 	bgBlue    []bool
-	timer     *time.Timer
 	// Batch-solve state (nil/empty unless Config.BatchSolve): the fused
 	// engine plus the reusable per-group marshalling buffers. Dispatcher-
 	// owned, like the rest of the dispatch state.
@@ -323,9 +327,7 @@ func New(t *topology.Tree, cfg Config) *Scheduler {
 		ledger: ledger,
 		leases: make(map[int64]*tenant),
 		bgBlue: make([]bool, t.N()),
-		timer:  time.NewTimer(time.Hour),
 	}
-	s.timer.Stop()
 	s.reqPool.New = func() any { return &request{done: make(chan struct{}, 1)} }
 	s.tenPool.New = func() any { return new(tenant) }
 	s.bgSol.memo = s.newMemo()
@@ -565,25 +567,12 @@ func (s *Scheduler) dispatch() {
 	}
 }
 
-// collectBatch forms one batch: the first request, everything that
-// arrives inside the batching window, and everything already queued.
+// collectBatch forms one batch: the first request plus everything
+// already queued. It never waits: requests that arrive while this batch
+// is being solved form the next one, so batches grow with load and a
+// lone request is solved at once.
 func (s *Scheduler) collectBatch(first *request) {
 	s.batch = append(s.batch[:0], first)
-	if s.cfg.Window > 0 {
-		s.timer.Reset(s.cfg.Window)
-		for open := true; open; {
-			select {
-			case r := <-s.reqs:
-				s.batch = append(s.batch, r)
-			case <-s.timer.C:
-				open = false
-			case <-s.stop:
-				// Finish this batch; the main loop fails the rest.
-				s.timer.Stop()
-				open = false
-			}
-		}
-	}
 	for {
 		select {
 		case r := <-s.reqs:
@@ -595,9 +584,11 @@ func (s *Scheduler) collectBatch(first *request) {
 }
 
 // runBatch executes one batch: releases first in arrival order, then
-// re-pack rounds (so they see every freed slot), then all placements
-// solved in parallel against the resulting availability snapshot and
-// committed in arrival order.
+// re-pack rounds (so they see every freed slot), then checkpoint
+// snapshots (between rounds, never inside one — a round credits a
+// candidate's slots while it re-solves it), then all placements solved
+// in parallel against the resulting availability snapshot and committed
+// in arrival order.
 //
 //soar:hotpath
 func (s *Scheduler) runBatch() {
@@ -606,6 +597,7 @@ func (s *Scheduler) runBatch() {
 	s.repacks = s.repacks[:0]
 	s.mu.Lock()
 	for _, r := range s.batch {
+		s.met.queueWait.Observe(t0.Sub(r.t0).Seconds())
 		switch r.op {
 		case opRelease:
 			r.err = s.releaseLocked(r.id)
@@ -629,6 +621,9 @@ func (s *Scheduler) runBatch() {
 		s.met.tr.Record(s.met.opRepack, rt0, time.Since(rt0), int64(r.moved), int64(r.recovered*1e3))
 	}
 	for _, r := range s.batch {
+		if r.op == opCheckpoint { //soar:coldpath rare, and copies the whole lease table
+			r.snap = s.snapshotState()
+		}
 		if r.op != opPlace {
 			r.done <- struct{}{}
 		}

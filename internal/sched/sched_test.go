@@ -4,9 +4,10 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"soar/internal/core"
 	"soar/internal/load"
@@ -75,8 +76,7 @@ func (b *seqBaseline) release(id int64) bool {
 // for an identical single-threaded order of Place/Release requests, the
 // scheduler issues leases identical (ids, switches, φ, all-red) to the
 // sequential from-scratch baseline, and ends in the same residual
-// state. Run twice: with no batching window and with one, since the
-// window only changes coalescing, never results.
+// state.
 func TestSchedulerMatchesSequential(t *testing.T) {
 	runSequentialEquivalence(t, false)
 }
@@ -89,54 +89,127 @@ func TestSchedulerMemoMatchesSequential(t *testing.T) {
 }
 
 func runSequentialEquivalence(t *testing.T, memo bool) {
-	for _, window := range []time.Duration{0, 200 * time.Microsecond} {
-		tr := topology.MustBT(128)
-		s := New(tr, Config{Capacity: 2, Workers: 3, Window: window, Memo: memo})
-		base := newSeqBaseline(tr, 2)
-		rng := rand.New(rand.NewSource(42))
-		var live []int64
+	tr := topology.MustBT(128)
+	s := New(tr, Config{Capacity: 2, Workers: 3, Memo: memo})
+	base := newSeqBaseline(tr, 2)
+	rng := rand.New(rand.NewSource(42))
+	var live []int64
 
-		for step := 0; step < 160; step++ {
-			if len(live) > 0 && rng.Intn(5) < 2 {
-				id := live[rng.Intn(len(live))]
-				gotErr := s.Release(id)
-				if ok := base.release(id); ok != (gotErr == nil) {
-					t.Fatalf("window=%v step %d: release(%d) scheduler err=%v baseline ok=%v", window, step, id, gotErr, ok)
+	for step := 0; step < 160; step++ {
+		if len(live) > 0 && rng.Intn(5) < 2 {
+			id := live[rng.Intn(len(live))]
+			gotErr := s.Release(id)
+			if ok := base.release(id); ok != (gotErr == nil) {
+				t.Fatalf("step %d: release(%d) scheduler err=%v baseline ok=%v", step, id, gotErr, ok)
+			}
+			for i, l := range live {
+				if l == id {
+					live = append(live[:i], live[i+1:]...)
+					break
 				}
-				for i, l := range live {
-					if l == id {
-						live = append(live[:i], live[i+1:]...)
-						break
-					}
-				}
-				continue
 			}
-			loads := load.GenerateSparse(tr, load.PaperPowerLaw(), 4+rng.Intn(8), rng)
-			k := []int{2, 4, 8}[rng.Intn(3)]
-			got, err := s.Place(loads, k)
-			if err != nil {
-				t.Fatalf("window=%v step %d: place: %v", window, step, err)
-			}
-			want := base.place(loads, k)
-			if got.ID != want.ID || got.K != want.K || got.Phi != want.Phi || got.AllRed != want.AllRed {
-				t.Fatalf("window=%v step %d: lease %+v, want %+v", window, step, got, want)
-			}
-			if !reflect.DeepEqual(got.Blue, want.Blue) {
-				t.Fatalf("window=%v step %d: blue %v, want %v", window, step, got.Blue, want.Blue)
-			}
-			if !reflect.DeepEqual(got.Load, want.Load) {
-				t.Fatalf("window=%v step %d: lease load mismatch", window, step)
-			}
-			live = append(live, got.ID)
+			continue
 		}
-		if got := s.Residual(); !reflect.DeepEqual(got, base.residual) {
-			t.Fatalf("window=%v: final residuals diverge", window)
+		loads := load.GenerateSparse(tr, load.PaperPowerLaw(), 4+rng.Intn(8), rng)
+		k := []int{2, 4, 8}[rng.Intn(3)]
+		got, err := s.Place(loads, k)
+		if err != nil {
+			t.Fatalf("step %d: place: %v", step, err)
 		}
-		st := s.Snapshot()
-		if st.Tenants != len(base.leases) {
-			t.Fatalf("window=%v: %d tenants, want %d", window, st.Tenants, len(base.leases))
+		want := base.place(loads, k)
+		if got.ID != want.ID || got.K != want.K || got.Phi != want.Phi || got.AllRed != want.AllRed {
+			t.Fatalf("step %d: lease %+v, want %+v", step, got, want)
 		}
-		s.Close()
+		if !reflect.DeepEqual(got.Blue, want.Blue) {
+			t.Fatalf("step %d: blue %v, want %v", step, got.Blue, want.Blue)
+		}
+		if !reflect.DeepEqual(got.Load, want.Load) {
+			t.Fatalf("step %d: lease load mismatch", step)
+		}
+		live = append(live, got.ID)
+	}
+	if got := s.Residual(); !reflect.DeepEqual(got, base.residual) {
+		t.Fatalf("final residuals diverge")
+	}
+	st := s.Snapshot()
+	if st.Tenants != len(base.leases) {
+		t.Fatalf("%d tenants, want %d", st.Tenants, len(base.leases))
+	}
+	s.Close()
+}
+
+// TestBatchesFormDuringPreviousCommit pins the work-conserving batching
+// contract without a clock: the dispatcher is parked in the fence of one
+// commit, N more requests queue up behind it, and once it is released
+// the very next batch must hold all N — no timer, no idling — with
+// every lease still the sequential model's, in commit order.
+func TestBatchesFormDuringPreviousCommit(t *testing.T) {
+	const n = 24
+	tr := topology.MustBT(128)
+	parked := make(chan struct{})
+	resume := make(chan struct{})
+	var once sync.Once
+	s := New(tr, Config{Capacity: 2, Workers: 3, Fence: func() error {
+		once.Do(func() {
+			close(parked)
+			<-resume
+		})
+		return nil
+	}})
+	defer s.Close()
+
+	leases := make([]*Lease, 1+n)
+	var wg sync.WaitGroup
+	place := func(i int) {
+		defer wg.Done()
+		loads := load.GenerateSparse(tr, load.PaperPowerLaw(), 4+i%8, rand.New(rand.NewSource(int64(i))))
+		l, err := s.Place(loads, []int{2, 4, 8}[i%3])
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		leases[i] = l
+	}
+	wg.Add(1)
+	go place(0)
+	<-parked
+	wg.Add(n)
+	for i := 1; i <= n; i++ {
+		go place(i)
+	}
+	for len(s.reqs) < n {
+		runtime.Gosched()
+	}
+	close(resume)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	if got := s.met.batches.Value(); got != 2 {
+		t.Fatalf("%d batches, want 2 (the parked one and one holding everything queued behind it)", got)
+	}
+	if got := s.met.batchSize.Sum(); got != 1+n {
+		t.Fatalf("soar_sched_batch_size sums to %v requests, want %d", got, 1+n)
+	}
+	if got := s.met.batchMax.Value(); got != n {
+		t.Fatalf("largest batch %v, want %d", got, n)
+	}
+	if got := s.met.queueWait.Count(); got != 1+n {
+		t.Fatalf("soar_sched_queue_wait_seconds observed %d requests, want %d", got, 1+n)
+	}
+
+	// Commit order is queue order, which the ids record.
+	sort.Slice(leases, func(i, j int) bool { return leases[i].ID < leases[j].ID })
+	base := newSeqBaseline(tr, 2)
+	for i, got := range leases {
+		want := base.place(got.Load, got.K)
+		if got.ID != want.ID || got.Phi != want.Phi || got.AllRed != want.AllRed || !reflect.DeepEqual(got.Blue, want.Blue) {
+			t.Fatalf("commit %d: lease %+v, want %+v", i, got, want)
+		}
+	}
+	if got := s.Residual(); !reflect.DeepEqual(got, base.residual) {
+		t.Fatal("final residuals diverge from the sequential model")
 	}
 }
 
@@ -145,7 +218,7 @@ func runSequentialEquivalence(t *testing.T, memo bool) {
 // in use equal exactly the switches held by live leases.
 func TestConcurrentPlaceRelease(t *testing.T) {
 	tr := topology.MustBT(64)
-	s := New(tr, Config{Capacity: 2, Workers: 4, Window: 100 * time.Microsecond})
+	s := New(tr, Config{Capacity: 2, Workers: 4})
 	defer s.Close()
 
 	const goroutines = 8
@@ -318,7 +391,7 @@ func TestLeaseCopies(t *testing.T) {
 
 func TestCloseUnblocksAndRejects(t *testing.T) {
 	tr := topology.MustBT(64)
-	s := New(tr, Config{Capacity: 4, Workers: 2, Window: time.Millisecond})
+	s := New(tr, Config{Capacity: 4, Workers: 2})
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for g := 0; g < 4; g++ {
