@@ -48,13 +48,14 @@ soarlint:
 # benchmark's min-of-counts ns/op (cmd/benchgate -record) — so the
 # committed files accumulate a comparable history instead of holding one
 # cold sample. BENCH_sched.json tracks the serving layer (scheduler,
-# re-packer); BENCH_core.json tracks the solver hot path (plain,
-# memoized, sparse and incremental Gather). A few minutes on two cores.
+# re-packer, checkpoint save/restore against tenant count);
+# BENCH_core.json tracks the solver hot path (plain, memoized, sparse
+# and incremental Gather). A few minutes on two cores.
 BENCHFLAGS = -run '^$$' -benchtime 300ms -count 5
 COMMIT = $(shell git rev-parse --short HEAD)$(shell git diff --quiet HEAD || echo -dirty)
 
 bench:
-	$(GO) test $(BENCHFLAGS) -bench 'BenchmarkScheduler|BenchmarkRepackRound' ./internal/sched \
+	$(GO) test $(BENCHFLAGS) -bench 'BenchmarkScheduler|BenchmarkRepackRound|BenchmarkCheckpoint|BenchmarkRestore' ./internal/sched \
 		| $(GO) run ./cmd/benchgate -record BENCH_sched.json -commit $(COMMIT)
 	$(GO) test $(BENCHFLAGS) -bench 'BenchmarkGather$$|BenchmarkGatherMemo|BenchmarkGatherSparse|BenchmarkIncremental' . \
 		| $(GO) run ./cmd/benchgate -record BENCH_core.json -commit $(COMMIT)

@@ -47,6 +47,7 @@ type topSnapshot struct {
 	phiRecovered                              float64
 	tenants, capUsed, capTotal                float64
 	p50, p95, p99, queueWait                  float64
+	ckptPause                                 float64 // median hold of the commit lock by a checkpoint
 }
 
 func scrapeTop(ctx context.Context, c *naas.Client) (*topSnapshot, error) {
@@ -115,7 +116,11 @@ func scrapeTop(ctx context.Context, c *naas.Client) (*topSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap.p50, snap.p95, snap.p99, snap.queueWait = place[0], place[1], place[2], wait[0]
+	pause, err := quantiles("soar_ckpt_snapshot_seconds", 0.50)
+	if err != nil {
+		return nil, err
+	}
+	snap.p50, snap.p95, snap.p99, snap.queueWait, snap.ckptPause = place[0], place[1], place[2], wait[0], pause[0]
 	return snap, nil
 }
 
@@ -127,8 +132,8 @@ func topLoop(w io.Writer, addr string, every time.Duration, polls int) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	fmt.Fprintf(w, "%-8s %9s %8s %8s %8s %8s %8s %8s %7s %7s %9s %9s\n",
-		"time", "adm/s", "p50", "p95", "p99", "qwait50", "tenants", "cap%", "batch", "memo%", "degraded", "Φrec")
+	fmt.Fprintf(w, "%-8s %9s %8s %8s %8s %8s %8s %8s %8s %7s %7s %9s %9s\n",
+		"time", "adm/s", "p50", "p95", "p99", "qwait50", "cksnap50", "tenants", "cap%", "batch", "memo%", "degraded", "Φrec")
 	var prev *topSnapshot
 	prevAt := time.Now()
 	for i := 0; polls <= 0 || i < polls; i++ {
@@ -162,10 +167,10 @@ func topLoop(w io.Writer, addr string, every time.Duration, polls int) error {
 		if ops := snap.hits + snap.misses; ops > 0 {
 			memoPct = fmt.Sprintf("%.1f", 100*snap.hits/ops)
 		}
-		fmt.Fprintf(w, "%-8s %9.1f %8s %8s %8s %8s %8.0f %7.1f%% %7.2f %7s %9.0f %9.3f\n",
+		fmt.Fprintf(w, "%-8s %9.1f %8s %8s %8s %8s %8s %8.0f %7.1f%% %7.2f %7s %9.0f %9.3f\n",
 			now.Format("15:04:05"), rate,
 			fmtSeconds(snap.p50), fmtSeconds(snap.p95), fmtSeconds(snap.p99), fmtSeconds(snap.queueWait),
-			snap.tenants, capPct, meanBatch, memoPct, snap.degraded, snap.phiRecovered)
+			fmtSeconds(snap.ckptPause), snap.tenants, capPct, meanBatch, memoPct, snap.degraded, snap.phiRecovered)
 		prev, prevAt = snap, now
 	}
 	return nil

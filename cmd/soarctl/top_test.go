@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,9 +12,9 @@ import (
 )
 
 // TestTopLoopAgainstLiveService boots a real naas control plane,
-// admits a tenant, and runs two polling rounds of the top view: the
-// scrape must parse, the quantiles must compute, and the rendered
-// table must reflect the admission.
+// admits a tenant, takes a checkpoint, and runs two polling rounds of
+// the top view: the scrape must parse, the quantiles must compute, and
+// the rendered table must reflect the admission and the checkpoint.
 func TestTopLoopAgainstLiveService(t *testing.T) {
 	tr, loads := paper.Figure2()
 	svc := naas.NewService(tr, 2)
@@ -23,13 +24,16 @@ func TestTopLoopAgainstLiveService(t *testing.T) {
 	if _, err := svc.Place(loads, 2); err != nil {
 		t.Fatal(err)
 	}
+	if err := svc.Checkpoint(io.Discard); err != nil {
+		t.Fatal(err)
+	}
 
 	var sb strings.Builder
 	if err := topLoop(&sb, srv.URL, time.Millisecond, 2); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "adm/s") || !strings.Contains(out, "qwait50") {
+	if !strings.Contains(out, "adm/s") || !strings.Contains(out, "qwait50 cksnap50") {
 		t.Fatalf("missing header:\n%s", out)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
@@ -37,10 +41,11 @@ func TestTopLoopAgainstLiveService(t *testing.T) {
 		t.Fatalf("want header + 2 poll lines, got %d:\n%s", len(lines), out)
 	}
 	// One tenant is active; the tenants column must say so on each line,
-	// and its admission gave the queue-wait column (6th) a reading.
+	// its admission gave the queue-wait column (6th) a reading and the
+	// checkpoint gave the lock-hold column (7th) one.
 	for _, ln := range lines[1:] {
-		if f := strings.Fields(ln); len(f) < 6 || f[5] == "-" {
-			t.Fatalf("poll line shows no queue wait: %q", ln)
+		if f := strings.Fields(ln); len(f) < 7 || f[5] == "-" || f[6] == "-" {
+			t.Fatalf("poll line shows no queue wait or no checkpoint pause: %q", ln)
 		}
 		if !strings.Contains(ln, " 1 ") {
 			t.Fatalf("poll line does not show the active tenant: %q", ln)

@@ -135,23 +135,47 @@ func TestFig8Shapes(t *testing.T) {
 	}
 }
 
+// TestFig9Shapes asserts the figure's one ordering claim, SOAR-Color no
+// slower than SOAR-Gather, on wall-clock samples of tens of
+// microseconds: a mean of two such samples loses to one descheduling of
+// the test process. So each point is sampled rounds times (Reps: 1
+// makes a series' mean the sample itself) and the per-point minima are
+// compared — noise only ever adds time, and it would have to land on
+// Color in every round to reverse them.
 func TestFig9Shapes(t *testing.T) {
-	fig, err := Fig9(QuickFig9())
-	if err != nil {
-		t.Fatal(err)
+	const rounds = 7
+	cfg := QuickFig9()
+	cfg.Reps = 1
+	var best [2][][]float64 // [gather|color][series][point] minimum seconds
+	for round := 0; round < rounds; round++ {
+		fig, err := Fig9(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gather, color := fig.Subplots[0], fig.Subplots[1]
+		if len(gather.Series) != 2 || len(color.Series) != 2 {
+			t.Fatalf("series counts %d/%d, want 2 sizes each", len(gather.Series), len(color.Series))
+		}
+		for pi, sp := range []Subplot{gather, color} {
+			for si, s := range sp.Series {
+				if round == 0 {
+					best[pi] = append(best[pi], append([]float64(nil), s.Y...))
+					continue
+				}
+				for i, y := range s.Y {
+					best[pi][si][i] = min(best[pi][si][i], y)
+				}
+			}
+		}
 	}
-	gather, color := fig.Subplots[0], fig.Subplots[1]
-	if len(gather.Series) != 2 || len(color.Series) != 2 {
-		t.Fatalf("series counts %d/%d, want 2 sizes each", len(gather.Series), len(color.Series))
-	}
-	for si := range gather.Series {
-		for i := range gather.Series[si].Y {
-			g, c := gather.Series[si].Y[i], color.Series[si].Y[i]
+	for si := range best[0] {
+		for i := range best[0][si] {
+			g, c := best[0][si][i], best[1][si][i]
 			if g <= 0 || c < 0 {
 				t.Fatalf("non-positive timings g=%v c=%v", g, c)
 			}
 			if c > g {
-				t.Fatalf("SOAR-Color (%v s) slower than SOAR-Gather (%v s)", c, g)
+				t.Fatalf("SOAR-Color (best of %d: %v s) slower than SOAR-Gather (%v s)", rounds, c, g)
 			}
 		}
 	}

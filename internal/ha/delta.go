@@ -10,7 +10,8 @@ import (
 // deltaFromEvent converts one committed journal event into its wire
 // frame. Blue and load switch ids are shard-local: primary and standby
 // deterministically build the same pod tree, so local ids agree. The
-// dense load vector travels sparse (LoadV/LoadN pairs).
+// event's load pairs are the frame's: the event is owned by the journal
+// hook, so they move without a copy.
 func deltaFromEvent(shard uint32, epoch uint64, ev sched.JournalEvent) (*wire.LeaseDelta, error) {
 	d := &wire.LeaseDelta{
 		Shard: shard,
@@ -38,43 +39,35 @@ func deltaFromEvent(shard uint32, epoch uint64, ev sched.JournalEvent) (*wire.Le
 		}
 	}
 	if ev.Op == sched.JournalPlace {
-		for v, n := range ev.Load {
-			if n > 0 {
-				d.LoadV = append(d.LoadV, uint32(v))
-				d.LoadN = append(d.LoadN, uint32(n))
-			}
-		}
+		d.LoadV, d.LoadN = ev.Load.V, ev.Load.N
 	}
 	return d, nil
 }
 
 // checkDelta validates a received lease-delta frame against a shard
-// tree of n switches — a known operation, every blue and load switch in
-// range — so a corrupt peer cannot panic the replica at promotion.
+// tree of n switches — a known operation, every blue switch in range,
+// the load pairs canonical (sched.SparseLoad.Check: the pairs are stored
+// as they came, so a duplicate switch, a zero or an overflowing count is
+// a resync here, not a wrong record at promotion).
 func checkDelta(d *wire.LeaseDelta, n int) error {
 	if d.Op < wire.DeltaPlace || d.Op > wire.DeltaMigrate {
 		return fmt.Errorf("ha: delta op %d unknown", d.Op)
 	}
-	if len(d.LoadN) != len(d.LoadV) {
-		return fmt.Errorf("ha: delta has %d load switches for %d counts", len(d.LoadV), len(d.LoadN))
-	}
 	for _, v := range d.Blue {
-		if int(v) >= n {
+		if int64(v) >= int64(n) {
 			return fmt.Errorf("ha: delta blue switch %d of %d", v, n)
 		}
 	}
-	for _, v := range d.LoadV {
-		if int(v) >= n {
-			return fmt.Errorf("ha: delta load switch %d of %d", v, n)
-		}
+	if err := (sched.SparseLoad{V: d.LoadV, N: d.LoadN}).Check(n); err != nil {
+		return fmt.Errorf("ha: delta: %w", err)
 	}
 	return nil
 }
 
 // eventFromDelta converts a lease-delta frame that passed checkDelta
-// back into a journal event over a shard tree of n switches, densifying
-// the load.
-func eventFromDelta(d *wire.LeaseDelta, n int) sched.JournalEvent {
+// back into a journal event. The event borrows the frame's load pairs;
+// ApplyEvent copies what it keeps.
+func eventFromDelta(d *wire.LeaseDelta) sched.JournalEvent {
 	ev := sched.JournalEvent{
 		Seq:    d.Seq,
 		ID:     int64(d.ID),
@@ -97,10 +90,7 @@ func eventFromDelta(d *wire.LeaseDelta, n int) sched.JournalEvent {
 		}
 	}
 	if ev.Op == sched.JournalPlace {
-		ev.Load = make([]int, n)
-		for i, v := range d.LoadV {
-			ev.Load[v] = int(d.LoadN[i])
-		}
+		ev.Load = sched.SparseLoad{V: d.LoadV, N: d.LoadN}
 	}
 	return ev
 }

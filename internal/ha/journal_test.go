@@ -3,6 +3,7 @@ package ha
 import (
 	"bytes"
 	"context"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -30,10 +31,10 @@ func asReceived(t *testing.T, d *wire.LeaseDelta) *wire.LeaseDelta {
 	return m.(*wire.LeaseDelta)
 }
 
-// TestAbsorbRejectsCorruptDelta: the journal keeps frames as they came,
-// so the range checks a dense conversion used to imply must still run
-// when a frame is absorbed — a bad frame is a resync, never a panic at
-// promotion.
+// TestAbsorbRejectsCorruptDelta: the journal keeps frames as they came
+// and promotion stores their load pairs verbatim, so the range checks
+// and the canonical-pair rule run when a frame is absorbed — a bad
+// frame is a resync, never a panic or a wrong record at promotion.
 func TestAbsorbRejectsCorruptDelta(t *testing.T) {
 	const n = 40
 	good := func() *wire.LeaseDelta {
@@ -49,6 +50,10 @@ func TestAbsorbRejectsCorruptDelta(t *testing.T) {
 		{"load switch out of range", func(d *wire.LeaseDelta) { d.LoadV[0] = n + 3 }, "load switch 43 of 40"},
 		{"unknown op", func(d *wire.LeaseDelta) { d.Op = wire.DeltaMigrate + 1 }, "op 4 unknown"},
 		{"load pairs unmatched", func(d *wire.LeaseDelta) { d.LoadN = d.LoadN[:1] }, "2 load switches for 1 counts"},
+		{"load switch twice", func(d *wire.LeaseDelta) { d.LoadV[1] = d.LoadV[0] }, "load switch 20 after 20"},
+		{"load switches descending", func(d *wire.LeaseDelta) { d.LoadV[0], d.LoadV[1] = 39, 20 }, "load switch 20 after 39"},
+		{"load count zero", func(d *wire.LeaseDelta) { d.LoadN[1] = 0 }, "load count 0 at switch 39"},
+		{"load count overflows int32", func(d *wire.LeaseDelta) { d.LoadN[0] = math.MaxInt32 + 1 }, "load count 2147483648"},
 		{"sequence gap", func(d *wire.LeaseDelta) { d.Seq = 3 }, "journal gap"},
 	} {
 		sb := &standby{cfg: standbyConfig{treeN: n, maxJournal: 8}}
@@ -81,7 +86,7 @@ func TestSparseJournalFootprint(t *testing.T) {
 		d := &wire.LeaseDelta{Shard: 1, Epoch: 1, Seq: uint64(i), Op: wire.DeltaPlace, ID: uint64(i), K: racks}
 		d.SetPhi(float64(i))
 		for r := 0; r < racks; r++ {
-			v := uint32((i*31 + r*17) % n)
+			v := uint32((i*31)%(n-racks*17) + r*17) // ascending, as a primary emits them
 			d.Blue = append(d.Blue, v)
 			d.LoadV = append(d.LoadV, v)
 			d.LoadN = append(d.LoadN, uint32(1+r))

@@ -314,17 +314,16 @@ func (s *standby) absorb(d *wire.LeaseDelta) error {
 
 // replay folds a standby's replication state into a fresh scheduler:
 // restore the checkpoint, seed the journal sequence it was stamped
-// with, apply the delta suffix (each frame densified over the shard
-// tree only for the moment it is applied), then prove conservation from
-// first principles before the replica may serve.
+// with, apply the delta suffix (the load pairs go from frame to lease
+// record as pairs; nothing on this path is dense), then prove
+// conservation from first principles before the replica may serve.
 func replay(sch *sched.Scheduler, ckpt []byte, seq uint64, journal []*wire.LeaseDelta) error {
 	if err := sch.Restore(bytes.NewReader(ckpt)); err != nil {
 		return fmt.Errorf("ha: replay restore: %w", err)
 	}
 	sch.SeedJournal(seq)
-	n := sch.Tree().N()
 	for _, d := range journal {
-		if err := sch.ApplyEvent(eventFromDelta(d, n)); err != nil {
+		if err := sch.ApplyEvent(eventFromDelta(d)); err != nil {
 			return fmt.Errorf("ha: replay event %d: %w", d.Seq, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -242,5 +243,89 @@ func BenchmarkRepackRound(b *testing.B) {
 		if _, _, err := s.RepackNow(16); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// standingCkpts caches, per tenant count, the checkpoint of a BT(2048)
+// scheduler holding that many standing 8-rack leases — the population
+// BenchmarkCheckpoint and BenchmarkRestore measure against. Admitting
+// 5000 tenants takes about a second; the benchmark framework re-enters
+// each sub-benchmark several times.
+var standingCkpts = map[int][]byte{}
+
+func standingCheckpoint(b *testing.B, tr *topology.Tree, tenants int) []byte {
+	b.Helper()
+	if ckpt, ok := standingCkpts[tenants]; ok {
+		return ckpt
+	}
+	pool := benchTenants(tr, 256, 8)
+	s := New(tr, Config{Workers: 1})
+	defer s.Close()
+	var lease Lease
+	for i := 0; i < tenants; i++ {
+		if err := s.PlaceInto(pool[i%len(pool)], 8, &lease); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		b.Fatal(err)
+	}
+	standingCkpts[tenants] = buf.Bytes()
+	return buf.Bytes()
+}
+
+// BenchmarkCheckpoint measures one checkpoint save — the under-lock
+// snapshot of the lease table plus its encoding — of a serving
+// scheduler on BT(2048), against the number of standing leases. MB/s is
+// of the stream written.
+func BenchmarkCheckpoint(b *testing.B) {
+	tr := topology.MustBT(2048)
+	for _, tenants := range []int{500, 5000} {
+		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) {
+			ckpt := standingCheckpoint(b, tr, tenants)
+			s := New(tr, Config{Workers: 1})
+			defer s.Close()
+			if err := s.Restore(bytes.NewReader(ckpt)); err != nil {
+				b.Fatal(err)
+			}
+			var buf bytes.Buffer
+			buf.Grow(len(ckpt))
+			b.ReportAllocs()
+			b.SetBytes(int64(len(ckpt)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := s.Checkpoint(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRestore measures recovery: decoding, validating and
+// installing a checkpoint into a fresh scheduler (whose construction
+// is not timed). MB/s is of the stream read.
+func BenchmarkRestore(b *testing.B) {
+	tr := topology.MustBT(2048)
+	for _, tenants := range []int{500, 5000} {
+		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) {
+			ckpt := standingCheckpoint(b, tr, tenants)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(ckpt)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := New(tr, Config{Workers: 1})
+				b.StartTimer()
+				if err := s.Restore(bytes.NewReader(ckpt)); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				s.Close()
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -1,11 +1,13 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash"
 	"hash/fnv"
 	"io"
+	"slices"
 	"time"
 
 	"soar/internal/wire"
@@ -40,7 +42,7 @@ type ckptSnapshot struct {
 	residual []int
 	nextID   int64
 	seq      uint64
-	tenants  []*tenant
+	tenants  []tenant // map order as copied; checkpoint sorts them by id
 }
 
 // snapshot obtains a consistent copy of the durable state from the
@@ -69,7 +71,10 @@ func (s *Scheduler) snapshot() ckptSnapshot {
 // snapshotState deep-copies the durable state under mu. The lock is
 // the scheduler's //soar:critical commit lock, so soarlint's
 // lockdiscipline analyzer proves this snapshot never blocks admission
-// on a channel, a solve or a pool Get — it copies and releases.
+// on a channel, a solve or a pool Get — it copies and releases. What it
+// copies per lease is the record's blues and load pairs, a few dozen
+// bytes: the pause admissions see (soar_ckpt_snapshot_seconds) grows
+// with the leased racks, not with tenants × switches.
 // Callers are the dispatcher, or anyone once the dispatcher has exited.
 func (s *Scheduler) snapshotState() ckptSnapshot {
 	s.mu.Lock()
@@ -79,17 +84,13 @@ func (s *Scheduler) snapshotState() ckptSnapshot {
 		residual: append([]int(nil), s.ledger.residual...),
 		nextID:   s.nextID,
 		seq:      s.journalSeq,
-		tenants:  make([]*tenant, 0, len(s.leases)),
+		tenants:  make([]tenant, 0, len(s.leases)),
 	}
 	for _, ten := range s.leases {
-		snap.tenants = append(snap.tenants, &tenant{
-			id:     ten.id,
-			k:      ten.k,
-			phi:    ten.phi,
-			allRed: ten.allRed,
-			blue:   append([]int(nil), ten.blue...),
-			load:   append([]int(nil), ten.load...),
-		})
+		c := *ten
+		c.blue = append([]int(nil), ten.blue...)
+		c.load = ten.load.clone()
+		snap.tenants = append(snap.tenants, c)
 	}
 	return snap
 }
@@ -145,6 +146,9 @@ func (s *Scheduler) CheckpointSeq(w io.Writer) (uint64, error) {
 
 func (s *Scheduler) checkpoint(w io.Writer) (uint64, error) {
 	snap := s.snapshot()
+	// Lease-id order, sorted outside the lock: two checkpoints of one
+	// state are the same bytes, whatever order the map was walked in.
+	slices.SortFunc(snap.tenants, func(a, b tenant) int { return cmp.Compare(a.id, b.id) })
 	h := fnv.New64a()
 	hw := io.MultiWriter(w, h)
 
@@ -169,23 +173,18 @@ func (s *Scheduler) checkpoint(w io.Writer) (uint64, error) {
 	if err := wire.Write(hw, led); err != nil {
 		return 0, fmt.Errorf("sched: checkpoint ledger: %w", err)
 	}
-	for _, ten := range snap.tenants {
-		tf := &wire.CkptTenant{
-			ID:   uint64(ten.id),
-			K:    uint32(ten.k),
-			Blue: make([]uint32, len(ten.blue)),
-		}
+	tf := new(wire.CkptTenant)
+	for i := range snap.tenants {
+		ten := &snap.tenants[i]
+		tf.ID, tf.K = uint64(ten.id), uint32(ten.k)
 		tf.SetPhi(ten.phi)
 		tf.SetAllRed(ten.allRed)
-		for i, v := range ten.blue {
-			tf.Blue[i] = uint32(v)
+		tf.Blue = tf.Blue[:0]
+		for _, v := range ten.blue {
+			tf.Blue = append(tf.Blue, uint32(v))
 		}
-		for v, l := range ten.load {
-			if l > 0 {
-				tf.LoadV = append(tf.LoadV, uint32(v))
-				tf.LoadN = append(tf.LoadN, uint32(l))
-			}
-		}
+		// The record's pairs are the frame's pairs.
+		tf.LoadV, tf.LoadN = ten.load.V, ten.load.N
 		if err := wire.Write(hw, tf); err != nil {
 			return 0, fmt.Errorf("sched: checkpoint tenant %d: %w", ten.id, err)
 		}
@@ -204,7 +203,8 @@ func (s *Scheduler) checkpoint(w io.Writer) (uint64, error) {
 // that does not decode (truncation, garbage, wrong frame type);
 // "topology" covers both a switch-count and a fingerprint mismatch;
 // "checksum" covers the footer failing to authenticate the prefix;
-// "ids" covers duplicate or out-of-range tenant ids and switches;
+// "ids" covers duplicate or out-of-range tenant ids and switches, and
+// load pairs that break the canonical-pair rule (SparseLoad.Check);
 // "busy" is a restore into a scheduler that already holds leases.
 var restoreRejectReasons = []string{
 	"frame", "version", "topology", "checksum", "ids", "conservation", "busy",
@@ -287,19 +287,24 @@ func (s *Scheduler) restore(r io.Reader) error {
 	tenants := make([]*tenant, 0, hdr.Tenants)
 	used := make([]int, n)
 	seen := make(map[int64]bool, hdr.Tenants)
+	// blueOf[v] is 1 + the index of the last tenant seen leasing v: one
+	// stamp slice finds a switch leased twice by one tenant.
+	blueOf := make([]uint64, n)
 	maxID := int64(-1)
 	for i := uint64(0); i < hdr.Tenants; i++ {
 		tf, err := readCkpt[*wire.CkptTenant](r, h)
 		if err != nil {
 			return rejectf("frame", "sched: restore tenant %d/%d: %w", i+1, hdr.Tenants, err)
 		}
+		// The decoded pairs become the record's, so they are held to the
+		// canonical-pair rule here and nowhere later.
 		ten := &tenant{
 			id:     int64(tf.ID),
 			k:      int(tf.K),
 			phi:    tf.Phi(),
 			allRed: tf.AllRed(),
 			blue:   make([]int, len(tf.Blue)),
-			load:   make([]int, n),
+			load:   SparseLoad{V: tf.LoadV, N: tf.LoadN},
 		}
 		if seen[ten.id] {
 			return rejectf("ids", "sched: restore: duplicate tenant id %d", ten.id)
@@ -308,23 +313,19 @@ func (s *Scheduler) restore(r io.Reader) error {
 		if ten.id > maxID {
 			maxID = ten.id
 		}
-		tenBlue := make(map[uint32]bool, len(tf.Blue))
 		for j, v := range tf.Blue {
-			if int(v) >= n {
+			if int64(v) >= int64(n) {
 				return rejectf("ids", "sched: restore: tenant %d leases switch %d of %d", ten.id, v, n)
 			}
-			if tenBlue[v] {
+			if blueOf[v] == i+1 {
 				return rejectf("ids", "sched: restore: tenant %d leases switch %d twice", ten.id, v)
 			}
-			tenBlue[v] = true
+			blueOf[v] = i + 1
 			ten.blue[j] = int(v)
 			used[v]++
 		}
-		for j, v := range tf.LoadV {
-			if int(v) >= n {
-				return rejectf("ids", "sched: restore: tenant %d has load at switch %d of %d", ten.id, v, n)
-			}
-			ten.load[v] = int(tf.LoadN[j])
+		if err := ten.load.Check(n); err != nil {
+			return rejectf("ids", "sched: restore: tenant %d: %w", ten.id, err)
 		}
 		tenants = append(tenants, ten)
 	}

@@ -45,8 +45,8 @@ type JournalEvent struct {
 	AllRed float64
 	// Blue lists the leased switches (place and migrate).
 	Blue []int
-	// Load is the dense per-switch server vector (place only).
-	Load []int
+	// Load is the tenant's load as canonical pairs (place only).
+	Load SparseLoad
 }
 
 // journalAppend records one committed mutation. Callers hold mu (the
@@ -69,7 +69,7 @@ func (s *Scheduler) journalAppend(op JournalOp, id int64, ten *tenant) {
 		ev.AllRed = ten.allRed
 		ev.Blue = append([]int(nil), ten.blue...) //soar:coldpath replication journal enabled
 		if op == JournalPlace {
-			ev.Load = append([]int(nil), ten.load...) //soar:coldpath replication journal enabled
+			ev.Load = ten.load.clone() //soar:coldpath replication journal enabled
 		}
 	}
 	s.jbuf = append(s.jbuf, ev) //soar:coldpath replication journal enabled
@@ -122,16 +122,16 @@ func (s *Scheduler) SeedNextID(floor int64) {
 // ApplyEvent replays one journal event into the scheduler, validating
 // it the way Restore validates a checkpoint: sequence-dense, ids fresh
 // (or live, for release/migrate), switches in range with residual
-// capacity. Like Restore it must run before the scheduler serves
-// traffic — it is the standby promotion path, not a serving-time API.
-// A rejected event leaves the scheduler unchanged.
+// capacity, load pairs canonical (SparseLoad.Check). Like Restore it
+// must run before the scheduler serves traffic — it is the standby
+// promotion path, not a serving-time API. A rejected event leaves the
+// scheduler unchanged.
 func (s *Scheduler) ApplyEvent(ev JournalEvent) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ev.Seq != s.journalSeq+1 {
 		return fmt.Errorf("sched: apply: event seq %d after %d (journal gap)", ev.Seq, s.journalSeq)
 	}
-	n := s.t.N()
 	switch ev.Op {
 	case JournalPlace:
 		if _, ok := s.leases[ev.ID]; ok {
@@ -140,8 +140,8 @@ func (s *Scheduler) ApplyEvent(ev JournalEvent) error {
 		if ev.ID < 0 || ev.K < 0 {
 			return fmt.Errorf("sched: apply: tenant %d has budget %d", ev.ID, ev.K)
 		}
-		if len(ev.Load) != n {
-			return fmt.Errorf("sched: apply: tenant %d load has %d entries for %d switches", ev.ID, len(ev.Load), n)
+		if err := ev.Load.Check(s.t.N()); err != nil {
+			return fmt.Errorf("sched: apply: tenant %d: %w", ev.ID, err)
 		}
 		if err := s.checkBlues(ev.ID, ev.Blue); err != nil {
 			return err
@@ -152,7 +152,7 @@ func (s *Scheduler) ApplyEvent(ev JournalEvent) error {
 			phi:    ev.Phi,
 			allRed: ev.AllRed,
 			blue:   append([]int(nil), ev.Blue...),
-			load:   append([]int(nil), ev.Load...),
+			load:   ev.Load.clone(),
 		}
 		for _, v := range ten.blue {
 			s.ledger.Charge(v)

@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -212,6 +213,7 @@ func TestFenceRejectsMutations(t *testing.T) {
 	if moved, _, err := s.RepackNow(4); err != nil || moved != 0 {
 		t.Fatalf("fenced repack moved %d (%v), want 0", moved, err)
 	}
+	assertScratchZero(t, s) // the fenced round solved one candidate before it ended
 	after := s.Residual()
 	for v := range before {
 		if before[v] != after[v] {
@@ -232,7 +234,10 @@ func TestApplyEventValidation(t *testing.T) {
 	n := tr.N()
 
 	place := func(seq uint64, id int64, blue []int) JournalEvent {
-		return JournalEvent{Seq: seq, Op: JournalPlace, ID: id, K: len(blue), Blue: blue, Load: make([]int, n)}
+		return JournalEvent{Seq: seq, Op: JournalPlace, ID: id, K: len(blue), Blue: blue}
+	}
+	loaded := func(v, c []uint32) JournalEvent {
+		return JournalEvent{Seq: 2, Op: JournalPlace, ID: 1, Load: SparseLoad{V: v, N: c}}
 	}
 	if err := s.ApplyEvent(place(2, 0, nil)); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("seq gap: %v", err)
@@ -248,7 +253,12 @@ func TestApplyEventValidation(t *testing.T) {
 		{"blue out of range", place(2, 1, []int{n})},
 		{"blue twice", place(2, 1, []int{1, 1})},
 		{"exhausted switch", place(2, 1, []int{0})},
-		{"short load", JournalEvent{Seq: 2, Op: JournalPlace, ID: 1, Load: make([]int, n-1)}},
+		{"load switch out of range", loaded([]uint32{uint32(n)}, []uint32{1})},
+		{"load switches descending", loaded([]uint32{5, 3}, []uint32{1, 1})},
+		{"load switch twice", loaded([]uint32{3, 3}, []uint32{1, 2})},
+		{"load count zero", loaded([]uint32{3}, []uint32{0})},
+		{"load count overflows int32", loaded([]uint32{3}, []uint32{math.MaxInt32 + 1})},
+		{"load pairs unmatched", loaded([]uint32{3, 4}, []uint32{1})},
 		{"release unknown", JournalEvent{Seq: 2, Op: JournalRelease, ID: 99}},
 		{"migrate unknown", JournalEvent{Seq: 2, Op: JournalMigrate, ID: 99}},
 		{"unknown op", JournalEvent{Seq: 2, Op: 77, ID: 0}},

@@ -74,6 +74,7 @@ type metrics struct {
 	ckptSaves           *obs.Counter
 	ckptBytes           *obs.Counter
 	ckptSaveSeconds     *obs.Histogram
+	ckptSnapshotSeconds *obs.Histogram
 	ckptRestores        *obs.Counter
 	ckptRestoreAttempts *obs.Counter
 	ckptRestoreFail     *obs.Counter
@@ -132,6 +133,8 @@ func (s *Scheduler) initMetrics(reg *obs.Registry, tr *obs.Trace) {
 		"Checkpoint bytes written.", nil)
 	m.ckptSaveSeconds = reg.Histogram("soar_ckpt_save_seconds",
 		"Checkpoint snapshot-and-encode duration.", nil, obs.LatencyBuckets())
+	m.ckptSnapshotSeconds = reg.Histogram("soar_ckpt_snapshot_seconds",
+		"Time a checkpoint held the commit lock to copy the lease table: the pause admissions see.", nil, obs.LatencyBuckets())
 	m.ckptRestores = reg.Counter("soar_ckpt_restores_total",
 		"Checkpoints restored.", nil)
 	m.ckptRestoreAttempts = reg.Counter("soar_ckpt_restore_attempts_total",

@@ -103,7 +103,13 @@ func (s *Scheduler) repack(maxMoves int) (moved int, recovered float64) {
 		oldPhi := ten.phi
 		s.mu.Unlock()
 
-		eng := s.bgSol.ensure(s.t, ten.load, s.ledger.Avail(), ten.k)
+		// The solver reads a dense vector: scatter the candidate's pairs
+		// into the scratch, let the engine copy them, and zero exactly
+		// those entries again — on every path, so the next candidate (and
+		// the next round) starts from an all-zero vector.
+		ten.load.scatter(s.bgLoad)
+		eng := s.bgSol.ensure(s.t, s.bgLoad, s.ledger.Avail(), ten.k)
+		ten.load.clear(s.bgLoad)
 		newPhi := eng.SolveInto(s.bgBlue)
 
 		s.mu.Lock()

@@ -34,6 +34,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -225,13 +226,16 @@ type request struct {
 // tenant is the scheduler-internal lease record. It never escapes:
 // Lookup and Place hand out copies, so the re-packer may mutate blue and
 // phi freely. Records are pooled across the place/release lifecycle.
+// The load is kept as canonical pairs only (sparse.go): a tenant
+// occupies a handful of racks, so the table's footprint follows the
+// racks leased, not tenants × switches.
 type tenant struct {
 	id     int64
 	k      int
 	phi    float64
 	allRed float64
 	blue   []int
-	load   []int
+	load   SparseLoad
 }
 
 func (t *tenant) ratio() float64 {
@@ -275,6 +279,10 @@ type Scheduler struct {
 	batchWG   sync.WaitGroup
 	bgSol     solver // dispatcher-owned: single solves, conflicts, re-packing
 	bgBlue    []bool
+	// bgLoad is the re-packer's dense view of one candidate's load: all
+	// zero between candidates (repack scatters the pairs in for the
+	// engine, which copies them, and clears exactly those entries).
+	bgLoad []int
 	// Batch-solve state (nil/empty unless Config.BatchSolve): the fused
 	// engine plus the reusable per-group marshalling buffers. Dispatcher-
 	// owned, like the rest of the dispatch state.
@@ -327,6 +335,7 @@ func New(t *topology.Tree, cfg Config) *Scheduler {
 		ledger: ledger,
 		leases: make(map[int64]*tenant),
 		bgBlue: make([]bool, t.N()),
+		bgLoad: make([]int, t.N()),
 	}
 	s.reqPool.New = func() any { return &request{done: make(chan struct{}, 1)} }
 	s.tenPool.New = func() any { return new(tenant) }
@@ -429,9 +438,9 @@ func (s *Scheduler) PlaceInto(load []int, k int, lease *Lease) error {
 		return fmt.Errorf("sched: load has %d entries for %d switches", len(load), s.t.N())
 	}
 	for v, l := range load {
-		if l < 0 { //soar:coldpath rejected input
+		if l < 0 || l > math.MaxInt32 { //soar:coldpath rejected input
 			s.rejected.Add(1)
-			return fmt.Errorf("sched: negative load %d at switch %d", l, v)
+			return fmt.Errorf("sched: load %d at switch %d outside 0..%d", l, v, math.MaxInt32)
 		}
 	}
 	if k < 0 { //soar:coldpath rejected input
@@ -506,7 +515,7 @@ func (s *Scheduler) Lookup(id int64) (*Lease, error) {
 		K:      ten.k,
 		Phi:    ten.phi,
 		AllRed: ten.allRed,
-		Load:   append([]int(nil), ten.load...),
+		Load:   ten.load.dense(s.t.N()),
 	}, nil
 }
 
@@ -622,7 +631,9 @@ func (s *Scheduler) runBatch() {
 	}
 	for _, r := range s.batch {
 		if r.op == opCheckpoint { //soar:coldpath rare, and copies the whole lease table
+			st := time.Now()
 			r.snap = s.snapshotState()
+			s.met.ckptSnapshotSeconds.Observe(time.Since(st).Seconds())
 		}
 		if r.op != opPlace {
 			r.done <- struct{}{}
@@ -733,7 +744,7 @@ func (s *Scheduler) commit(r *request) {
 	ten.phi = r.phi
 	ten.allRed = r.allRed
 	ten.blue = ten.blue[:0]
-	ten.load = append(ten.load[:0], r.load...)
+	ten.load.set(r.load)
 
 	s.mu.Lock()
 	// The fence runs under the commit lock: internal/ha flips the shard

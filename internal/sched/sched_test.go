@@ -78,24 +78,75 @@ func (b *seqBaseline) release(id int64) bool {
 // sequential from-scratch baseline, and ends in the same residual
 // state.
 func TestSchedulerMatchesSequential(t *testing.T) {
-	runSequentialEquivalence(t, false)
+	runSequentialEquivalence(t, false, 0)
+}
+
+// TestSchedulerMatchesSequentialAcrossRepack interleaves re-packing
+// rounds with the same request order. A round feeds the solver from the
+// dispatcher's dense scratch vector, so after every round — migrating or
+// not — that vector must be all-zero again, every lease's φ must be the
+// utilization of its own load under its own blues, and admissions must
+// go on matching the from-scratch model on the migrated residuals.
+func TestSchedulerMatchesSequentialAcrossRepack(t *testing.T) {
+	runSequentialEquivalence(t, false, 7)
 }
 
 // TestSchedulerMemoMatchesSequential is the same acceptance test with
 // the cross-request solve cache on: memoized engines must stay
 // lease-for-lease identical to the from-scratch sequential model.
 func TestSchedulerMemoMatchesSequential(t *testing.T) {
-	runSequentialEquivalence(t, true)
+	runSequentialEquivalence(t, true, 0)
 }
 
-func runSequentialEquivalence(t *testing.T, memo bool) {
+// observeRepack makes the baseline see a re-packing round the way an
+// operator would — by looking the leases up — and checks each record
+// the round may have touched against first principles.
+func (b *seqBaseline) observeRepack(t *testing.T, s *Scheduler, live []int64) {
+	t.Helper()
+	for _, id := range live {
+		for _, v := range b.leases[id] {
+			b.residual[v]++
+		}
+		l, err := s.Lookup(id)
+		if err != nil {
+			t.Fatalf("lease %d lost in a re-packing round: %v", id, err)
+		}
+		blue := make([]bool, b.t.N())
+		for _, v := range l.Blue {
+			blue[v] = true
+			b.residual[v]--
+		}
+		b.leases[id] = l.Blue
+		if phi := reduce.Utilization(b.t, l.Load, blue); phi != l.Phi {
+			t.Fatalf("lease %d: φ=%v, its load under its blues costs %v", id, l.Phi, phi)
+		}
+	}
+}
+
+// runSequentialEquivalence drives scheduler and baseline through one
+// request order; repackEvery > 0 also runs a re-packing round every
+// that many steps.
+func runSequentialEquivalence(t *testing.T, memo bool, repackEvery int) {
 	tr := topology.MustBT(128)
 	s := New(tr, Config{Capacity: 2, Workers: 3, Memo: memo})
 	base := newSeqBaseline(tr, 2)
 	rng := rand.New(rand.NewSource(42))
 	var live []int64
 
+	rounds, migrating := 0, 0
 	for step := 0; step < 160; step++ {
+		if repackEvery > 0 && step%repackEvery == repackEvery-1 {
+			moved, _, err := s.RepackNow(2)
+			if err != nil {
+				t.Fatalf("step %d: repack: %v", step, err)
+			}
+			assertScratchZero(t, s)
+			base.observeRepack(t, s, live)
+			rounds++
+			if moved > 0 {
+				migrating++
+			}
+		}
 		if len(live) > 0 && rng.Intn(5) < 2 {
 			id := live[rng.Intn(len(live))]
 			gotErr := s.Release(id)
@@ -127,6 +178,9 @@ func runSequentialEquivalence(t *testing.T, memo bool) {
 			t.Fatalf("step %d: lease load mismatch", step)
 		}
 		live = append(live, got.ID)
+	}
+	if repackEvery > 0 && (migrating == 0 || migrating == rounds) {
+		t.Fatalf("%d of %d rounds migrated; the test needs rounds of both kinds", migrating, rounds)
 	}
 	if got := s.Residual(); !reflect.DeepEqual(got, base.residual) {
 		t.Fatalf("final residuals diverge")

@@ -34,6 +34,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	seed(&CkptOffer{Shard: 0, Epoch: 1, Seq: 12, Bytes: 4096})
 	seed(&LeaseDelta{Shard: 1, Epoch: 2, Seq: 13, Op: DeltaPlace, ID: 8, K: 2, PhiBits: 0x3FF0000000000000, Blue: []uint32{3, 4}, LoadV: []uint32{6}, LoadN: []uint32{2}})
 	seed(&LeaseDelta{Shard: 1, Epoch: 2, Seq: 14, Op: DeltaRelease, ID: 8})
+	// Load pairs that decode but break the canonical-pair rule the
+	// receivers enforce (sched.SparseLoad.Check): a duplicate and a
+	// descending switch, a zero count, a count past MaxInt32.
+	seed(&CkptTenant{ID: 4, K: 1, Blue: []uint32{2}, LoadV: []uint32{7, 7, 3}, LoadN: []uint32{1, 0, 1 << 31}})
+	seed(&LeaseDelta{Shard: 1, Epoch: 2, Seq: 15, Op: DeltaPlace, ID: 9, K: 1, Blue: []uint32{2}, LoadV: []uint32{7, 7, 3}, LoadN: []uint32{1, 0, 1 << 31}})
 	// Adversarial shapes: oversized length claim, length lying about a
 	// short stream, zero length, unknown type, truncated header.
 	f.Add(binary.BigEndian.AppendUint32(nil, MaxFrame+1))
@@ -96,6 +101,13 @@ func FuzzDecodeReplicationStream(f *testing.F) {
 	f.Add(stream(
 		&Heartbeat{Shard: 1, Epoch: 1, Seq: 10},
 		&Epoch{Shard: 1, Epoch: 2, Node: 7},
+	))
+	// A place whose load pairs are non-canonical (duplicate switch, zero
+	// count, count past MaxInt32): it decodes here; the standby's absorb
+	// is what turns it into a resync.
+	f.Add(stream(
+		&LeaseDelta{Shard: 0, Epoch: 1, Seq: 6, Op: DeltaPlace, ID: 2, K: 1, Blue: []uint32{1}, LoadV: []uint32{5, 5, 2}, LoadN: []uint32{0, 1 << 31, 1}},
+		&Heartbeat{Shard: 0, Epoch: 1, Seq: 6},
 	))
 	// A migrate delta followed by torn trailing bytes.
 	f.Add(append(stream(
