@@ -57,7 +57,7 @@ COMMIT = $(shell git rev-parse --short HEAD)$(shell git diff --quiet HEAD || ech
 bench:
 	$(GO) test $(BENCHFLAGS) -bench 'BenchmarkScheduler|BenchmarkRepackRound|BenchmarkCheckpoint|BenchmarkRestore' ./internal/sched \
 		| $(GO) run ./cmd/benchgate -record BENCH_sched.json -commit $(COMMIT)
-	$(GO) test $(BENCHFLAGS) -bench 'BenchmarkGather$$|BenchmarkGatherMemo|BenchmarkGatherSparse|BenchmarkIncremental' . \
+	$(GO) test $(BENCHFLAGS) -bench 'BenchmarkGather$$|BenchmarkGatherMemo$$|BenchmarkGatherSparse|BenchmarkIncremental' . \
 		| $(GO) run ./cmd/benchgate -record BENCH_core.json -commit $(COMMIT)
 
 # Coverage gate (CI's coverage job): the solver core must stay at or

@@ -279,29 +279,14 @@ func BenchmarkColor(b *testing.B) {
 
 // --- Ablations --------------------------------------------------------
 
-// BenchmarkSolveEngines compares the three deployments of the same
-// algorithm: serial, goroutine message-passing, and loopback TCP.
+// BenchmarkSolveEngines compares the two deployments of the same
+// algorithm: serial in-process, and message-passing over loopback TCP.
 func BenchmarkSolveEngines(b *testing.B) {
 	tr, loads := fig9Instance(b, 256)
 	const k = 16
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			core.Solve(tr, loads, nil, k)
-		}
-	})
-	b.Run("goroutines", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SolveDistributed(tr, loads, nil, k)
-		}
-	})
-	b.Run("compact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SolveCompact(tr, loads, nil, k)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SolveParallel(tr, loads, nil, k, 0)
 		}
 	})
 	b.Run("tcp", func(b *testing.B) {
@@ -364,23 +349,14 @@ func BenchmarkByteComplexity(b *testing.B) {
 	})
 }
 
-// BenchmarkGatherMemory contrasts the breadcrumb-storing Gather (fast
-// Color, more memory) with the compact engine (minimal tables, Color
-// recomputes splits) — the memory/time design choice in DESIGN.md.
-func BenchmarkGatherMemory(b *testing.B) {
-	tr, loads := fig9Instance(b, 512)
-	b.Run("breadcrumbs", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.Gather(tr, loads, nil, 32)
-		}
-	})
-	b.Run("compact", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.GatherCompact(tr, loads, nil, 32)
-		}
-	})
+// fromScratch is SOAR solved anew per workload: not being core.Strategy,
+// it keeps workload.NewAllocator off its incremental engine.
+type fromScratch struct{}
+
+func (fromScratch) Name() string { return "soar" }
+
+func (fromScratch) Place(t *topology.Tree, loads []int, avail []bool, k int) []bool {
+	return core.Solve(t, loads, avail, k).Blue
 }
 
 // BenchmarkIncremental contrasts the stateful engine's per-update cost
@@ -388,8 +364,9 @@ func BenchmarkGatherMemory(b *testing.B) {
 // same instance, across the Fig. 9 grid. The per-update path recomputes
 // only the h(T)+1 tables on the leaf's root path, so the expected gap is
 // ~n/h — about two orders of magnitude at n=2048. The online sub-benches
-// run one full Fig. 7-style allocation sequence through the from-scratch
-// and the incremental allocator.
+// run one full Fig. 7-style allocation sequence through an allocator
+// that re-solves from scratch (fromScratch) and through the incremental
+// engine workload.NewAllocator uses for core.Strategy.
 func BenchmarkIncremental(b *testing.B) {
 	for _, n := range []int{256, 512, 1024, 2048} {
 		for _, k := range []int{4, 16, 64} {
@@ -422,13 +399,13 @@ func BenchmarkIncremental(b *testing.B) {
 	}
 	b.Run("online/fromscratch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			alloc := workload.NewAllocator(tr, core.Strategy{}, 16, 4)
+			alloc := workload.NewAllocator(tr, fromScratch{}, 16, 4)
 			workload.Run(alloc, arrivals)
 		}
 	})
 	b.Run("online/incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			alloc := workload.NewIncrementalAllocator(tr, 16, 4)
+			alloc := workload.NewAllocator(tr, core.Strategy{}, 16, 4)
 			workload.Run(alloc, arrivals)
 		}
 	})
@@ -447,33 +424,16 @@ func BenchmarkIncremental(b *testing.B) {
 	}
 	b.Run("online-sparse/fromscratch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			alloc := workload.NewAllocator(tr, core.Strategy{}, 16, 4)
+			alloc := workload.NewAllocator(tr, fromScratch{}, 16, 4)
 			workload.Run(alloc, sparse)
 		}
 	})
 	b.Run("online-sparse/incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			alloc := workload.NewIncrementalAllocator(tr, 16, 4)
+			alloc := workload.NewAllocator(tr, core.Strategy{}, 16, 4)
 			workload.Run(alloc, sparse)
 		}
 	})
-}
-
-// BenchmarkGatherParallel measures the parallel leaf-to-root sweep the
-// paper leaves as future work (Sec. 5.4), at the Fig. 9 grid's largest
-// cell. Speedup is only observable on multi-core machines; on a
-// single-core runner the variants coincide (the engines are verified
-// identical in TestAllEnginesAgree either way).
-func BenchmarkGatherParallel(b *testing.B) {
-	tr, loads := fig9Instance(b, 2048)
-	const k = 64
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.GatherParallel(tr, loads, nil, k, workers)
-			}
-		})
-	}
 }
 
 // BenchmarkExtObjectives regenerates the Sec. 8 extension experiment

@@ -106,28 +106,9 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this second address (empty = off; keep it private)")
 	flag.Parse()
 
-	var tr *topology.Tree
-	switch {
-	case *topoFile != "":
-		f, err := os.Open(*topoFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr, err = topology.Decode(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-	case *topo == "bt":
-		t, err := topology.BT(*n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr = t
-	case *topo == "sf":
-		tr = topology.ScaleFree(*n, rand.New(rand.NewSource(*seed)))
-	default:
-		log.Fatalf("unknown -topo %q", *topo)
+	tr, err := buildTree(*topoFile, *topo, *n, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	schedCfg := sched.Config{
@@ -172,6 +153,31 @@ func main() {
 		runSharded(ctx, tr, schedCfg, *addr, *shardLevel, *replicas, *haHeartbeat, *haMiss)
 	default:
 		runSingle(ctx, tr, schedCfg, *addr, *topo, *ckptPath, *ckptEvery, *ckptTimeout)
+	}
+}
+
+// buildTree resolves the topology flags to the network: -topo-file when
+// given, else the -topo builder at size -n. Every bad value comes back
+// as an error for main's one-line exit; the builders themselves panic
+// on sizes they cannot build.
+func buildTree(topoFile, topo string, n int, seed int64) (*topology.Tree, error) {
+	switch {
+	case topoFile != "":
+		f, err := os.Open(topoFile)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return topology.Decode(f)
+	case topo == "bt":
+		return topology.BT(n)
+	case topo == "sf":
+		if n < 1 {
+			return nil, fmt.Errorf("-n %d: a scale-free network needs at least one switch", n)
+		}
+		return topology.ScaleFree(n, rand.New(rand.NewSource(seed))), nil
+	default:
+		return nil, fmt.Errorf("unknown -topo %q", topo)
 	}
 }
 

@@ -134,3 +134,30 @@ func TestRestoreMissingFileIsFreshStart(t *testing.T) {
 		t.Fatalf("missing checkpoint treated as error: %v", err)
 	}
 }
+
+// TestBuildTreeRejectsBadFlags pins that every bad topology flag value
+// comes back as an error for main's one-line exit — none reaches a
+// builder's panic (`-topo sf -n 0` used to die with a goroutine trace
+// out of topology.ScaleFree).
+func TestBuildTreeRejectsBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		topoFile, topo string
+		n              int
+	}{
+		{"", "sf", 0},
+		{"", "sf", -5},
+		{"", "bt", 0},
+		{"", "bt", 100},
+		{"", "mesh", 64},
+		{filepath.Join(t.TempDir(), "absent.json"), "bt", 64},
+	} {
+		if tr, err := buildTree(c.topoFile, c.topo, c.n, 1); err == nil {
+			t.Fatalf("buildTree(%q, %q, %d) built %d switches, want an error", c.topoFile, c.topo, c.n, tr.N())
+		}
+	}
+	for _, topo := range []string{"bt", "sf"} {
+		if _, err := buildTree("", topo, 64, 1); err != nil {
+			t.Fatalf("buildTree(%q, 64): %v", topo, err)
+		}
+	}
+}

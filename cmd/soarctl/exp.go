@@ -18,7 +18,6 @@ func runExp(args []string) error {
 	csvDir := fs.String("csv", "", "also write <figure>.csv files into this directory")
 	reps := fs.Int("reps", 0, "override the number of repetitions (0 = figure default)")
 	plot := fs.Bool("plot", false, "render each subplot as an ASCII chart")
-	engine := fs.String("engine", "full", "SOAR engine for online figures (fig7): full or incremental")
 	capsProfile := fs.String("caps", "", "capacity profile for ext-hetero: uniform, tiered, tor or powerlaw (empty = sweep all)")
 	// Accept the figure name before the flags: soarctl exp fig6 -csv dir.
 	which := ""
@@ -34,12 +33,9 @@ func runExp(args []string) error {
 	if which == "" || fs.NArg() > 1 {
 		return fmt.Errorf("usage: soarctl exp <fig6|fig7|fig8|fig9|fig10|fig11|ext-objectives|ext-topologies|ext-incremental|ext-hetero|ext-memo|all> [flags]")
 	}
-	// Validate up front: only fig7 consumes the engine and only
-	// ext-hetero consumes the caps profile, but a typo must not silently
-	// fall back to the default for the other figures.
-	if *engine != "full" && *engine != "incremental" {
-		return fmt.Errorf("unknown -engine %q (want full or incremental)", *engine)
-	}
+	// Validate up front: only ext-hetero consumes the caps profile, but a
+	// typo must not silently fall back to the default for the other
+	// figures.
 	switch *capsProfile {
 	case "", "uniform", "tiered", "tor", "powerlaw":
 	default:
@@ -69,7 +65,6 @@ func runExp(args []string) error {
 			if *reps > 0 {
 				cfg.Reps = *reps
 			}
-			cfg.Engine = *engine
 			return experiments.Fig7(cfg)
 		}},
 		{"fig8", func() (*experiments.Figure, error) {

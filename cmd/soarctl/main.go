@@ -8,11 +8,9 @@
 //	soarctl demo
 //	soarctl place   [-topo bt|sf] [-n 256] [-k 16] [-dist uniform|powerlaw]
 //	                [-rates constant|linear|exp] [-seed 1] [-dot file]
-//	                [-engine full|compact|parallel|distributed|incremental]
 //	                [-caps uniform:C|tiered:C0,C1,...|tor:P,C|powerlaw:MAX,ALPHA]
 //	soarctl exp     <fig6|fig7|fig8|fig9|fig10|fig11|ext-*|all> [-quick]
-//	                [-csv dir] [-reps N] [-engine full|incremental]
-//	                [-caps uniform|tiered|tor|powerlaw]
+//	                [-csv dir] [-reps N] [-caps uniform|tiered|tor|powerlaw]
 //	soarctl cluster [-n 64] [-k 8] [-seed 1]
 //	soarctl sched   [-n 1024] [-k 8] [-capacity 16] [-caps profile]
 //	                [-tenants 2000] [-clients 8] [-workers 0]
@@ -23,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -58,6 +57,9 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the flag set already printed its usage
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "soarctl:", err)
 		os.Exit(1)
@@ -81,7 +83,9 @@ Run 'soarctl <command> -h' for flags.
 `)
 }
 
+// newFlagSet returns a flag set whose parse errors come back from the
+// run* functions like any other usage error (an unknown flag included)
+// instead of exiting the process from inside Parse.
 func newFlagSet(name string) *flag.FlagSet {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	return fs
+	return flag.NewFlagSet(name, flag.ContinueOnError)
 }

@@ -38,6 +38,8 @@ func TestRunPlaceRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-topo", "mesh"},
 		{"-topo", "bt", "-n", "31"},
+		{"-topo", "sf", "-n", "0"},
+		{"-topo", "sf", "-n", "-3"},
 		{"-dist", "gaussian"},
 		{"-rates", "quadratic"},
 	} {
@@ -64,26 +66,34 @@ func TestRunExpQuickAll(t *testing.T) {
 	}
 }
 
+// requireUnknownFlag fails unless err is the flag package's rejection of
+// an undefined flag.
+func requireUnknownFlag(t *testing.T, what string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("%s: got %v, want an unknown-flag error", what, err)
+	}
+}
+
 func TestRunExpIncrementalEngine(t *testing.T) {
-	// fig7 with -engine incremental must run (its allocators swap to the
-	// stateful SOAR engine) and reject unknown engines.
-	if err := runExp([]string{"fig7", "-quick", "-reps", "1", "-engine", "incremental"}); err != nil {
+	// fig7's SOAR allocator always solves on the incremental engine now
+	// (TestFig7IncrementalEngineMatchesFull holds it to the from-scratch
+	// replay), so exp has no -engine flag left to select it with.
+	if err := runExp([]string{"fig7", "-quick", "-reps", "1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runExp([]string{"fig7", "-quick", "-engine", "warp"}); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, engine := range []string{"full", "incremental"} {
+		requireUnknownFlag(t, "exp -engine "+engine, runExp([]string{"fig7", "-quick", "-reps", "1", "-engine", engine}))
 	}
 }
 
 func TestRunPlaceEngines(t *testing.T) {
+	// Every engine returned the same placement, so place lost its -engine
+	// flag with the engines; sched lost -memo with the memoized scheduler.
 	for _, engine := range []string{"full", "compact", "parallel", "distributed", "incremental", "memo"} {
-		if err := runPlace([]string{"-topo", "bt", "-n", "32", "-k", "4", "-engine", engine}); err != nil {
-			t.Fatalf("engine %s: %v", engine, err)
-		}
+		requireUnknownFlag(t, "place -engine "+engine, runPlace([]string{"-topo", "bt", "-n", "32", "-k", "4", "-engine", engine}))
 	}
-	if err := runPlace([]string{"-topo", "bt", "-n", "32", "-engine", "warp"}); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
+	requireUnknownFlag(t, "sched -memo", runSched([]string{"-n", "32", "-tenants", "1", "-memo"}))
 }
 
 func TestRunExpFlagOrder(t *testing.T) {
@@ -124,11 +134,9 @@ func TestRunPlaceCapsProfiles(t *testing.T) {
 		"tor:0.5,2",
 		"powerlaw:4,2.5",
 	} {
-		for _, engine := range []string{"full", "compact", "parallel", "distributed", "incremental", "memo"} {
-			args := []string{"-topo", "bt", "-n", "32", "-k", "6", "-engine", engine, "-caps", spec}
-			if err := runPlace(args); err != nil {
-				t.Fatalf("caps %q engine %s: %v", spec, engine, err)
-			}
+		args := []string{"-topo", "bt", "-n", "32", "-k", "6", "-caps", spec}
+		if err := runPlace(args); err != nil {
+			t.Fatalf("caps %q: %v", spec, err)
 		}
 	}
 }

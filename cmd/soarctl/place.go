@@ -12,70 +12,15 @@ import (
 	"soar/internal/topology"
 )
 
-// engineFunc adapts one of the SOAR engines to placement.Strategy so the
-// -engine flag can swap it into the strategy line-up; every engine
-// produces the same placements (verified by TestAllEnginesAgree and
-// TestIncrementalMatchesFullEngines).
-type engineFunc func(t *topology.Tree, loads []int, avail []bool, k int) []bool
+// capsSOAR is SOAR under a capacity profile as a placement.Strategy: a
+// blue at v consumes caps[v] budget units. The avail argument of the
+// strategy interface is ignored — the zero entries of caps carry it.
+type capsSOAR struct{ caps []int }
 
-func (engineFunc) Name() string { return "soar" }
+func (capsSOAR) Name() string { return "soar" }
 
-func (f engineFunc) Place(t *topology.Tree, loads []int, avail []bool, k int) []bool {
-	return f(t, loads, avail, k)
-}
-
-// soarEngine resolves the -engine flag to a SOAR strategy. A non-nil
-// caps vector selects the heterogeneous engines (a blue at v consumes
-// caps[v] budget units); the avail argument of the strategy interface is
-// then ignored — the zero entries of caps already carry it.
-func soarEngine(name string, caps []int) (placement.Strategy, error) {
-	switch name {
-	case "full":
-		if caps == nil {
-			return core.Strategy{}, nil
-		}
-		return engineFunc(func(t *topology.Tree, loads []int, _ []bool, k int) []bool {
-			return core.SolveCaps(t, loads, caps, k).Blue
-		}), nil
-	case "compact":
-		return engineFunc(func(t *topology.Tree, loads []int, avail []bool, k int) []bool {
-			if caps != nil {
-				return core.SolveCompactCaps(t, loads, caps, k).Blue
-			}
-			return core.SolveCompact(t, loads, avail, k).Blue
-		}), nil
-	case "parallel":
-		return engineFunc(func(t *topology.Tree, loads []int, avail []bool, k int) []bool {
-			if caps != nil {
-				return core.SolveParallelCaps(t, loads, caps, k, 0).Blue
-			}
-			return core.SolveParallel(t, loads, avail, k, 0).Blue
-		}), nil
-	case "distributed":
-		return engineFunc(func(t *topology.Tree, loads []int, avail []bool, k int) []bool {
-			if caps != nil {
-				return core.SolveDistributedCaps(t, loads, caps, k).Blue
-			}
-			return core.SolveDistributed(t, loads, avail, k).Blue
-		}), nil
-	case "incremental":
-		return engineFunc(func(t *topology.Tree, loads []int, avail []bool, k int) []bool {
-			if caps != nil {
-				return core.NewIncrementalCaps(t, loads, caps, k).Solve().Blue
-			}
-			return core.NewIncremental(t, loads, avail, k).Solve().Blue
-		}), nil
-	case "memo":
-		return engineFunc(func(t *topology.Tree, loads []int, avail []bool, k int) []bool {
-			m := core.NewMemo(t)
-			if caps != nil {
-				return core.SolveMemoCaps(m, loads, caps, k).Blue
-			}
-			return core.SolveMemo(m, loads, avail, k).Blue
-		}), nil
-	default:
-		return nil, fmt.Errorf("unknown -engine %q", name)
-	}
+func (s capsSOAR) Place(t *topology.Tree, loads []int, _ []bool, k int) []bool {
+	return core.SolveCaps(t, loads, s.caps, k).Blue
 }
 
 // budgetedStrategy makes a weight-oblivious baseline honor the weighted
@@ -114,7 +59,6 @@ func runPlace(args []string) error {
 	k := fs.Int("k", 16, "aggregation switch budget")
 	dist := fs.String("dist", "powerlaw", "load distribution: uniform, powerlaw or one (unit)")
 	rates := fs.String("rates", "constant", "link rates: constant, linear or exp")
-	engine := fs.String("engine", "full", "SOAR engine: full, compact, parallel, distributed, incremental or memo")
 	capsSpec := fs.String("caps", "", capsProfileHelp)
 	seed := fs.Int64("seed", 1, "random seed")
 	dot := fs.String("dot", "", "write the SOAR placement as Graphviz DOT to this file")
@@ -133,6 +77,9 @@ func runPlace(args []string) error {
 		}
 		tr, where = t, load.LeavesOnly
 	case "sf":
+		if *n < 1 {
+			return fmt.Errorf("-n %d: a scale-free network needs at least one switch", *n)
+		}
 		tr, where = topology.ScaleFree(*n, rng), load.AllNodes
 	default:
 		return fmt.Errorf("unknown -topo %q", *topo)
@@ -164,18 +111,16 @@ func runPlace(args []string) error {
 	if err != nil {
 		return err
 	}
-	soar, err := soarEngine(*engine, caps)
-	if err != nil {
-		return err
-	}
 	loads := load.Generate(tr, d, where, rng)
 
 	// Under a capacity profile the baselines pick only from {caps > 0}
 	// and are wrapped to spend the same weighted budget SOAR does
 	// (all-blue stays unbounded: it is the no-budget lower bound).
 	var avail []bool
+	var soar placement.Strategy = core.Strategy{}
 	budgeted := func(s placement.Strategy) placement.Strategy { return s }
 	if caps != nil {
+		soar = capsSOAR{caps}
 		avail = make([]bool, tr.N())
 		for v, c := range caps {
 			avail[v] = c > 0
@@ -186,8 +131,8 @@ func runPlace(args []string) error {
 	}
 
 	allRed := reduce.Utilization(tr, loads, make([]bool, tr.N()))
-	fmt.Printf("instance: %s n=%d switches=%d height=%d totalLoad=%d rates=%s dist=%s k=%d engine=%s\n",
-		*topo, *n, tr.N(), tr.Height(), load.Total(loads), *rates, *dist, *k, *engine)
+	fmt.Printf("instance: %s n=%d switches=%d height=%d totalLoad=%d rates=%s dist=%s k=%d\n",
+		*topo, *n, tr.N(), tr.Height(), load.Total(loads), *rates, *dist, *k)
 	if caps != nil {
 		fmt.Printf("capacity profile: %s (%s)\n", *capsSpec, capsSummary(caps))
 	}

@@ -35,7 +35,6 @@ func runSched(args []string) error {
 	churn := fs.Float64("churn", 0.5, "probability a client releases one of its tenants after an admission")
 	repackEvery := fs.Duration("repack-every", 25*time.Millisecond, "background re-packing period (0 = off)")
 	repackMoves := fs.Int("repack-moves", 16, "migration budget per re-packing round")
-	memo := fs.Bool("memo", false, "enable the cross-request solve cache (one hash-consed class memo per engine)")
 	seed := fs.Int64("seed", 1, "random seed")
 	baseline := fs.Bool("baseline", false, "also run the mutex-serialized from-scratch baseline and report the speedup")
 	if err := fs.Parse(args); err != nil {
@@ -57,13 +56,12 @@ func runSched(args []string) error {
 		Capacity:   *capacity,
 		Capacities: caps,
 		Workers:    *workers,
-		Memo:       *memo,
 		Repack:     sched.RepackConfig{Every: *repackEvery, MaxMoves: *repackMoves},
 	})
 	defer s.Close()
 
-	fmt.Printf("scheduler: BT(%d) switches=%d k=%d capacity=%d clients=%d repack=%v/%d memo=%v\n",
-		*n, tr.N(), *k, *capacity, *clients, *repackEvery, *repackMoves, *memo)
+	fmt.Printf("scheduler: BT(%d) switches=%d k=%d capacity=%d clients=%d repack=%v/%d\n",
+		*n, tr.N(), *k, *capacity, *clients, *repackEvery, *repackMoves)
 	if caps != nil {
 		fmt.Printf("capacity profile: %s (%s)\n", *capsSpec, capsSummary(caps))
 	}

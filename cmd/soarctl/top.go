@@ -17,7 +17,7 @@ import (
 // the numbers an operator watches: admission rate and latency
 // quantiles (from the soar_sched_place_seconds histogram), the median
 // queue wait (soar_sched_queue_wait_seconds: submission to the start of
-// the request's batch), batch coalescing, memo hit ratio, conflicts,
+// the request's batch), batch coalescing, conflicts,
 // degraded cluster runs and re-packer Φ recovered. It is a scrape
 // consumer like any other — it reads GET /metrics and computes rates
 // from successive snapshots, so what it shows is exactly what a
@@ -42,7 +42,6 @@ func runTop(args []string) error {
 type topSnapshot struct {
 	admissions, releases, rejected, conflicts float64
 	batches, batchSizeSum                     float64
-	hits, misses                              float64
 	degraded, clusterRuns                     float64
 	phiRecovered                              float64
 	tenants, capUsed, capTotal                float64
@@ -72,8 +71,6 @@ func scrapeTop(ctx context.Context, c *naas.Client) (*topSnapshot, error) {
 		rejected:     val("soar_sched_rejected_total"),
 		conflicts:    val("soar_sched_conflicts_total"),
 		batches:      val("soar_sched_batches_total"),
-		hits:         val("soar_memo_hits_total"),
-		misses:       val("soar_memo_misses_total"),
 		degraded:     val("soar_cluster_degraded_total"),
 		clusterRuns:  val("soar_cluster_runs_total"),
 		phiRecovered: val("soar_sched_repack_phi_recovered"),
@@ -132,8 +129,8 @@ func topLoop(w io.Writer, addr string, every time.Duration, polls int) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	fmt.Fprintf(w, "%-8s %9s %8s %8s %8s %8s %8s %8s %8s %7s %7s %9s %9s\n",
-		"time", "adm/s", "p50", "p95", "p99", "qwait50", "cksnap50", "tenants", "cap%", "batch", "memo%", "degraded", "Φrec")
+	fmt.Fprintf(w, "%-8s %9s %8s %8s %8s %8s %8s %8s %8s %7s %9s %9s\n",
+		"time", "adm/s", "p50", "p95", "p99", "qwait50", "cksnap50", "tenants", "cap%", "batch", "degraded", "Φrec")
 	var prev *topSnapshot
 	prevAt := time.Now()
 	for i := 0; polls <= 0 || i < polls; i++ {
@@ -163,14 +160,10 @@ func topLoop(w io.Writer, addr string, every time.Duration, polls int) error {
 		if snap.batches > 0 {
 			meanBatch = snap.batchSizeSum / snap.batches
 		}
-		memoPct := "-"
-		if ops := snap.hits + snap.misses; ops > 0 {
-			memoPct = fmt.Sprintf("%.1f", 100*snap.hits/ops)
-		}
-		fmt.Fprintf(w, "%-8s %9.1f %8s %8s %8s %8s %8s %8.0f %7.1f%% %7.2f %7s %9.0f %9.3f\n",
+		fmt.Fprintf(w, "%-8s %9.1f %8s %8s %8s %8s %8s %8.0f %7.1f%% %7.2f %9.0f %9.3f\n",
 			now.Format("15:04:05"), rate,
 			fmtSeconds(snap.p50), fmtSeconds(snap.p95), fmtSeconds(snap.p99), fmtSeconds(snap.queueWait),
-			fmtSeconds(snap.ckptPause), snap.tenants, capPct, meanBatch, memoPct, snap.degraded, snap.phiRecovered)
+			fmtSeconds(snap.ckptPause), snap.tenants, capPct, meanBatch, snap.degraded, snap.phiRecovered)
 		prev, prevAt = snap, now
 	}
 	return nil

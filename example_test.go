@@ -30,14 +30,6 @@ func ExampleSolve() {
 	// k=4 phi=11
 }
 
-// The distributed message-passing engine returns the same optimum.
-func ExampleSolveDistributed() {
-	t := soar.CompleteBinaryTree(3)
-	loads := []int{0, 0, 0, 2, 6, 5, 4}
-	fmt.Println(soar.SolveDistributed(t, loads, 2).Cost)
-	// Output: 20
-}
-
 // Utilization evaluates any placement — here the paper's Fig. 2
 // baselines against the optimum.
 func ExampleUtilization() {

@@ -50,10 +50,9 @@ func main() {
 		}
 	}
 
-	// The distributed solver produces the identical answer via
-	// message passing (one goroutine per switch).
-	dist := soar.SolveDistributed(t, loads, 8)
-	fmt.Printf("\ndistributed solver agrees: φ=%.0f (serial %.0f)\n", dist.Cost, res.Cost)
+	// The paper's distributed deployment (Sec. 4.2: tables up, budgets
+	// down, one message-passing node per switch) produces the identical
+	// answer over real TCP: see examples/cluster.
 
 	// Heterogeneous fabric: core switches are fully programmable
 	// (weight 1), the aggregation layer is half-provisioned (weight 2)

@@ -26,21 +26,20 @@ func failureCtx(t *testing.T) context.Context {
 
 func TestRogueHelloAbortsRun(t *testing.T) {
 	// A connection claiming to be a switch that is not a child must abort
-	// the run with an error, never hang it. The rogue targets the root,
-	// whose real children dial only after their whole subtrees finish, so
-	// the rogue always wins an accept slot.
+	// the run with an error, never hang it. The rogue targets the root
+	// and dials inside the hook — before any node starts — so it is first
+	// in the root's accept queue however fast the real children finish.
 	tr := topology.MustBT(16)
 	loads := make([]int, tr.N())
 	for _, v := range tr.Leaves() {
 		loads[v] = 2
 	}
 	withListenerHook(t, func(ls []net.Listener) {
-		addr := ls[tr.Root()].Addr().String()
+		conn, err := net.Dial("tcp", ls[tr.Root()].Addr().String())
+		if err != nil {
+			return
+		}
 		go func() {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				return
-			}
 			defer conn.Close()
 			wire.Write(conn, &wire.Hello{Child: 9999})
 			time.Sleep(time.Second)
@@ -61,12 +60,11 @@ func TestGarbageFrameAbortsRun(t *testing.T) {
 		loads[v] = 2
 	}
 	withListenerHook(t, func(ls []net.Listener) {
-		addr := ls[tr.Root()].Addr().String()
+		conn, err := net.Dial("tcp", ls[tr.Root()].Addr().String())
+		if err != nil {
+			return
+		}
 		go func() {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				return
-			}
 			defer conn.Close()
 			conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 			time.Sleep(time.Second)
@@ -89,12 +87,11 @@ func TestImpostorDuplicateChildAbortsRun(t *testing.T) {
 	}
 	child := tr.Children(tr.Root())[0]
 	withListenerHook(t, func(ls []net.Listener) {
-		addr := ls[tr.Root()].Addr().String()
+		conn, err := net.Dial("tcp", ls[tr.Root()].Addr().String())
+		if err != nil {
+			return
+		}
 		go func() {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				return
-			}
 			defer conn.Close()
 			wire.Write(conn, &wire.Hello{Child: uint32(child)})
 			time.Sleep(2 * time.Second)

@@ -12,8 +12,7 @@ import "soar/internal/topology"
 //     cap[v]+1 and reads past the cap clamp to the last column.
 //   - arena backs all nodeTables of one Gather run with a handful of
 //     slabs instead of O(n) per-node allocations. Offsets are prefix
-//     sums computed up front, so concurrent engines carve disjoint
-//     windows without synchronization.
+//     sums computed up front.
 
 // EffectiveCaps returns, for every switch v, the effective budget
 // cap[v] = min(k, |T_v ∩ Λ|): placing more than cap[v] blue switches
@@ -90,11 +89,10 @@ func effectiveCapRoot(t *topology.Tree, avail []bool, caps []int, k int) int {
 }
 
 // arena owns the backing storage of one Gather run: one float64 slab for
-// the X tables, one bool slab for the color flags, and (when breadcrumbs
-// are recorded) one int32 slab plus one slice-header slab for the split
-// tables. Per-node offsets are precomputed, so node(v) is pure slicing —
-// no allocation, no locking — and a full solve performs O(1) large
-// allocations instead of O(n) small ones.
+// the X tables, one bool slab for the color flags, and one int32 slab
+// plus one slice-header slab for the split tables. Per-node offsets are
+// precomputed, so node(v) is pure slicing — no allocation — and a full
+// solve performs O(1) large allocations instead of O(n) small ones.
 type arena struct {
 	caps  []int
 	xOff  []int // xOff[v]: offset of v's x/isBlue window; xOff[n] = total
@@ -111,18 +109,15 @@ type arena struct {
 // given effective caps, with per-switch windows laid out in level order
 // (levelOrderOffsets): the bottom-up sweep fills each slab back to
 // front, siblings adjacent — the SoA layout the merge kernel streams
-// over. recordSplits selects whether the breadcrumb slab is allocated
-// (the compact engine re-derives splits instead).
-func newArena(t *topology.Tree, caps []int, recordSplits bool) *arena {
+// over.
+func newArena(t *topology.Tree, caps []int) *arena {
 	n := t.N()
 	a := &arena{caps: caps}
-	a.xOff, a.spOff, a.hdOff = levelOrderOffsets(t, caps, recordSplits)
+	a.xOff, a.spOff, a.hdOff = levelOrderOffsets(t, caps)
 	a.x = make([]float64, a.xOff[n])
 	a.isBlue = make([]bool, a.xOff[n])
-	if recordSplits {
-		a.splits = make([]int32, a.spOff[n])
-		a.hdr = make([][]int32, a.hdOff[n])
-	}
+	a.splits = make([]int32, a.spOff[n])
+	a.hdr = make([][]int32, a.hdOff[n])
 	return a
 }
 
@@ -139,15 +134,13 @@ func (a *arena) node(t *topology.Tree, v int) nodeTables {
 		x:      a.x[lo:hi:hi],
 		isBlue: a.isBlue[lo:hi:hi],
 	}
-	if a.splits != nil {
-		if merges := t.NumChildren(v) - 1; merges > 0 {
-			nt.splits = a.hdr[a.hdOff[v] : a.hdOff[v]+merges : a.hdOff[v]+merges]
-			rowLen := 2 * rows * w
-			off := a.spOff[v]
-			for m := range nt.splits {
-				nt.splits[m] = a.splits[off : off+rowLen : off+rowLen]
-				off += rowLen
-			}
+	if merges := t.NumChildren(v) - 1; merges > 0 {
+		nt.splits = a.hdr[a.hdOff[v] : a.hdOff[v]+merges : a.hdOff[v]+merges]
+		rowLen := 2 * rows * w
+		off := a.spOff[v]
+		for m := range nt.splits {
+			nt.splits[m] = a.splits[off : off+rowLen : off+rowLen]
+			off += rowLen
 		}
 	}
 	return nt
@@ -155,7 +148,7 @@ func (a *arena) node(t *topology.Tree, v int) nodeTables {
 
 // newNodeStorage allocates standalone tables for one switch, for engines
 // that build nodes in isolation (the message-passing protocol engine).
-func newNodeStorage(depth, capv, numChildren int, recordSplits bool) nodeTables {
+func newNodeStorage(depth, capv, numChildren int) nodeTables {
 	w := capv + 1
 	sz := (depth + 1) * w
 	nt := nodeTables{
@@ -163,7 +156,7 @@ func newNodeStorage(depth, capv, numChildren int, recordSplits bool) nodeTables 
 		x:      make([]float64, sz),
 		isBlue: make([]bool, sz),
 	}
-	if recordSplits && numChildren > 1 {
+	if numChildren > 1 {
 		nt.splits = make([][]int32, numChildren-1)
 		rowLen := 2 * sz
 		for m := range nt.splits {
@@ -181,7 +174,7 @@ func newNodeStorage(depth, capv, numChildren int, recordSplits bool) nodeTables 
 // waivers so soarlint's hotpath analyzer enforces exactly that.
 //
 //soar:hotpath
-func ensureNodeStorage(nt *nodeTables, depth, capv, numChildren int, recordSplits bool) {
+func ensureNodeStorage(nt *nodeTables, depth, capv, numChildren int) {
 	w := capv + 1
 	sz := (depth + 1) * w
 	nt.cap = capv
@@ -195,7 +188,7 @@ func ensureNodeStorage(nt *nodeTables, depth, capv, numChildren int, recordSplit
 	} else {
 		nt.isBlue = make([]bool, sz) //soar:coldpath cap grew
 	}
-	if !recordSplits || numChildren <= 1 {
+	if numChildren <= 1 {
 		nt.splits = nil
 		return
 	}
@@ -213,9 +206,9 @@ func ensureNodeStorage(nt *nodeTables, depth, capv, numChildren int, recordSplit
 }
 
 // scratch holds the four Y merge rows computeNode ping-pongs between.
-// One scratch serves a whole serial run (or one worker, or one stateful
-// engine); it is sized once at the widest row any node can need and
-// re-sliced per node. maxCap is the root's effective cap: cap(v) ≤
+// One scratch serves a whole serial run (or one stateful engine); it is
+// sized once at the widest row any node can need and re-sliced per
+// node. maxCap is the root's effective cap: cap(v) ≤
 // cap(root) for every v, so width maxCap+1 covers the whole tree. A
 // budget of k=1<<30 with three available switches costs rows of width
 // 4, not four gigarows.

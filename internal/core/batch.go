@@ -56,9 +56,6 @@ func NewBatchSolver(m *Memo) *BatchSolver {
 	return &BatchSolver{m: m}
 }
 
-// Memo returns the solve cache the batch solver interns into.
-func (bs *BatchSolver) Memo() *Memo { return bs.m }
-
 // ensure sizes the per-batch scratch for B instances over n switches.
 //
 //soar:hotpath
@@ -205,24 +202,4 @@ func (cs *colorState) colorClasses(t *topology.Tree, entries []memoEntry, classO
 		cs.budget = childBudget[:0]
 	}
 	return opt
-}
-
-// SolveBatch solves every instance of the batch through the solve cache
-// and returns one Result per instance; see BatchSolver.Solve for the
-// model. Callers with a steady batch stream should hold a BatchSolver
-// instead and reuse output buffers.
-func SolveBatch(m *Memo, loads [][]int, avail []bool, k int) []Result {
-	bs := NewBatchSolver(m)
-	n := m.t.N()
-	blue := make([][]bool, len(loads))
-	costs := make([]float64, len(loads))
-	for b := range blue {
-		blue[b] = make([]bool, n)
-	}
-	bs.Solve(loads, avail, k, blue, costs)
-	out := make([]Result, len(loads))
-	for b := range out {
-		out[b] = Result{Blue: blue[b], Cost: costs[b]}
-	}
-	return out
 }

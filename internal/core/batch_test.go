@@ -45,6 +45,22 @@ func randomBatch(seed int64, maxN, maxB, maxK int) (*topology.Tree, [][]int, []b
 	return t, loads, avail, rng.Intn(maxK + 1)
 }
 
+// solveBatch runs one batch through a fresh BatchSolver over m with
+// freshly allocated output buffers.
+func solveBatch(m *Memo, loads [][]int, avail []bool, k int) []Result {
+	out := make([]Result, len(loads))
+	blue := make([][]bool, len(loads))
+	costs := make([]float64, len(loads))
+	for b := range blue {
+		blue[b] = make([]bool, m.t.N())
+	}
+	NewBatchSolver(m).Solve(loads, avail, k, blue, costs)
+	for b := range out {
+		out[b] = Result{Blue: blue[b], Cost: costs[b]}
+	}
+	return out
+}
+
 // TestSolveBatchAgreesWithSolve is the batch solver's bitwise-identity
 // gate: for every instance of every batch, cost and placement must be
 // exactly what the plain per-instance engine produces — not close, equal.
@@ -52,10 +68,7 @@ func TestSolveBatchAgreesWithSolve(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		tr, loads, avail, k := randomBatch(seed, 40, 8, 6)
 		m := NewMemo(tr)
-		got := SolveBatch(m, loads, avail, k)
-		if len(got) != len(loads) {
-			t.Fatalf("seed %d: %d results for %d instances", seed, len(got), len(loads))
-		}
+		got := solveBatch(m, loads, avail, k)
 		for b := range loads {
 			want := Solve(tr, loads[b], avail, k)
 			if got[b].Cost != want.Cost {
@@ -78,9 +91,6 @@ func TestBatchSolverReuse(t *testing.T) {
 	tr, loads, avail, k := randomBatch(7, 60, 10, 8)
 	m := NewMemo(tr)
 	bs := NewBatchSolver(m)
-	if bs.Memo() != m {
-		t.Fatal("Memo() does not return the wrapped memo")
-	}
 	n := tr.N()
 	check := func(batch [][]int) {
 		t.Helper()
@@ -119,7 +129,7 @@ func TestSolveBatchSharesMemo(t *testing.T) {
 		SolveMemo(m, loads[b], avail, k) // warm via single solves
 	}
 	statsBefore := m.Stats()
-	got := SolveBatch(m, loads, avail, k)
+	got := solveBatch(m, loads, avail, k)
 	for b := range loads {
 		want := SolveMemo(m, loads[b], avail, k)
 		if got[b].Cost != want.Cost {

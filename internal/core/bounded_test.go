@@ -250,9 +250,7 @@ func TestBoundedBitwiseMatchesUnboundedReference(t *testing.T) {
 		}
 		blue, _ := ColorPhase(tb)
 		check("serial", blue)
-		check("parallel", SolveParallel(tr, loads, avail, k, 4).Blue)
-		check("distributed", SolveDistributed(tr, loads, avail, k).Blue)
-		check("compact", SolveCompact(tr, loads, avail, k).Blue)
+		check("memo", SolveMemo(NewMemo(tr), loads, avail, k).Blue)
 		inc := NewIncremental(tr, loads, avail, k)
 		check("incremental", inc.Solve().Blue)
 	}
@@ -356,9 +354,7 @@ func TestEnginesMatchBruteForce(t *testing.T) {
 		inc := NewIncremental(tr, loads, avail, k)
 		for name, res := range map[string]Result{
 			"serial":      Solve(tr, loads, avail, k),
-			"parallel":    SolveParallel(tr, loads, avail, k, 3),
-			"distributed": SolveDistributed(tr, loads, avail, k),
-			"compact":     SolveCompact(tr, loads, avail, k),
+			"memo":        SolveMemo(NewMemo(tr), loads, avail, k),
 			"incremental": inc.Solve(),
 		} {
 			if math.Abs(res.Cost-want) > 1e-9 {

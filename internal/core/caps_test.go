@@ -107,8 +107,8 @@ func TestCapsNilIsUniform(t *testing.T) {
 	}
 }
 
-// TestAllEnginesAgreeCaps drives every engine — serial, parallel,
-// goroutine-distributed, compact, incremental — over randomized
+// TestAllEnginesAgreeCaps drives every capacity-vector entry point —
+// SolveCaps, SolveMemoCaps, NewIncrementalCaps — over randomized
 // heterogeneous capacity profiles and requires identical costs and
 // bitwise-identical placements, plus budget feasibility
 // (Σ_{blue} caps[v] ≤ k, no blue where caps[v] = 0).
@@ -137,9 +137,7 @@ func TestAllEnginesAgreeCaps(t *testing.T) {
 		inc := NewIncrementalCaps(tr, loads, caps, k)
 
 		for name, res := range map[string]Result{
-			"parallel":    SolveParallelCaps(tr, loads, caps, k, 4),
-			"distributed": SolveDistributedCaps(tr, loads, caps, k),
-			"compact":     SolveCompactCaps(tr, loads, caps, k),
+			"memo":        SolveMemoCaps(NewMemo(tr), loads, caps, k),
 			"incremental": inc.Solve(),
 		} {
 			if math.Abs(res.Cost-serial.Cost) > 1e-9 {
@@ -349,9 +347,7 @@ func FuzzSolveCapsMatchesReference(f *testing.F) {
 			t.Fatalf("seed %d: placement spends %d capacity units, budget %d", seed, used, k)
 		}
 		for name, other := range map[string]Result{
-			"parallel":    SolveParallelCaps(tr, loads, caps, k, 3),
-			"distributed": SolveDistributedCaps(tr, loads, caps, k),
-			"compact":     SolveCompactCaps(tr, loads, caps, k),
+			"memo":        SolveMemoCaps(NewMemo(tr), loads, caps, k),
 			"incremental": NewIncrementalCaps(tr, loads, caps, k).Solve(),
 		} {
 			if math.Abs(other.Cost-res.Cost) > 1e-9 {

@@ -10,11 +10,17 @@ import (
 	"soar/internal/topology"
 )
 
+// The tests below hold the paper's distributed protocol (Sec. 4.2) to
+// the serial engine: solveProtocol (protocol_test.go) drives the same
+// per-switch NodeState steps internal/cluster runs over TCP — children's
+// X tables up, (budget, ℓ) assignments down — and must reproduce Solve's
+// cost and placement switch for switch.
+
 func TestDistributedMatchesSerialPaperExample(t *testing.T) {
 	tr, loads := paper.Figure2()
 	for k := 0; k <= 5; k++ {
 		serial := Solve(tr, loads, nil, k)
-		dist := SolveDistributed(tr, loads, nil, k)
+		dist := solveProtocol(t, tr, loads, nil, k)
 		if serial.Cost != dist.Cost {
 			t.Fatalf("k=%d: serial φ=%v, distributed φ=%v", k, serial.Cost, dist.Cost)
 		}
@@ -39,7 +45,7 @@ func TestDistributedMatchesSerialRandomized(t *testing.T) {
 		}
 		k := rng.Intn(6)
 		serial := Solve(tr, loads, avail, k)
-		dist := SolveDistributed(tr, loads, avail, k)
+		dist := solveProtocol(t, tr, loads, avail, k)
 		if math.Abs(serial.Cost-dist.Cost) > 1e-9 {
 			t.Fatalf("trial %d: serial φ=%v, distributed φ=%v", trial, serial.Cost, dist.Cost)
 		}
@@ -55,26 +61,26 @@ func TestDistributedMatchesSerialRandomized(t *testing.T) {
 }
 
 func TestDistributedDeepTree(t *testing.T) {
-	// Exercise long dependency chains (every switch waits for one child).
+	// Long dependency chains: every switch builds on exactly one child.
 	tr := topology.Path(200)
 	loads := make([]int, 200)
 	loads[199] = 9
 	serial := Solve(tr, loads, nil, 3)
-	dist := SolveDistributed(tr, loads, nil, 3)
+	dist := solveProtocol(t, tr, loads, nil, 3)
 	if serial.Cost != dist.Cost {
 		t.Fatalf("serial φ=%v, distributed φ=%v", serial.Cost, dist.Cost)
 	}
 }
 
 func TestDistributedWideTree(t *testing.T) {
-	// Exercise high fan-in (root waits for many children at once).
+	// High fan-in: the root merges many children's tables at once.
 	tr := topology.Star(300)
 	loads := make([]int, 300)
 	for v := 1; v < 300; v++ {
 		loads[v] = 1 + v%4
 	}
 	serial := Solve(tr, loads, nil, 10)
-	dist := SolveDistributed(tr, loads, nil, 10)
+	dist := solveProtocol(t, tr, loads, nil, 10)
 	if serial.Cost != dist.Cost {
 		t.Fatalf("serial φ=%v, distributed φ=%v", serial.Cost, dist.Cost)
 	}

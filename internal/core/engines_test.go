@@ -10,55 +10,139 @@ import (
 	"soar/internal/topology"
 )
 
-// TestAllEnginesAgree drives every engine — serial, parallel,
-// goroutine-distributed, compact, incremental — over randomized
-// instances (availability-restricted, plus the k = 0 and k ≥ n corners
-// of the effective-budget clamping) and requires identical costs and
-// bitwise-identical placements: all engines share the same clamped
-// tables and tie-breaking, so their blue sets must match switch for
-// switch, not just in cost.
+// TestAllEnginesAgree is the cross-engine table: every solver entry
+// point the package exports — Solve, SolveCaps, SolveMemo, SolveMemoCaps,
+// NewIncremental, NewIncrementalCaps and BatchSolver.Solve — over the
+// instance shapes {every switch available, restricted Λ, capacity
+// vector, k = 0, k ≥ n}, each checked against the independent reference
+// DP (reference_test.go) and required to return bitwise-identical costs
+// and placements: all of them share computeNode's clamped tables and
+// tie-breaking, so their blue sets must match switch for switch. A
+// uniform-model instance reaches the *Caps entry points as its 0/1
+// vector; a genuine capacity vector only has the *Caps entry points.
+// One Memo per tree serves every memoized solve of every shape, so the
+// cache is exercised warm, across budgets and across both models.
 func TestAllEnginesAgree(t *testing.T) {
+	// The tree and its memo are set per trial; the entry points close
+	// over them.
+	var tr *topology.Tree
+	var m *Memo
+	type entryPoint struct {
+		name  string
+		solve func(loads []int, avail []bool, caps []int, k int) Result
+	}
+	weighted := []entryPoint{
+		{"SolveCaps", func(loads []int, _ []bool, caps []int, k int) Result { return SolveCaps(tr, loads, caps, k) }},
+		{"SolveMemoCaps", func(loads []int, _ []bool, caps []int, k int) Result { return SolveMemoCaps(m, loads, caps, k) }},
+		{"NewIncrementalCaps", func(loads []int, _ []bool, caps []int, k int) Result {
+			return NewIncrementalCaps(tr, loads, caps, k).Solve()
+		}},
+	}
+	all := append([]entryPoint{
+		{"Solve", func(loads []int, avail []bool, _ []int, k int) Result { return Solve(tr, loads, avail, k) }},
+		{"SolveMemo", func(loads []int, avail []bool, _ []int, k int) Result { return SolveMemo(m, loads, avail, k) }},
+		{"NewIncremental", func(loads []int, avail []bool, _ []int, k int) Result {
+			return NewIncremental(tr, loads, avail, k).Solve()
+		}},
+		{"BatchSolver.Solve", func(loads []int, avail []bool, _ []int, k int) Result {
+			return solveBatch(m, [][]int{loads}, avail, k)[0]
+		}},
+	}, weighted...)
+
 	rng := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + rng.Intn(60)
-		tr := topology.RandomRecursive(n, rng)
-		loads := make([]int, n)
+	restricted := func(n int) []bool {
 		avail := make([]bool, n)
-		for v := 0; v < n; v++ {
-			loads[v] = rng.Intn(6)
+		for v := range avail {
 			avail[v] = rng.Intn(4) != 0
 		}
-		var k int
-		switch trial % 4 {
-		case 0:
-			k = 0 // cap[v] = 0 everywhere
-		case 1:
-			k = n + rng.Intn(4) // k ≥ n: every cap clamps at |T_v ∩ Λ|
-		default:
-			k = rng.Intn(8)
+		return avail
+	}
+	capVector := func(n int) []int {
+		caps := make([]int, n)
+		for v := range caps {
+			caps[v] = rng.Intn(4) // 0 = forwarder .. 3 = heavy switch
 		}
-
-		serial := Solve(tr, loads, avail, k)
-		inc := NewIncremental(tr, loads, avail, k)
-
-		for name, res := range map[string]Result{
-			"parallel":    SolveParallel(tr, loads, avail, k, 4),
-			"distributed": SolveDistributed(tr, loads, avail, k),
-			"compact":     SolveCompact(tr, loads, avail, k),
-			"incremental": inc.Solve(),
-		} {
-			if math.Abs(res.Cost-serial.Cost) > 1e-9 {
-				t.Fatalf("trial %d: %s φ=%v, serial φ=%v", trial, name, res.Cost, serial.Cost)
+		return caps
+	}
+	// A shape draws (avail, caps, k); caps != nil marks a genuine
+	// capacity vector. The two budget corners alternate between the
+	// models, so k = 0 and k ≥ n are crossed with both.
+	shapes := []struct {
+		name string
+		draw func(n, trial int) ([]bool, []int, int)
+	}{
+		{"nil avail", func(n, _ int) ([]bool, []int, int) { return nil, nil, rng.Intn(8) }},
+		{"restricted avail", func(n, _ int) ([]bool, []int, int) { return restricted(n), nil, rng.Intn(8) }},
+		{"capacity vector", func(n, _ int) ([]bool, []int, int) { return nil, capVector(n), rng.Intn(10) }},
+		{"k=0", func(n, trial int) ([]bool, []int, int) {
+			if trial%2 == 0 {
+				return restricted(n), nil, 0
 			}
-			if sim := reduce.Utilization(tr, loads, res.Blue); math.Abs(sim-res.Cost) > 1e-9 {
-				t.Fatalf("trial %d: %s placement costs %v, reported %v", trial, name, sim, res.Cost)
+			return nil, capVector(n), 0
+		}},
+		{"k>=n", func(n, trial int) ([]bool, []int, int) {
+			if trial%2 == 0 {
+				return restricted(n), nil, n + rng.Intn(4) // every cap clamps at |T_v ∩ Λ|
 			}
-			for v, b := range res.Blue {
-				if b && !avail[v] {
-					t.Fatalf("trial %d: %s colored unavailable switch %d", trial, name, v)
+			return nil, capVector(n), 3*n + rng.Intn(4) // beyond every subtree's capacity sum
+		}},
+	}
+
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(40)
+		tr = topology.RandomRecursive(n, rng)
+		loads := make([]int, n)
+		for v := range loads {
+			loads[v] = rng.Intn(6)
+		}
+		m = NewMemo(tr)
+		for _, sh := range shapes {
+			avail, caps, k := sh.draw(n, trial)
+			engines, weights := weighted, caps
+			if caps == nil {
+				engines = all
+				if avail != nil {
+					weights = capsFromAvail(tr, avail)
 				}
-				if b != serial.Blue[v] {
-					t.Fatalf("trial %d: %s placement differs from serial at switch %d", trial, name, v)
+			}
+			want := referenceCostCaps(tr, loads, weights, k)
+			var first Result
+			for i, e := range engines {
+				res := e.solve(loads, avail, weights, k)
+				if math.Abs(res.Cost-want) > 1e-9 {
+					t.Fatalf("trial %d %s: %s φ=%v, reference φ=%v", trial, sh.name, e.name, res.Cost, want)
+				}
+				if sim := reduce.Utilization(tr, loads, res.Blue); math.Abs(sim-res.Cost) > 1e-9 {
+					t.Fatalf("trial %d %s: %s placement costs %v, reported %v", trial, sh.name, e.name, sim, res.Cost)
+				}
+				spent := 0
+				for v, b := range res.Blue {
+					if !b {
+						continue
+					}
+					w := 1
+					if weights != nil {
+						w = weights[v]
+					}
+					if w == 0 {
+						t.Fatalf("trial %d %s: %s colored unavailable switch %d", trial, sh.name, e.name, v)
+					}
+					spent += w
+				}
+				if spent > k {
+					t.Fatalf("trial %d %s: %s spent %d budget units of %d", trial, sh.name, e.name, spent, k)
+				}
+				if i == 0 {
+					first = res
+					continue
+				}
+				if res.Cost != first.Cost {
+					t.Fatalf("trial %d %s: %s φ=%v, %s φ=%v", trial, sh.name, e.name, res.Cost, engines[0].name, first.Cost)
+				}
+				for v := range first.Blue {
+					if res.Blue[v] != first.Blue[v] {
+						t.Fatalf("trial %d %s: %s placement differs from %s at switch %d", trial, sh.name, e.name, engines[0].name, v)
+					}
 				}
 			}
 		}
@@ -67,8 +151,8 @@ func TestAllEnginesAgree(t *testing.T) {
 
 // TestIncrementalMatchesFullEngines drives the stateful engine through
 // randomized update sequences — load deltas, availability flips, batches
-// of both — and after every flush cross-checks it against all three
-// from-scratch engines on the engine's current inputs.
+// of both — and after every flush cross-checks it against the
+// from-scratch entry points on the engine's current inputs.
 func TestIncrementalMatchesFullEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
@@ -108,19 +192,23 @@ func TestIncrementalMatchesFullEngines(t *testing.T) {
 	}
 }
 
-// checkIncremental requires the stateful engine to agree with Solve,
-// SolveCompact and SolveParallel on (loads, avail, k), and its tables to
-// be bitwise identical to a from-scratch Gather.
+// checkIncremental requires the stateful engine to agree with the
+// from-scratch entry points Solve and SolveMemo on (loads, avail, k),
+// and its tables to be bitwise identical to a from-scratch Gather.
 func checkIncremental(t *testing.T, trial, step int, inc *Incremental, tr *topology.Tree, loads []int, avail []bool, k int) {
 	t.Helper()
 	got := inc.Solve()
 	for name, ref := range map[string]Result{
-		"serial":   Solve(tr, loads, avail, k),
-		"compact":  SolveCompact(tr, loads, avail, k),
-		"parallel": SolveParallel(tr, loads, avail, k, 4),
+		"Solve":     Solve(tr, loads, avail, k),
+		"SolveMemo": SolveMemo(NewMemo(tr), loads, avail, k),
 	} {
 		if math.Abs(got.Cost-ref.Cost) > 1e-9 {
 			t.Fatalf("trial %d step %d: incremental φ=%v, %s φ=%v", trial, step, got.Cost, name, ref.Cost)
+		}
+		for v := range ref.Blue {
+			if got.Blue[v] != ref.Blue[v] {
+				t.Fatalf("trial %d step %d: incremental placement differs from %s at switch %d", trial, step, name, v)
+			}
 		}
 	}
 	if sim := reduce.Utilization(tr, loads, got.Blue); math.Abs(sim-got.Cost) > 1e-9 {
@@ -199,73 +287,4 @@ func TestIncrementalRejectsNegativeLoad(t *testing.T) {
 		}
 	}()
 	inc.UpdateLoad(3, -loads[3]-1)
-}
-
-func TestParallelPaperExample(t *testing.T) {
-	tr, loads := paper.Figure2()
-	for _, workers := range []int{0, 1, 2, 8, 64} {
-		res := SolveParallel(tr, loads, nil, 2, workers)
-		if res.Cost != 20 {
-			t.Fatalf("workers=%d: φ=%v, want 20", workers, res.Cost)
-		}
-	}
-}
-
-func TestCompactPaperExample(t *testing.T) {
-	tr, loads := paper.Figure2()
-	res := SolveCompact(tr, loads, nil, 2)
-	if res.Cost != 20 {
-		t.Fatalf("compact φ=%v, want 20", res.Cost)
-	}
-	want := []bool{false, false, true, false, true, false, false}
-	for v := range want {
-		if res.Blue[v] != want[v] {
-			t.Fatalf("compact placement differs at %d", v)
-		}
-	}
-}
-
-func TestCompactTablesMatchStandard(t *testing.T) {
-	tr, loads := paper.Figure2()
-	full := Gather(tr, loads, nil, 3)
-	compact := GatherCompact(tr, loads, nil, 3)
-	for v := 0; v < tr.N(); v++ {
-		for l := 0; l <= tr.Depth(v); l++ {
-			for i := 0; i <= 3; i++ {
-				if full.X(v, l, i) != compact.X(v, l, i) {
-					t.Fatalf("X_%d(%d,%d): full %v, compact %v",
-						v, l, i, full.X(v, l, i), compact.X(v, l, i))
-				}
-			}
-		}
-	}
-}
-
-func TestParallelBigTree(t *testing.T) {
-	tr := topology.MustBT(1024)
-	rng := rand.New(rand.NewSource(5))
-	loads := make([]int, tr.N())
-	for _, v := range tr.Leaves() {
-		loads[v] = 1 + rng.Intn(10)
-	}
-	serial := Solve(tr, loads, nil, 32)
-	par := SolveParallel(tr, loads, nil, 32, 0)
-	if serial.Cost != par.Cost {
-		t.Fatalf("parallel φ=%v, serial φ=%v", par.Cost, serial.Cost)
-	}
-}
-
-func TestParallelStarHighFanIn(t *testing.T) {
-	// A star maximizes contention on the single parent's dependency
-	// counter.
-	tr := topology.Star(500)
-	loads := make([]int, 500)
-	for v := 1; v < 500; v++ {
-		loads[v] = v % 5
-	}
-	serial := Solve(tr, loads, nil, 12)
-	par := SolveParallel(tr, loads, nil, 12, 16)
-	if serial.Cost != par.Cost {
-		t.Fatalf("parallel φ=%v, serial φ=%v", par.Cost, serial.Cost)
-	}
 }

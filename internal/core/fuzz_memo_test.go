@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzMemoMatchesGather drives the memoized engines against plain
+// FuzzMemoMatchesGather drives the memoized engine against plain
 // Gather on fuzzer-chosen instances: random trees with random rates,
 // sparse and dense loads, restricted availability, capacity vectors and
-// update streams. The contract is bitwise equality — tables, color
+// a stream of changing inputs over one cache. The contract is bitwise equality — tables, color
 // flags and placements — cold and warm, which is exactly what makes
 // class-table aliasing sound. Run the corpus with `go test`, or explore
 // with `go test -fuzz FuzzMemoMatchesGather ./internal/core`.
@@ -57,8 +57,6 @@ func FuzzMemoMatchesGather(f *testing.F) {
 		for rep := 0; rep < 2; rep++ { // cold, then warm
 			checkCell("memo", GatherMemo(m, loads, avail, k), want)
 			checkBlue("memo", SolveMemo(m, loads, avail, k), wantRes)
-			checkCell("parallel memo", GatherParallelMemo(m, loads, avail, k, 3), want)
-			checkBlue("compact memo", SolveCompactMemo(m, loads, avail, k), wantRes)
 		}
 
 		// Capacity vectors share the same memo.
@@ -66,24 +64,21 @@ func FuzzMemoMatchesGather(f *testing.F) {
 		for v := range caps {
 			caps[v] = rng.Intn(4)
 		}
-		checkCell("memo caps", GatherMemoCaps(m, loads, caps, k), GatherCaps(tr, loads, caps, k))
+		checkCell("memo caps", m.gather(loads, nil, caps, k), GatherCaps(tr, loads, caps, k))
 		checkBlue("memo caps", SolveMemoCaps(m, loads, caps, k), SolveCaps(tr, loads, caps, k))
 
-		// Stateful engine over a short update stream, same memo.
-		inc := NewIncrementalMemo(m, loads, avail, k)
+		// A short update stream re-solved through the same, now warm, memo.
 		cur := append([]int(nil), loads...)
 		curAvail := append([]bool(nil), avail...)
 		for step := 0; step < 4; step++ {
 			v := rng.Intn(tr.N())
 			if rng.Intn(2) == 0 {
 				cur[v] = rng.Intn(5)
-				inc.SetLoad(v, cur[v])
 			} else {
 				curAvail[v] = !curAvail[v]
-				inc.SetAvail(v, curAvail[v])
 			}
-			checkBlue("incremental memo", inc.Solve(), Solve(tr, cur, curAvail, k))
-			checkCell("incremental memo", inc.Tables(), Gather(tr, cur, curAvail, k))
+			checkBlue("warm memo", SolveMemo(m, cur, curAvail, k), Solve(tr, cur, curAvail, k))
+			checkCell("warm memo", GatherMemo(m, cur, curAvail, k), Gather(tr, cur, curAvail, k))
 		}
 	})
 }

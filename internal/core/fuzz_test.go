@@ -29,23 +29,19 @@ func FuzzSolveMatchesReference(f *testing.F) {
 		if got := reduce.CountBlue(res.Blue); got > k {
 			t.Fatalf("seed %d: %d blue switches exceed k=%d", seed, got, k)
 		}
-		dist := SolveDistributed(tr, loads, avail, k)
-		if math.Abs(dist.Cost-res.Cost) > 1e-9 {
-			t.Fatalf("seed %d: distributed φ=%v, serial φ=%v", seed, dist.Cost, res.Cost)
-		}
-		// The clamped engines share tables and tie-breaking with the
+		// The other engines share tables and tie-breaking with the
 		// serial DP, so placements must match bitwise, not just in cost.
-		compact := SolveCompact(tr, loads, avail, k)
+		memo := SolveMemo(NewMemo(tr), loads, avail, k)
 		inc := NewIncremental(tr, loads, avail, k).Solve()
+		if memo.Cost != res.Cost || inc.Cost != res.Cost {
+			t.Fatalf("seed %d: memo φ=%v, incremental φ=%v, serial φ=%v", seed, memo.Cost, inc.Cost, res.Cost)
+		}
 		for v := range res.Blue {
-			if compact.Blue[v] != res.Blue[v] {
-				t.Fatalf("seed %d: compact placement differs at switch %d", seed, v)
+			if memo.Blue[v] != res.Blue[v] {
+				t.Fatalf("seed %d: memo placement differs at switch %d", seed, v)
 			}
 			if inc.Blue[v] != res.Blue[v] {
 				t.Fatalf("seed %d: incremental placement differs at switch %d", seed, v)
-			}
-			if dist.Blue[v] != res.Blue[v] {
-				t.Fatalf("seed %d: distributed placement differs at switch %d", seed, v)
 			}
 		}
 	})

@@ -76,7 +76,7 @@ func Gather(t *topology.Tree, load []int, avail []bool, k int) *Tables {
 	if k < 0 {
 		k = 0
 	}
-	return gatherSerial(t, load, avail, nil, k, true)
+	return gatherSerial(t, load, avail, nil, k)
 }
 
 // GatherCaps is Gather under the heterogeneous capacity model: a blue at
@@ -87,12 +87,12 @@ func GatherCaps(t *topology.Tree, load []int, caps []int, k int) *Tables {
 	if k < 0 {
 		k = 0
 	}
-	return gatherSerial(t, load, nil, caps, k, true)
+	return gatherSerial(t, load, nil, caps, k)
 }
 
-func gatherSerial(t *topology.Tree, load []int, avail []bool, caps []int, k int, recordSplits bool) *Tables {
+func gatherSerial(t *topology.Tree, load []int, avail []bool, caps []int, k int) *Tables {
 	ecaps := effectiveCaps(t, avail, caps, k)
-	ar := newArena(t, ecaps, recordSplits)
+	ar := newArena(t, ecaps)
 	tb := &Tables{
 		t:     t,
 		load:  load,
@@ -141,13 +141,12 @@ func appendChildTables(dst []*nodeTables, tb *Tables, v int) []*nodeTables {
 }
 
 // computeNode fills the DP tables of one switch from its children's
-// tables. It is shared by every engine: serial, parallel, distributed,
-// TCP and incremental.
+// tables. It is shared by every engine: serial, memoized, incremental
+// and the per-switch protocol engine (NodeState) behind internal/cluster.
 //
 // nt must arrive pre-sized for cap (arena.node, newNodeStorage or
-// ensureNodeStorage); splits == nil selects the low-memory engine, which
-// re-derives argmins on demand. Every cell of nt is overwritten, so
-// recycled storage needs no clearing.
+// ensureNodeStorage). Every cell of nt is overwritten, so recycled
+// storage needs no clearing.
 //
 // Parameters: load is L(v); hasLoad is whether T_v's total load is
 // positive (a blue v sends min(1, subtree load) messages upward — see the
@@ -201,7 +200,6 @@ func computeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *node
 		return
 	}
 
-	recordSplits := nt.splits != nil
 	yr := sc.yr[:w]
 	yb := sc.yb[:w]
 	newYR := sc.newYR[:w]
@@ -253,19 +251,14 @@ func computeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *node
 			wcm := cm.cap + 1
 			xBlue := cm.x[1*wcm : 1*wcm+wcm]        // child sees ℓ = 1 below a blue v
 			xRed := cm.x[(l+1)*wcm : (l+1)*wcm+wcm] // child sees ℓ+1 below a red v
-			var spRed, spBlue []int32
-			if recordSplits {
-				sp := nt.splits[m-1]
-				spRed = sp[(0*(depth+1)+l)*w:]
-				spBlue = sp[(1*(depth+1)+l)*w:]
-			}
+			sp := nt.splits[m-1]
+			spRed := sp[(0*(depth+1)+l)*w:]
+			spBlue := sp[(1*(depth+1)+l)*w:]
 			newCapR := min(capv, capR+cm.cap)
 			mergeMinPlus(newYR, spRed, yr, xRed, newCapR, cm.cap)
 			for i := newCapR + 1; i <= capv; i++ {
 				newYR[i] = newYR[newCapR]
-				if recordSplits {
-					spRed[i] = spRed[newCapR]
-				}
+				spRed[i] = spRed[newCapR]
 			}
 			yr, newYR = newYR, yr
 			capR = newCapR
@@ -274,13 +267,11 @@ func computeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *node
 				mergeMinPlus(newYB, spBlue, yb, xBlue, newCapB, cm.cap)
 				for i := newCapB + 1; i <= capv; i++ {
 					newYB[i] = newYB[newCapB]
-					if recordSplits {
-						spBlue[i] = spBlue[newCapB]
-					}
+					spBlue[i] = spBlue[newCapB]
 				}
 				yb, newYB = newYB, yb
 				capB = newCapB
-			} else if recordSplits {
+			} else {
 				// The unbounded DP records argmin 0 on the all-infinite
 				// blue track of a switch that can never afford blue
 				// (unavailable, or c(v) > k); keep recycled storage

@@ -10,12 +10,10 @@ import (
 )
 
 // This file is the regression net for the scratch-row clamping (see
-// arena.go newScratch and ColorPhaseCompact): every engine must size its
-// merge rows by the root's *effective* cap, never the raw budget k.
-// Before the clamping, a budget of 1<<30 allocated four ~8 GiB scratch
-// rows per engine and the compact traceback rebuilt (k+1)-wide Y rows
-// per visited node — these tests would die on memory long before
-// asserting anything.
+// arena.go newScratch): every engine must size its merge rows by the
+// root's *effective* cap, never the raw budget k. Before the clamping, a
+// budget of 1<<30 allocated four ~8 GiB scratch rows per engine — these
+// tests would die on memory long before asserting anything.
 
 // TestHugeBudgetRowsClampToCapacity solves with k = 1<<30 over a sparse
 // availability set. The optimum must match the k = |Λ| solve (a budget
@@ -42,12 +40,9 @@ func TestHugeBudgetRowsClampToCapacity(t *testing.T) {
 	memo := NewMemo(tr)
 
 	for name, res := range map[string]Result{
-		"serial":       Solve(tr, loads, avail, hugeK),
-		"compact":      SolveCompact(tr, loads, avail, hugeK),
-		"memo":         SolveMemo(memo, loads, avail, hugeK),
-		"compact-memo": SolveCompactMemo(memo, loads, avail, hugeK),
-		"parallel":     SolveParallel(tr, loads, avail, hugeK, 4),
-		"incremental":  inc.Solve(),
+		"serial":      Solve(tr, loads, avail, hugeK),
+		"memo":        SolveMemo(memo, loads, avail, hugeK),
+		"incremental": inc.Solve(),
 	} {
 		if math.Abs(res.Cost-want.Cost) > 1e-9 {
 			t.Fatalf("%s: huge-k φ=%v, |Λ|-budget φ=%v", name, res.Cost, want.Cost)
@@ -60,7 +55,7 @@ func TestHugeBudgetRowsClampToCapacity(t *testing.T) {
 	// The message-passing protocol engine sizes per-switch scratch the
 	// same way; a leaf's state under the huge budget must stay tiny.
 	leaf := tr.Leaves()[0]
-	ns, err := NewNodeState(tr, leaf, loads[leaf], loads[leaf] > 0, true, hugeK, nil)
+	ns, err := NewNodeStateCaps(tr, leaf, loads[leaf], loads[leaf] > 0, 1, hugeK, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,16 +50,6 @@ type Incremental struct {
 	scCap   int           // the root effective cap sc is sized for
 	cbuf    []*nodeTables // reusable child-table buffer for flushes
 	cs      colorState    // reusable SOAR-Color scratch for SolveInto
-
-	// Memo mode (NewIncrementalMemo): tables alias the shared solve
-	// cache and are immutable, so a flush re-interns the dirty classes
-	// instead of recomputing in place — a dirty-path update invalidates
-	// only the classes on the root path, and recurring classes (churning
-	// sparse tenants on a symmetric tree) are pure cache hits. classOf
-	// tracks each switch's current class; memoEpoch detects evictions.
-	memo      *Memo
-	classOf   []int32
-	memoEpoch uint64
 }
 
 // NewIncremental runs one full SOAR-Gather and returns an engine holding
@@ -68,7 +58,7 @@ type Incremental struct {
 // negative k is treated as 0.
 func NewIncremental(t *topology.Tree, load []int, avail []bool, k int) *Incremental {
 	validate(t, load, avail)
-	return newIncremental(t, load, capsFromAvail(t, avail), k, nil)
+	return newIncremental(t, load, capsFromAvail(t, avail), k)
 }
 
 // NewIncrementalCaps is NewIncremental under the heterogeneous capacity
@@ -78,27 +68,7 @@ func NewIncremental(t *topology.Tree, load []int, avail []bool, k int) *Incremen
 // SetCap.
 func NewIncrementalCaps(t *topology.Tree, load []int, caps []int, k int) *Incremental {
 	validateCaps(t, load, caps)
-	return newIncremental(t, load, copyCaps(t, caps), k, nil)
-}
-
-// NewIncrementalMemo is NewIncremental backed by a shared solve cache:
-// the initial Gather and every subsequent flush run through m, so
-// recurring subtree classes — across updates and across engines sharing
-// the memo's goroutine — reuse cached tables instead of recomputing.
-// Results stay bitwise identical to NewIncremental. The memo's tables
-// are immutable; the engine never writes through them.
-func NewIncrementalMemo(m *Memo, load []int, avail []bool, k int) *Incremental {
-	t := m.Tree()
-	validate(t, load, avail)
-	return newIncremental(t, load, capsFromAvail(t, avail), k, m)
-}
-
-// NewIncrementalMemoCaps is NewIncrementalCaps backed by a shared solve
-// cache (see NewIncrementalMemo).
-func NewIncrementalMemoCaps(m *Memo, load []int, caps []int, k int) *Incremental {
-	t := m.Tree()
-	validateCaps(t, load, caps)
-	return newIncremental(t, load, copyCaps(t, caps), k, m)
+	return newIncremental(t, load, copyCaps(t, caps), k)
 }
 
 // capsFromAvail lowers a uniform-model availability set (already
@@ -129,9 +99,8 @@ func copyCaps(t *topology.Tree, caps []int) []int {
 }
 
 // newIncremental takes ownership of caps (already validated, never
-// nil). A non-nil memo selects memo mode: tables alias the cache and
-// flushes go through flushMemo.
-func newIncremental(t *topology.Tree, load []int, caps []int, k int, memo *Memo) *Incremental {
+// nil).
+func newIncremental(t *topology.Tree, load []int, caps []int, k int) *Incremental {
 	if k < 0 {
 		k = 0
 	}
@@ -142,7 +111,6 @@ func newIncremental(t *topology.Tree, load []int, caps []int, k int, memo *Memo)
 		caps:  caps,
 		k:     k,
 		dirty: make([]bool, n),
-		memo:  memo,
 	}
 	inc.subLoad = t.SubtreeLoads(inc.load)
 	inc.capSum = make([]int64, n)
@@ -153,15 +121,9 @@ func newIncremental(t *topology.Tree, load []int, caps []int, k int, memo *Memo)
 		}
 		inc.capSum[v] = s
 	}
-	if memo != nil {
-		inc.classOf = make([]int32, n)
-		inc.tb = memo.gather(inc.load, nil, inc.caps, k, inc.classOf)
-		inc.memoEpoch = memo.epoch.Load()
-		return inc
-	}
 	inc.scCap = inc.cap(t.Root())
 	inc.sc = newScratch(inc.scCap)
-	inc.tb = gatherSerial(t, inc.load, nil, inc.caps, k, true)
+	inc.tb = gatherSerial(t, inc.load, nil, inc.caps, k)
 	return inc
 }
 
@@ -342,10 +304,7 @@ func (inc *Incremental) markDirty(u int) {
 }
 
 // Flush recomputes every dirty table, children before parents. Shared
-// path prefixes from a batch of updates are recomputed once. In memo
-// mode the dirty switches are re-interned instead: only switches whose
-// class actually changed touch the cache, and of those only cache
-// misses run computeNode.
+// path prefixes from a batch of updates are recomputed once.
 //
 //soar:hotpath
 func (inc *Incremental) Flush() {
@@ -353,10 +312,6 @@ func (inc *Incremental) Flush() {
 		return
 	}
 	inc.orderQueue()
-	if inc.memo != nil {
-		inc.flushMemo()
-		return
-	}
 	if rootCap := inc.cap(inc.t.Root()); rootCap > inc.scCap {
 		// SetCap raised the root's capacity sum past the width the merge
 		// scratch was built for: regrow it (rare; capacity raises only).
@@ -368,7 +323,7 @@ func (inc *Incremental) Flush() {
 		// moved its cap), plus the engine-lifetime merge scratch and
 		// child buffer: a steady-state flush allocates nothing.
 		nt := &inc.tb.nodes[v]
-		ensureNodeStorage(nt, inc.t.Depth(v), inc.cap(v), inc.t.NumChildren(v), true)
+		ensureNodeStorage(nt, inc.t.Depth(v), inc.cap(v), inc.t.NumChildren(v))
 		inc.cbuf = appendChildTables(inc.cbuf[:0], inc.tb, v)
 		computeNode(inc.t, v, inc.load[v], inc.subLoad[v] > 0,
 			inc.caps[v], nt, inc.cbuf, inc.sc)
@@ -417,86 +372,6 @@ func (inc *Incremental) orderQueue() {
 	for d := 0; d <= maxd; d++ {
 		inc.dcount[d] = 0 // leave the buckets clean for the next flush
 	}
-}
-
-// flushMemo is the memo-mode flush: re-intern each dirty switch's class
-// bottom-up (the queue is already sorted deepest-first) and realias its
-// table. Memo tables are immutable, so a miss computes into fresh
-// storage instead of recycling the old (possibly shared) arrays.
-//
-//soar:hotpath
-func (inc *Incremental) flushMemo() {
-	m := inc.memo
-	m.maybeEvict()
-	if m.epoch.Load() != inc.memoEpoch {
-		inc.reclassAll() //soar:coldpath eviction recovery
-	}
-	t := inc.t
-	pd := t.PathDigests()
-	m.ensureScratch(inc.cap(t.Root()))
-	var hits, misses uint64
-	for _, v := range inc.queue {
-		hasLoad := inc.subLoad[v] > 0
-		cid := m.internClassFor(v, inc.classOf, pd, inc.load[v], hasLoad, inc.caps[v], inc.cap(v))
-		inc.dirty[v] = false
-		if cid == inc.classOf[v] {
-			// The update restored this switch's exact inputs (or two
-			// updates cancelled): the aliased table is already right.
-			hits++
-			continue
-		}
-		inc.classOf[v] = cid
-		e := &m.entries[cid]
-		if e.ok {
-			hits++
-		} else { //soar:coldpath cache miss: compute into fresh immutable storage
-			misses++
-			inc.cbuf = appendChildTables(inc.cbuf[:0], inc.tb, v)
-			m.computeEntry(e, v, inc.load[v], hasLoad, inc.caps[v], inc.cap(v), inc.cbuf, m.sc)
-		}
-		inc.tb.nodes[v] = e.nt
-	}
-	m.hits.Add(hits)
-	m.misses.Add(misses)
-	inc.queue = inc.queue[:0]
-}
-
-// reclassAll rebuilds classOf against the memo's current epoch after an
-// eviction. Clean switches — whose tables are still exactly right —
-// re-intern and seed the fresh cache with their live tables; dirty
-// switches get the sentinel class -1 so the flush loop never skips
-// them. The dirty set is upward-closed, so every descendant of a clean
-// switch is clean and its children's fresh class ids are available
-// bottom-up.
-//
-//soar:ctor seeds memo entries (writes memoEntry.nt)
-func (inc *Incremental) reclassAll() {
-	m := inc.memo
-	t := inc.t
-	pd := t.PathDigests()
-	for _, v := range t.PostOrder() {
-		if inc.dirty[v] {
-			inc.classOf[v] = -1
-			continue
-		}
-		hasLoad := inc.subLoad[v] > 0
-		cid := m.internClassFor(v, inc.classOf, pd, inc.load[v], hasLoad, inc.caps[v], inc.cap(v))
-		inc.classOf[v] = cid
-		e := &m.entries[cid]
-		if !e.ok {
-			e.nt = inc.tb.nodes[v]
-			if hasLoad {
-				e.bytes = tableBytes(&e.nt)
-			} else {
-				e.bytes = zeroTableBytes(t.NumChildren(v))
-			}
-			e.ok = true
-			m.bytes.Add(e.bytes)
-		}
-		// Realias so duplicate storage among class members can be freed.
-		inc.tb.nodes[v] = e.nt
-	}
-	inc.memoEpoch = m.epoch.Load()
 }
 
 // Cost flushes pending updates and returns the optimal utilization

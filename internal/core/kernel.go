@@ -9,9 +9,9 @@ import "math"
 //	newY[i] = min_{0 ≤ j ≤ min(i, cw)} y[i-j] + x[j],   i ∈ [0, hi]
 //
 // with the first argmin j (the lowest j attaining the minimum) recorded
-// into sp when breadcrumbs are requested. Every engine funnels its
-// merges through mergeMinPlus, so the kernel's tie-break contract IS
-// the bitwise-identity contract of the whole repo:
+// into sp. Every engine funnels its merges through mergeMinPlus, so the
+// kernel's tie-break contract IS the bitwise-identity contract of the
+// whole repo:
 //
 //   - min over a fixed candidate set of float64s is order-independent
 //     (no NaNs can arise: all table values are ≥ 0 or +Inf, and the
@@ -37,9 +37,9 @@ import "math"
 // unrolled variant.
 
 // mergeMinPlus computes the bounded (min,+) convolution above, writing
-// newY[0..hi] and, when sp is non-nil, the first-argmin breadcrumbs
-// sp[0..hi]. y must have at least hi+1 entries and x at least
-// min(cw, hi)+1. cw is the merged child's effective cap.
+// newY[0..hi] and the first-argmin breadcrumbs sp[0..hi]. y must have
+// at least hi+1 entries and x at least min(cw, hi)+1. cw is the merged
+// child's effective cap.
 //
 //soar:hotpath
 func mergeMinPlus(newY []float64, sp []int32, y, x []float64, hi, cw int) {
@@ -75,9 +75,7 @@ func mergeScalar(newY []float64, sp []int32, y, x []float64, lo, hi, cw int) {
 			}
 		}
 		newY[i] = best
-		if sp != nil {
-			sp[i] = arg
-		}
+		sp[i] = arg
 	}
 }
 
@@ -97,22 +95,6 @@ func merge4(newY []float64, sp []int32, y, x []float64, hi, cw int) {
 		xb[j] = math.Inf(1)
 	}
 	mergeScalar(newY, sp, y, x, 0, min(2, hi), cw)
-	if sp == nil {
-		for i := 3; i <= hi; i++ {
-			best := y[i] + xb[0]
-			if c := y[i-1] + xb[1]; c < best {
-				best = c
-			}
-			if c := y[i-2] + xb[2]; c < best {
-				best = c
-			}
-			if c := y[i-3] + xb[3]; c < best {
-				best = c
-			}
-			newY[i] = best
-		}
-		return
-	}
 	for i := 3; i <= hi; i++ {
 		best, arg := y[i]+xb[0], int32(0)
 		if c := y[i-1] + xb[1]; c < best {
@@ -141,34 +123,6 @@ func merge8(newY []float64, sp []int32, y, x []float64, hi, cw int) {
 		xb[j] = math.Inf(1)
 	}
 	mergeScalar(newY, sp, y, x, 0, min(6, hi), cw)
-	if sp == nil {
-		for i := 7; i <= hi; i++ {
-			best := y[i] + xb[0]
-			if c := y[i-1] + xb[1]; c < best {
-				best = c
-			}
-			if c := y[i-2] + xb[2]; c < best {
-				best = c
-			}
-			if c := y[i-3] + xb[3]; c < best {
-				best = c
-			}
-			if c := y[i-4] + xb[4]; c < best {
-				best = c
-			}
-			if c := y[i-5] + xb[5]; c < best {
-				best = c
-			}
-			if c := y[i-6] + xb[6]; c < best {
-				best = c
-			}
-			if c := y[i-7] + xb[7]; c < best {
-				best = c
-			}
-			newY[i] = best
-		}
-		return
-	}
 	for i := 7; i <= hi; i++ {
 		best, arg := y[i]+xb[0], int32(0)
 		if c := y[i-1] + xb[1]; c < best {
@@ -209,26 +163,14 @@ func mergeGeneric(newY []float64, sp []int32, y, x []float64, hi, cw int) {
 	x0 := x[0]
 	for i := 0; i <= hi; i++ {
 		newY[i] = y[i] + x0
-	}
-	if sp != nil {
-		for i := 0; i <= hi; i++ {
-			sp[i] = 0
-		}
+		sp[i] = 0
 	}
 	for j := 1; j <= cw; j++ {
 		xj := x[j]
-		if sp == nil {
-			for i := j; i <= hi; i++ {
-				if c := y[i-j] + xj; c < newY[i] {
-					newY[i] = c
-				}
-			}
-		} else {
-			for i := j; i <= hi; i++ {
-				if c := y[i-j] + xj; c < newY[i] {
-					newY[i] = c
-					sp[i] = int32(j)
-				}
+		for i := j; i <= hi; i++ {
+			if c := y[i-j] + xj; c < newY[i] {
+				newY[i] = c
+				sp[i] = int32(j)
 			}
 		}
 	}

@@ -141,7 +141,7 @@ func gatherScalar(t *topology.Tree, load []int, avail []bool, caps []int, k int)
 	sc := newScratch(ecaps[t.Root()])
 	var cbuf []*nodeTables
 	for _, v := range t.PostOrder() {
-		nt := newNodeStorage(t.Depth(v), ecaps[v], t.NumChildren(v), true)
+		nt := newNodeStorage(t.Depth(v), ecaps[v], t.NumChildren(v))
 		cbuf = appendChildTables(cbuf[:0], tb, v)
 		scalarComputeNode(t, v, load[v], subLoad[v] > 0, capAt(avail, caps, v), &nt, cbuf, sc)
 		tb.nodes[v] = nt
@@ -208,7 +208,7 @@ func randomMergeRows(rng *rand.Rand) (y, x []float64, hi, cw int) {
 
 // TestMergeKernelMatchesScalar sweeps every (hi, cw) shape through the
 // dispatcher and checks values and first-argmin breadcrumbs against
-// mergeScalar bitwise, with and without split recording.
+// mergeScalar bitwise.
 func TestMergeKernelMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 5000; round++ {
@@ -223,15 +223,6 @@ func TestMergeKernelMatchesScalar(t *testing.T) {
 			if gotY[i] != wantY[i] || gotSp[i] != wantSp[i] {
 				t.Fatalf("round %d (hi=%d cw=%d): cell %d got (%v,%d) want (%v,%d)",
 					round, hi, cw, i, gotY[i], gotSp[i], wantY[i], wantSp[i])
-			}
-		}
-		for i := range gotY {
-			gotY[i] = -1
-		}
-		mergeMinPlus(gotY, nil, y, x, hi, cw)
-		for i := 0; i <= hi; i++ {
-			if gotY[i] != wantY[i] {
-				t.Fatalf("round %d (hi=%d cw=%d): no-split cell %d got %v want %v", round, hi, cw, i, gotY[i], wantY[i])
 			}
 		}
 	}

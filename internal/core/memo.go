@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"soar/internal/topology"
@@ -41,12 +39,10 @@ import (
 //
 // Ownership: tables inserted into a Memo are immutable from then on.
 // Engines alias them (struct copies sharing the backing slices) and must
-// never write through them; the incremental engine therefore computes
-// into fresh storage when a dirty switch misses the cache, instead of
-// recycling its (possibly shared) old storage in place.
+// never write through them.
 
-// defaultMemoBudget bounds the bytes a Memo retains before evicting.
-const defaultMemoBudget = 256 << 20
+// defaultCacheBudget bounds the bytes a Memo retains before evicting.
+const defaultCacheBudget = 256 << 20
 
 // memo bookkeeping constants: rough per-entry overheads used for the
 // byte budget (struct headers, slice headers).
@@ -121,18 +117,13 @@ type MemoStats struct {
 // so request streams with recurring structure (symmetric topologies,
 // churning sparse tenants) skip most of the DP.
 //
-// A Memo is NOT safe for concurrent use: share one per goroutine (the
-// scheduler gives each pool worker its own, trading a little redundant
-// warmup for a lock-free hot path). GatherParallelMemo fans its own
-// workers out internally and is safe to call like any other method.
+// A Memo is NOT safe for concurrent use: share one per goroutine.
 //
 // Stats is the one exception to the single-goroutine rule: its
 // counters (classes, hits, misses, bytes, epoch) are atomics, so any
-// goroutine may read Stats while the owning goroutine solves — this is
-// how the scheduler's metrics registry scrapes per-worker caches
-// without stopping them. The values form no consistent cut (a scrape
-// may see a miss counted before its bytes land), but each one is a
-// valid point-in-time read.
+// goroutine may read Stats while the owning goroutine solves. The
+// values form no consistent cut (a reader may see a miss counted before
+// its bytes land), but each one is a valid point-in-time read.
 type Memo struct {
 	t      *topology.Tree
 	budget int64
@@ -184,7 +175,7 @@ type Memo struct {
 func NewMemo(t *topology.Tree) *Memo {
 	m := &Memo{
 		t:       t,
-		budget:  defaultMemoBudget,
+		budget:  defaultCacheBudget,
 		classes: make(map[classKey]int32),
 		lists:   make(map[listKey]int32),
 		ccache:  make([]cachedClass, 2*t.N()),
@@ -194,9 +185,6 @@ func NewMemo(t *topology.Tree) *Memo {
 	}
 	return m
 }
-
-// Tree returns the tree the memo caches solves for.
-func (m *Memo) Tree() *topology.Tree { return m.t }
 
 // SetBudget sets the byte budget above which the next solve evicts the
 // cache (full reset). Non-positive values are ignored.
@@ -221,9 +209,8 @@ func (m *Memo) Stats() MemoStats {
 }
 
 // Reset evicts every cached class and bumps the epoch. Tables already
-// aliased by live engines stay valid (they are immutable and keep their
-// backing slabs alive); the engines re-intern against the new epoch on
-// their next flush.
+// handed out stay valid: they are immutable and keep their backing slabs
+// alive.
 func (m *Memo) Reset() {
 	m.epoch.Add(1)
 	clear(m.classes)
@@ -309,11 +296,10 @@ func (m *Memo) classKeyFor(v int, classOf, pd []int32, loadV int, hasLoad bool, 
 // internClassFor classifies one switch: build its class tuple, then
 // resolve it to a class id — through the per-switch cache when the
 // switch was recently in the same state, through the hash-consing map
-// otherwise. Every call site that classifies a switch — the serial,
-// parallel and batch gathers, the incremental flush and the
-// post-eviction reclass — MUST go through this single helper: table
-// aliasing is sound only if all paths derive identical keys from
-// identical components.
+// otherwise. Every call site that classifies a switch — the serial and
+// the batch gather — MUST go through this single helper: table aliasing
+// is sound only if all paths derive identical keys from identical
+// components.
 //
 //soar:hotpath
 func (m *Memo) internClassFor(v int, classOf, pd []int32, loadV int, hasLoad bool, capw, ecap int) int32 {
@@ -384,16 +370,6 @@ func (m *Memo) zeroTable(depth, capw, ecap, numChildren int) (nodeTables, int64)
 	return nt, bytes
 }
 
-// zeroTableBytes is the byte accounting of a zero-slab table (used when
-// seeding the memo from an engine's live tables after an eviction).
-func zeroTableBytes(numChildren int) int64 {
-	b := int64(memoEntryOverhead)
-	if merges := numChildren - 1; merges > 0 {
-		b += int64(merges) * sliceHeaderBytes
-	}
-	return b
-}
-
 // tableBytes approximates the retained storage of a computed table.
 func tableBytes(nt *nodeTables) int64 {
 	b := int64(memoEntryOverhead) + int64(len(nt.x))*9 // 8B float64 + 1B bool
@@ -421,23 +397,16 @@ func (m *Memo) computeEntry(e *memoEntry, v, loadV int, hasLoad bool, capw, ecap
 	m.bytes.Add(e.bytes)
 }
 
-// gather is the memoized SOAR-Gather shared by the serial entry points
-// and the stateful engines: one bottom-up pass interns every switch's
-// class and computes each class table at most once. classOf, when
-// non-nil, receives the per-switch class ids (the incremental engine
-// keeps them to re-intern only dirty paths later).
-func (m *Memo) gather(load []int, avail []bool, caps []int, k int, classOf []int32) *Tables {
+// gather is the memoized SOAR-Gather behind the entry points below: one
+// bottom-up pass interns every switch's class and computes each class
+// table at most once. Inputs are already validated and k ≥ 0.
+func (m *Memo) gather(load []int, avail []bool, caps []int, k int) *Tables {
 	m.maybeEvict()
 	t := m.t
 	n := t.N()
-	if classOf == nil {
-		classOf = m.classScratch()
-	}
+	classOf := m.classScratch()
 	ecaps, subLoad := m.solveScratch()
 	pd := t.PathDigests()
-	if k < 0 {
-		k = 0
-	}
 	k64 := int64(k)
 	tb := &Tables{t: t, load: load, k: k, nodes: make([]nodeTables, n)}
 	// The atomic hit/miss counters batch per solve: Stats readers only
@@ -490,9 +459,7 @@ func (m *Memo) gather(load []int, avail []bool, caps []int, k int, classOf []int
 	return tb
 }
 
-// classScratch returns the memo-owned class-id buffer for solves whose
-// caller does not keep class ids (GatherMemo and friends; the
-// incremental engine passes its own persistent classOf).
+// classScratch returns the memo-owned class-id buffer of one solve.
 //
 //soar:hotpath
 func (m *Memo) classScratch() []int32 {
@@ -523,18 +490,7 @@ func GatherMemo(m *Memo, load []int, avail []bool, k int) *Tables {
 	if k < 0 {
 		k = 0
 	}
-	return m.gather(load, avail, nil, k, nil)
-}
-
-// GatherMemoCaps is GatherMemo under the heterogeneous capacity model
-// (see GatherCaps). One Memo may serve uniform and capacity-vector
-// solves interchangeably: the class tuples carry the weights.
-func GatherMemoCaps(m *Memo, load []int, caps []int, k int) *Tables {
-	validateCaps(m.t, load, caps)
-	if k < 0 {
-		k = 0
-	}
-	return m.gather(load, nil, caps, k, nil)
+	return m.gather(load, avail, nil, k)
 }
 
 // SolveMemo is Solve through the solve cache; the placement is bitwise
@@ -545,178 +501,14 @@ func SolveMemo(m *Memo, load []int, avail []bool, k int) Result {
 	return Result{Blue: blue, Cost: cost}
 }
 
-// SolveMemoCaps is SolveCaps through the solve cache.
+// SolveMemoCaps is SolveCaps through the solve cache. One Memo may serve
+// uniform and capacity-vector solves interchangeably: the class tuples
+// carry the weights.
 func SolveMemoCaps(m *Memo, load []int, caps []int, k int) Result {
-	tb := GatherMemoCaps(m, load, caps, k)
-	blue, cost := ColorPhase(tb)
-	return Result{Blue: blue, Cost: cost}
-}
-
-// SolveCompactMemo is SolveCompact through the solve cache: the compact
-// traceback (ColorPhaseCompact) re-derives splits against the aliased
-// class tables. The memoized engine already collapses table storage to
-// O(classes), so the compact and full memoized engines share the same
-// cached tables.
-func SolveCompactMemo(m *Memo, load []int, avail []bool, k int) Result {
-	tb := GatherMemo(m, load, avail, k)
-	blue, cost := ColorPhaseCompact(tb, load)
-	return Result{Blue: blue, Cost: cost}
-}
-
-// SolveCompactMemoCaps is SolveCompactCaps through the solve cache.
-func SolveCompactMemoCaps(m *Memo, load []int, caps []int, k int) Result {
-	tb := GatherMemoCaps(m, load, caps, k)
-	blue, cost := ColorPhaseCompact(tb, load)
-	return Result{Blue: blue, Cost: cost}
-}
-
-// GatherParallelMemo is the memoized parallel Gather: instead of
-// GatherParallel's node-level dependency counting, workers steal whole
-// equivalence classes from the class DAG, so symmetric trees schedule
-// O(classes) units of work rather than O(n). Tables are identical to
-// Gather. workers ≤ 0 selects GOMAXPROCS.
-func GatherParallelMemo(m *Memo, load []int, avail []bool, k, workers int) *Tables {
-	validate(m.t, load, avail)
-	if k < 0 {
-		k = 0
-	}
-	return m.gatherParallel(load, avail, nil, k, workers)
-}
-
-// GatherParallelMemoCaps is GatherParallelMemo under the heterogeneous
-// capacity model.
-func GatherParallelMemoCaps(m *Memo, load []int, caps []int, k, workers int) *Tables {
 	validateCaps(m.t, load, caps)
 	if k < 0 {
 		k = 0
 	}
-	return m.gatherParallel(load, nil, caps, k, workers)
-}
-
-// SolveParallelMemo runs the class-parallel Gather followed by the
-// serial Color phase; the result is identical to Solve.
-func SolveParallelMemo(m *Memo, load []int, avail []bool, k, workers int) Result {
-	tb := GatherParallelMemo(m, load, avail, k, workers)
-	blue, cost := ColorPhase(tb)
+	blue, cost := ColorPhase(m.gather(load, nil, caps, k))
 	return Result{Blue: blue, Cost: cost}
-}
-
-// gatherParallel interns classes serially (the pass is inherently
-// bottom-up and cheap), then fans the uncached, loaded classes out over
-// a worker pool along the class DAG: a class becomes ready when all its
-// children classes have tables. Zero-load classes are served from the
-// shared slab during the interning pass itself.
-//
-//soar:ctor publishes memoEntry.nt (zero-load fast path and worker loop)
-func (m *Memo) gatherParallel(load []int, avail []bool, caps []int, k, workers int) *Tables {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	m.maybeEvict()
-	t := m.t
-	n := t.N()
-	ecaps, subLoad := m.solveScratch()
-	effectiveCapsInto(ecaps, t, avail, caps, k)
-	t.SubtreeLoadsInto(subLoad, load)
-	pd := t.PathDigests()
-	m.ensureScratch(ecaps[t.Root()])
-	classOf := make([]int32, n)
-	firstNew := int32(len(m.entries))
-	var reps []int32 // rep node of each class interned by this pass
-	var hits, misses uint64
-	for _, v := range t.PostOrder() {
-		hasLoad := subLoad[v] > 0
-		capw := capAt(avail, caps, v)
-		cid := m.internClassFor(v, classOf, pd, load[v], hasLoad, capw, ecaps[v])
-		classOf[v] = cid
-		if int(cid-firstNew) == len(reps) {
-			reps = append(reps, int32(v))
-			misses++
-			if !hasLoad {
-				e := &m.entries[cid]
-				e.nt, e.bytes = m.zeroTable(t.Depth(v), capw, ecaps[v], t.NumChildren(v))
-				e.ok = true
-				m.bytes.Add(e.bytes)
-			}
-		} else {
-			hits++
-		}
-	}
-	m.hits.Add(hits)
-	m.misses.Add(misses)
-
-	// Class DAG over the still-uncomputed classes: one pending unit per
-	// (parent, child-occurrence) edge, mirroring gatherParallel's
-	// node-level dependency counting at class granularity.
-	nNew := len(reps)
-	pending := make([]int32, nNew)
-	parents := make([][]int32, nNew)
-	count := 0
-	for li := 0; li < nNew; li++ {
-		cid := firstNew + int32(li)
-		if m.entries[cid].ok {
-			continue
-		}
-		count++
-		for _, c := range t.Children(int(reps[li])) {
-			ccid := classOf[c]
-			if ccid >= firstNew && !m.entries[ccid].ok {
-				pending[li]++
-				parents[ccid-firstNew] = append(parents[ccid-firstNew], int32(li))
-			}
-		}
-	}
-	if count > 0 {
-		ready := make(chan int32, count)
-		for li := 0; li < nNew; li++ {
-			if !m.entries[firstNew+int32(li)].ok && pending[li] == 0 {
-				ready <- int32(li)
-			}
-		}
-		if workers > count {
-			workers = count
-		}
-		var done int64
-		var retained atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				sc := newScratch(ecaps[t.Root()])
-				var cbuf []*nodeTables
-				for li := range ready {
-					cid := firstNew + li
-					rep := int(reps[li])
-					e := &m.entries[cid]
-					cbuf = cbuf[:0]
-					for _, c := range t.Children(rep) {
-						cbuf = append(cbuf, &m.entries[classOf[c]].nt)
-					}
-					nt := newNodeStorage(t.Depth(rep), ecaps[rep], t.NumChildren(rep), true)
-					computeNode(t, rep, load[rep], true, capAt(avail, caps, rep), &nt, cbuf, sc)
-					e.nt = nt
-					e.bytes = tableBytes(&nt)
-					e.ok = true
-					retained.Add(e.bytes)
-					for _, p := range parents[li] {
-						if atomic.AddInt32(&pending[p], -1) == 0 {
-							ready <- p
-						}
-					}
-					if atomic.AddInt64(&done, 1) == int64(count) {
-						close(ready) // all classes computed; release workers
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		m.bytes.Add(retained.Load())
-	}
-
-	tb := &Tables{t: t, load: load, k: k, nodes: make([]nodeTables, n)}
-	for v := 0; v < n; v++ {
-		tb.nodes[v] = m.entries[classOf[v]].nt
-	}
-	return tb
 }

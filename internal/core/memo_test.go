@@ -42,10 +42,9 @@ func requirePlacementBitwise(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// TestMemoMatchesGatherRandom drives every memoized engine — serial,
-// class-parallel, compact and incremental — over randomized instances,
-// cold and warm, and requires bitwise-identical tables and placements
-// against the plain engines.
+// TestMemoMatchesGatherRandom drives the memoized engine over
+// randomized instances, cold and warm, and requires bitwise-identical
+// tables and placements against the plain engine.
 func TestMemoMatchesGatherRandom(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		tr, loads, avail, k := randomInstance(int64(1000+trial), 40, 8)
@@ -57,35 +56,6 @@ func TestMemoMatchesGatherRandom(t *testing.T) {
 			requireTablesBitwise(t, "memo", tr, tbm, want, k)
 			blue, cost := ColorPhase(tbm)
 			requirePlacementBitwise(t, "memo color", Result{Blue: blue, Cost: cost}, wantRes)
-
-			par := GatherParallelMemo(m, loads, avail, k, 4)
-			requireTablesBitwise(t, "parallel memo", tr, par, want, k)
-			requirePlacementBitwise(t, "parallel memo solve", SolveParallelMemo(m, loads, avail, k, 4), wantRes)
-
-			requirePlacementBitwise(t, "compact memo", SolveCompactMemo(m, loads, avail, k), wantRes)
-		}
-
-		// Incremental memo mode: random update batches, checked against a
-		// from-scratch Gather after every flush.
-		inc := NewIncrementalMemo(m, loads, avail, k)
-		rng := rand.New(rand.NewSource(int64(5000 + trial)))
-		cur := append([]int(nil), loads...)
-		curAvail := append([]bool(nil), avail...)
-		for step := 0; step < 6; step++ {
-			for b := 1 + rng.Intn(3); b > 0; b-- {
-				v := rng.Intn(tr.N())
-				if rng.Intn(2) == 0 {
-					cur[v] = rng.Intn(6)
-					inc.SetLoad(v, cur[v])
-				} else {
-					curAvail[v] = !curAvail[v]
-					inc.SetAvail(v, curAvail[v])
-				}
-			}
-			got := inc.Solve()
-			ref := Solve(tr, cur, curAvail, k)
-			requirePlacementBitwise(t, "incremental memo", got, ref)
-			requireTablesBitwise(t, "incremental memo tables", tr, inc.Tables(), Gather(tr, cur, curAvail, k), k)
 		}
 	}
 }
@@ -103,20 +73,9 @@ func TestMemoCapsMatchesGatherCaps(t *testing.T) {
 		wantRes := SolveCaps(tr, loads, caps, k)
 		m := NewMemo(tr)
 		for rep := 0; rep < 2; rep++ {
-			tbm := GatherMemoCaps(m, loads, caps, k)
+			tbm := m.gather(loads, nil, caps, k) // the tables behind SolveMemoCaps
 			requireTablesBitwise(t, "memo caps", tr, tbm, want, k)
 			requirePlacementBitwise(t, "memo caps solve", SolveMemoCaps(m, loads, caps, k), wantRes)
-			requireTablesBitwise(t, "parallel memo caps", tr, GatherParallelMemoCaps(m, loads, caps, k, 3), want, k)
-			requirePlacementBitwise(t, "compact memo caps", SolveCompactMemoCaps(m, loads, caps, k), wantRes)
-		}
-		inc := NewIncrementalMemoCaps(m, loads, caps, k)
-		for step := 0; step < 4; step++ {
-			v := rng.Intn(tr.N())
-			caps[v] = rng.Intn(4)
-			inc.SetCap(v, caps[v])
-			loads[v] = rng.Intn(6)
-			inc.SetLoad(v, loads[v])
-			requirePlacementBitwise(t, "incremental memo caps", inc.Solve(), SolveCaps(tr, loads, caps, k))
 		}
 	}
 }
@@ -149,8 +108,7 @@ func TestMemoClassCollapse(t *testing.T) {
 }
 
 // TestMemoZeroLoadSharing verifies the sparse fast path: every zero-load
-// subtree's table is served from the single shared all-zero slab, across
-// the serial, parallel and incremental memoized engines.
+// subtree's table is served from the single shared all-zero slab.
 func TestMemoZeroLoadSharing(t *testing.T) {
 	tr := topology.MustBT(64) // 63 switches
 	loads := make([]int, tr.N())
@@ -159,38 +117,32 @@ func TestMemoZeroLoadSharing(t *testing.T) {
 	m := NewMemo(tr)
 
 	subLoad := tr.SubtreeLoads(loads)
-	engines := map[string]*Tables{
-		"serial":      GatherMemo(m, loads, nil, 4),
-		"parallel":    GatherParallelMemo(m, loads, nil, 4, 3),
-		"incremental": NewIncrementalMemo(m, loads, nil, 4).Tables(),
-	}
+	tb := GatherMemo(m, loads, nil, 4)
 	base := &m.zeroX[0]
-	for name, tb := range engines {
-		zeros := 0
-		for v := 0; v < tr.N(); v++ {
-			if subLoad[v] != 0 {
-				continue
-			}
-			zeros++
-			if &tb.nodes[v].x[0] != base {
-				t.Fatalf("%s: zero-load switch %d does not alias the shared zero slab", name, v)
-			}
-			if tb.nodes[v].splits != nil && &tb.nodes[v].splits[0][0] != &m.zeroSplits[0] {
-				t.Fatalf("%s: zero-load switch %d has private split storage", name, v)
-			}
+	zeros := 0
+	for v := 0; v < tr.N(); v++ {
+		if subLoad[v] != 0 {
+			continue
 		}
-		if zeros == 0 {
-			t.Fatal("instance has no zero-load subtrees; test is vacuous")
+		zeros++
+		if &tb.nodes[v].x[0] != base {
+			t.Fatalf("zero-load switch %d does not alias the shared zero slab", v)
 		}
+		if tb.nodes[v].splits != nil && &tb.nodes[v].splits[0][0] != &m.zeroSplits[0] {
+			t.Fatalf("zero-load switch %d has private split storage", v)
+		}
+	}
+	if zeros == 0 {
+		t.Fatal("instance has no zero-load subtrees; test is vacuous")
 	}
 
 	// And the sparse instance still solves bitwise-identically.
-	requireTablesBitwise(t, "sparse", tr, engines["serial"], Gather(tr, loads, nil, 4), 4)
+	requireTablesBitwise(t, "sparse", tr, tb, Gather(tr, loads, nil, 4), 4)
 }
 
 // TestMemoEvictionKeepsCorrectness forces an eviction on every solve
-// (1-byte budget) and checks both the stateless and the stateful paths
-// survive the epoch changes bitwise.
+// (1-byte budget) and checks the tables survive the epoch changes
+// bitwise.
 func TestMemoEvictionKeepsCorrectness(t *testing.T) {
 	tr, loads, avail, k := randomInstance(42, 30, 6)
 	m := NewMemo(tr)
@@ -201,19 +153,6 @@ func TestMemoEvictionKeepsCorrectness(t *testing.T) {
 	}
 	if m.Stats().Epoch == 0 {
 		t.Fatal("budget of 1 byte never triggered an eviction")
-	}
-
-	inc := NewIncrementalMemo(m, loads, avail, k)
-	rng := rand.New(rand.NewSource(7))
-	cur := append([]int(nil), loads...)
-	for step := 0; step < 8; step++ {
-		v := rng.Intn(tr.N())
-		cur[v] = rng.Intn(6)
-		inc.SetLoad(v, cur[v])
-		// Interleave stateless solves so the epoch advances between the
-		// engine's flushes.
-		GatherMemo(m, cur, avail, k)
-		requirePlacementBitwise(t, "incremental across evictions", inc.Solve(), Solve(tr, cur, avail, k))
 	}
 }
 

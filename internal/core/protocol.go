@@ -9,7 +9,7 @@ import (
 // decide performs one switch's SOAR-Color step: given the budget i and
 // barrier distance l received from the parent, it returns the switch's
 // color and, for each child in order, the (budget, l) pair to forward.
-// Shared by ColorPhase, SolveDistributed and the TCP cluster engine.
+// Shared by ColorPhase and the TCP cluster engine (through NodeState).
 //
 // Budgets above nt.cap read the cap column of the tables and breadcrumbs
 // (identical by the clamping invariant), but the leftover bookkeeping
@@ -51,7 +51,7 @@ func decide(t *topology.Tree, nt *nodeTables, v, budget, l int, dst []int) (isBl
 }
 
 // NodeState is the per-switch protocol engine behind the message-passing
-// deployments of SOAR (the goroutine engine and the TCP cluster). A
+// deployment of SOAR (paper Sec. 4.2; internal/cluster runs it over TCP). A
 // switch constructs its state from the X tables its children sent, ships
 // XTable() to its parent, and later answers the parent's (budget, ℓ)
 // assignment with Decide.
@@ -62,20 +62,9 @@ type NodeState struct {
 	nt nodeTables
 }
 
-// NewNodeState runs the SOAR-Gather step of switch v in the uniform
-// model: avail is v ∈ Λ, and a blue consumes one budget unit. It is
-// NewNodeStateCaps with capacity 1 or 0.
-func NewNodeState(t *topology.Tree, v int, loadV int, hasLoad, avail bool, k int, childX [][]float64) (*NodeState, error) {
-	capw := 0
-	if avail {
-		capw = 1
-	}
-	return NewNodeStateCaps(t, v, loadV, hasLoad, capw, k, childX)
-}
-
-// NewNodeStateCaps runs the SOAR-Gather step of switch v under the
-// heterogeneous capacity model: a blue at v consumes capw budget units
-// (0 means v may not be blue). childX must hold one flattened X table per
+// NewNodeStateCaps runs the SOAR-Gather step of switch v: a blue at v
+// consumes capw budget units (0 means v may not be blue, 1 is the
+// uniform model's v ∈ Λ). childX must hold one flattened X table per
 // child, in child order, each of length (Depth(child)+1)·(cap(child)+1)
 // as produced by XTable on the child — the child's effective cap is
 // recovered from the table length. The switch's own cap is then
@@ -113,7 +102,7 @@ func NewNodeStateCaps(t *topology.Tree, v int, loadV int, hasLoad bool, capw, k 
 		t:  t,
 		v:  v,
 		k:  k,
-		nt: newNodeStorage(t.Depth(v), int(capv), len(children), true),
+		nt: newNodeStorage(t.Depth(v), int(capv), len(children)),
 	}
 	computeNode(t, v, loadV, hasLoad, capw, &ns.nt, tables, newScratch(int(capv)))
 	return ns, nil

@@ -8,9 +8,11 @@ import (
 	"soar/internal/topology"
 )
 
-// buildStates runs the gather phase of the paper's example through the
-// NodeState protocol engine, bottom-up, as a remote deployment would.
-func buildStates(t *testing.T, tr *topology.Tree, loads []int, k int) []*NodeState {
+// buildStates runs the gather phase of SOAR's message-passing protocol
+// (paper Sec. 4.2) through the NodeState engine, bottom-up, as a remote
+// deployment would: every switch builds its state from the X tables its
+// children shipped. avail == nil means every switch may be blue.
+func buildStates(t *testing.T, tr *topology.Tree, loads []int, avail []bool, k int) []*NodeState {
 	t.Helper()
 	subLoad := tr.SubtreeLoads(loads)
 	states := make([]*NodeState, tr.N())
@@ -19,24 +21,21 @@ func buildStates(t *testing.T, tr *topology.Tree, loads []int, k int) []*NodeSta
 		for _, c := range tr.Children(v) {
 			childX = append(childX, states[c].XTable())
 		}
-		ns, err := NewNodeState(tr, v, loads[v], subLoad[v] > 0, true, k, childX)
+		ns, err := NewNodeStateCaps(tr, v, loads[v], subLoad[v] > 0, capAt(avail, nil, v), k, childX)
 		if err != nil {
-			t.Fatalf("NewNodeState(%d): %v", v, err)
+			t.Fatalf("NewNodeStateCaps(%d): %v", v, err)
 		}
 		states[v] = ns
 	}
 	return states
 }
 
-func TestNodeStateReproducesPaperExample(t *testing.T) {
-	tr, loads := paper.Figure2()
-	const k = 2
-	states := buildStates(t, tr, loads, k)
-	if got := states[tr.Root()].Optimum(); got != 20 {
-		t.Fatalf("root optimum %v, want 20", got)
-	}
-
-	// Color phase over the protocol engine.
+// solveProtocol runs both protocol phases over NodeState: the gather of
+// buildStates, then the destination injects (k, ℓ=1) at the root and
+// every switch answers its parent's assignment with Decide.
+func solveProtocol(t *testing.T, tr *topology.Tree, loads []int, avail []bool, k int) Result {
+	t.Helper()
+	states := buildStates(t, tr, loads, avail, k)
 	blue := make([]bool, tr.N())
 	type frame struct{ v, i, l int }
 	stack := []frame{{tr.Root(), k, 1}}
@@ -52,7 +51,16 @@ func TestNodeStateReproducesPaperExample(t *testing.T) {
 			stack = append(stack, frame{c, childBudget[m], childL})
 		}
 	}
-	if phi := reduce.Utilization(tr, loads, blue); phi != 20 {
+	return Result{Blue: blue, Cost: states[tr.Root()].Optimum()}
+}
+
+func TestNodeStateReproducesPaperExample(t *testing.T) {
+	tr, loads := paper.Figure2()
+	res := solveProtocol(t, tr, loads, nil, 2)
+	if res.Cost != 20 {
+		t.Fatalf("root optimum %v, want 20", res.Cost)
+	}
+	if phi := reduce.Utilization(tr, loads, res.Blue); phi != 20 {
 		t.Fatalf("protocol placement costs %v, want 20", phi)
 	}
 }
@@ -60,19 +68,19 @@ func TestNodeStateReproducesPaperExample(t *testing.T) {
 func TestNodeStateValidatesChildTables(t *testing.T) {
 	tr, loads := paper.Figure2()
 	// Wrong number of child tables.
-	if _, err := NewNodeState(tr, 1, loads[1], true, true, 2, nil); err == nil {
+	if _, err := NewNodeStateCaps(tr, 1, loads[1], true, 1, 2, nil); err == nil {
 		t.Fatal("missing child tables accepted")
 	}
 	// Wrong table size.
 	bad := [][]float64{make([]float64, 3), make([]float64, 3)}
-	if _, err := NewNodeState(tr, 1, loads[1], true, true, 2, bad); err == nil {
+	if _, err := NewNodeStateCaps(tr, 1, loads[1], true, 1, 2, bad); err == nil {
 		t.Fatal("mis-sized child tables accepted")
 	}
 }
 
 func TestNodeStateDecideValidatesInput(t *testing.T) {
 	tr, loads := paper.Figure2()
-	states := buildStates(t, tr, loads, 2)
+	states := buildStates(t, tr, loads, nil, 2)
 	root := states[tr.Root()]
 	if _, _, _, err := root.Decide(-1, 1); err == nil {
 		t.Fatal("negative budget accepted")

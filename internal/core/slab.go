@@ -30,15 +30,13 @@ import "soar/internal/topology"
 
 // levelOrderOffsets assigns every switch's slab windows in BFS order:
 // xOff[v] is the start of v's x/isBlue window (rows*(cap+1) cells wide),
-// spOff/hdOff the split-slab and split-header windows when recordSplits
-// is set (else nil). The final slab sizes sit at index n.
-func levelOrderOffsets(t *topology.Tree, caps []int, recordSplits bool) (xOff, spOff, hdOff []int) {
+// spOff/hdOff the split-slab and split-header windows. The final slab
+// sizes sit at index n.
+func levelOrderOffsets(t *topology.Tree, caps []int) (xOff, spOff, hdOff []int) {
 	n := t.N()
 	xOff = make([]int, n+1)
-	if recordSplits {
-		spOff = make([]int, n+1)
-		hdOff = make([]int, n+1)
-	}
+	spOff = make([]int, n+1)
+	hdOff = make([]int, n+1)
 	// Prefix sums in visit order, scattered to per-node indices: v's
 	// window starts where the previous BFS switch's window ended.
 	x, sp, hd := 0, 0, 0
@@ -47,22 +45,13 @@ func levelOrderOffsets(t *topology.Tree, caps []int, recordSplits bool) (xOff, s
 		w := caps[v] + 1
 		xOff[v] = x
 		x += rows * w
-		if recordSplits {
-			merges := t.NumChildren(v) - 1
-			if merges < 0 {
-				merges = 0
-			}
-			spOff[v] = sp
-			hdOff[v] = hd
-			sp += merges * 2 * rows * w
-			hd += merges
-		}
+		merges := max(t.NumChildren(v)-1, 0)
+		spOff[v] = sp
+		hdOff[v] = hd
+		sp += merges * 2 * rows * w
+		hd += merges
 	}
-	xOff[n] = x
-	if recordSplits {
-		spOff[n] = sp
-		hdOff[n] = hd
-	}
+	xOff[n], spOff[n], hdOff[n] = x, sp, hd
 	return xOff, spOff, hdOff
 }
 

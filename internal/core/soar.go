@@ -24,9 +24,11 @@
 //   - SOAR-Color (paper Alg. 4) walks top-down along the recorded argmin
 //     "breadcrumbs" and assigns the colors.
 //
-// Both a serial engine (this file, gather.go, color.go) and a distributed
-// message-passing engine (distributed.go) are provided; they produce
-// identical placements.
+// The serial engine lives in this file, gather.go and color.go; memo.go,
+// incremental.go and batch.go are its caching, stateful and fused-batch
+// forms, and protocol.go is the per-switch step of the paper's
+// distributed protocol (Sec. 4.2), which internal/cluster runs over TCP.
+// All of them share computeNode and produce identical placements.
 package core
 
 import (

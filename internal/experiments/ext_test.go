@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"math/rand"
 	"testing"
+
+	"soar/internal/core"
+	"soar/internal/topology"
+	"soar/internal/workload"
 )
 
 func TestExtIncrementalShapes(t *testing.T) {
@@ -47,36 +52,56 @@ func TestExtMemoShapes(t *testing.T) {
 	}
 }
 
-func TestFig7IncrementalEngineMatchesFull(t *testing.T) {
-	// The incremental allocator is observationally identical to the
-	// from-scratch one, so fig7 must come out the same point for point.
-	cfg := QuickFig7()
-	cfg.Reps = 1
-	full, err := Fig7(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Engine = "incremental"
-	inc, err := Fig7(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for si, sp := range full.Subplots {
-		for ri, s := range sp.Series {
-			for i, y := range s.Y {
-				if got := inc.Subplots[si].Series[ri].Y[i]; got != y {
-					t.Fatalf("%s/%s: incremental %v, full %v", sp.Name, s.Label, got, y)
-				}
-			}
-		}
-	}
+// fromScratch is SOAR re-solved per workload; not being core.Strategy,
+// it keeps workload.NewAllocator off its incremental engine.
+type fromScratch struct{}
+
+func (fromScratch) Name() string { return "soar" }
+
+func (fromScratch) Place(t *topology.Tree, loads []int, avail []bool, k int) []bool {
+	return core.Solve(t, loads, avail, k).Blue
 }
 
-func TestFig7RejectsUnknownEngine(t *testing.T) {
+func TestFig7IncrementalEngineMatchesFull(t *testing.T) {
+	// Fig7's soar series is produced by the incremental engine behind
+	// workload.NewAllocator(core.Strategy{}). Replaying the figure's
+	// arrivals through a from-scratch core.Solve per workload must give
+	// the same series point for point, in both rows of every rate scheme.
 	cfg := QuickFig7()
-	cfg.Engine = "warp"
-	if _, err := Fig7(cfg); err == nil {
-		t.Fatal("unknown engine accepted")
+	cfg.Reps = 1
+	fig, err := Fig7(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	soarSeries := func(sp Subplot) []float64 {
+		for _, s := range sp.Series {
+			if s.Label == "soar" {
+				return s.Y
+			}
+		}
+		t.Fatalf("%s: no soar series", sp.Name)
+		return nil
+	}
+	base := topology.MustBT(cfg.N)
+	for ri, rs := range RateSchemes() {
+		tr := topology.ApplyRates(base, rs.Scheme)
+		seq := workload.NewSequence(tr, rand.New(rand.NewSource(cfg.Seed)))
+		arrivals := make([][]int, cfg.Workloads)
+		for i := range arrivals {
+			arrivals[i] = seq.Next()
+		}
+		full := workload.Run(workload.NewAllocator(tr, fromScratch{}, cfg.K, cfg.Capacity), arrivals)
+		for i, y := range soarSeries(fig.Subplots[2*ri]) {
+			if y != full.CumulativeRatio[i] {
+				t.Fatalf("%s workload %d: incremental %v, from scratch %v", rs.Name, i, y, full.CumulativeRatio[i])
+			}
+		}
+		for ci, y := range soarSeries(fig.Subplots[2*ri+1]) {
+			r := workload.Run(workload.NewAllocator(tr, fromScratch{}, cfg.K, cfg.CapacitySweep[ci]), arrivals)
+			if want := r.CumulativeRatio[len(arrivals)-1]; y != want {
+				t.Fatalf("%s capacity %d: incremental %v, from scratch %v", rs.Name, cfg.CapacitySweep[ci], y, want)
+			}
+		}
 	}
 }
 

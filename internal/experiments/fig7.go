@@ -4,31 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 
-	"soar/internal/core"
-	"soar/internal/placement"
 	"soar/internal/stats"
 	"soar/internal/topology"
 	"soar/internal/workload"
 )
-
-// allocatorFactory resolves an Engine name to an allocator constructor.
-// Only the SOAR strategy has an incremental engine; the baselines always
-// take the plain allocator.
-func allocatorFactory(engine string) (func(*topology.Tree, placement.Strategy, int, int) *workload.Allocator, error) {
-	switch engine {
-	case "", "full":
-		return workload.NewAllocator, nil
-	case "incremental":
-		return func(t *topology.Tree, s placement.Strategy, k, capacity int) *workload.Allocator {
-			if _, ok := s.(core.Strategy); ok {
-				return workload.NewIncrementalAllocator(t, k, capacity)
-			}
-			return workload.NewAllocator(t, s, k, capacity)
-		}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown engine %q", engine)
-	}
-}
 
 // Fig7Config parameterizes the paper's Fig. 7: online multi-workload
 // aggregation under bounded per-switch capacity.
@@ -48,12 +27,6 @@ type Fig7Config struct {
 	// Reps averages over independent arrival sequences (paper: 10).
 	Reps int
 	Seed int64
-	// Engine selects how the SOAR strategy solves each workload: "" or
-	// "full" re-runs Gather from scratch, "incremental" patches a
-	// stateful engine with the per-workload load and capacity deltas.
-	// The placements (and hence the figure) are identical either way;
-	// only the runtime differs.
-	Engine string
 }
 
 // DefaultFig7 reproduces the paper's setup.
@@ -85,10 +58,6 @@ func Fig7(cfg Fig7Config) (*Figure, error) {
 	}
 	fig := &Figure{ID: "fig7", Title: "Online multiple workloads under bounded switch capacity"}
 	strategies := CompareStrategies()
-	newAlloc, err := allocatorFactory(cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
 
 	for _, rs := range RateSchemes() {
 		tr := topology.ApplyRates(base, rs.Scheme)
@@ -114,13 +83,13 @@ func Fig7(cfg Fig7Config) (*Figure, error) {
 				arrivals[i] = seq.Next()
 			}
 			for si, s := range strategies {
-				alloc := newAlloc(tr, s, cfg.K, cfg.Capacity)
+				alloc := workload.NewAllocator(tr, s, cfg.K, cfg.Capacity)
 				res := workload.Run(alloc, arrivals)
 				accSeq[si].Add(res.CumulativeRatio)
 
 				row := make([]float64, len(cfg.CapacitySweep))
 				for ci, c := range cfg.CapacitySweep {
-					a := newAlloc(tr, s, cfg.K, c)
+					a := workload.NewAllocator(tr, s, cfg.K, c)
 					r := workload.Run(a, arrivals)
 					row[ci] = r.CumulativeRatio[len(arrivals)-1]
 				}

@@ -23,7 +23,7 @@ import (
 // cluster-run summary.
 func TestObservabilityEndpoints(t *testing.T) {
 	tr, loads := paper.Figure2()
-	s := NewServiceWith(tr, sched.Config{Capacity: 2, Memo: true})
+	s := NewServiceWith(tr, sched.Config{Capacity: 2})
 	t.Cleanup(s.Close)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
@@ -86,9 +86,8 @@ func TestObservabilityEndpoints(t *testing.T) {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
-	sum("soar_memo_hits_total") // present even when this tiny workload never re-hits a class
 	for _, name := range []string{
-		"soar_sched_batches_total", "soar_memo_misses_total",
+		"soar_sched_batches_total",
 		"soar_cluster_frames_total", "soar_ckpt_bytes_total",
 	} {
 		if got := sum(name); got <= 0 {

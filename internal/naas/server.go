@@ -284,7 +284,7 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the Prometheus text exposition of every family
-// the service records: scheduler admission/batch/solve, memo, repack,
+// the service records: scheduler admission/batch/solve, repack,
 // checkpoint, and loopback cluster runs.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {

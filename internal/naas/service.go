@@ -52,7 +52,7 @@ type Service struct {
 
 	// cmet records the loopback cluster runs (POST /v1/cluster) into
 	// the scheduler's registry and trace ring, so one scrape covers
-	// scheduler, memo, checkpoint and cluster families alike.
+	// scheduler, checkpoint and cluster families alike.
 	cmet *cluster.Metrics
 
 	// cmu guards the last-run summary surfaced by ClusterSnapshot.
@@ -156,7 +156,7 @@ func (s *Service) Checkpoint(w io.Writer) error { return s.s.Checkpoint(w) }
 func (s *Service) Restore(r io.Reader) error { return s.s.Restore(r) }
 
 // Registry returns the service's metrics registry: every scheduler,
-// memo, checkpoint and cluster family this service records, ready for
+// checkpoint and cluster family this service records, ready for
 // GET /metrics (obs.Registry.WriteText).
 func (s *Service) Registry() *obs.Registry { return s.s.Registry() }
 

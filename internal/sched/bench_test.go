@@ -144,14 +144,11 @@ func nextSeed(next *int64) int64 {
 	return *next
 }
 
-// BenchmarkSchedulerSparse gates the cross-request solve cache: a
-// single-stream churn of sparse tenants (8 racks each on BT(2048),
-// k=32 — budgets large enough that the per-admission DP recompute
-// dominates) admitted with the memo on versus the cold-cache scheduler.
-// With Memo, a recurring tenant's dirtied root paths re-intern to
-// classes whose tables the engine's cache already holds, so the solve
-// collapses to hash-cons lookups; expect a multiple of the cold
-// configuration's throughput (≥ 2× is the acceptance bar).
+// BenchmarkSchedulerSparse is a single-stream churn of sparse tenants
+// (8 racks each on BT(2048), k=32 — budgets large enough that the
+// per-admission DP recompute dominates). The sub-benchmark keeps the
+// name it had beside the deleted memoized scheduler ("cold") so the
+// BENCH_sched.json trajectory and CI's baseline stay comparable.
 func BenchmarkSchedulerSparse(b *testing.B) {
 	tr := topology.MustBT(2048)
 	const (
@@ -160,38 +157,33 @@ func BenchmarkSchedulerSparse(b *testing.B) {
 		racks    = 8
 	)
 	pool := benchTenants(tr, 256, racks)
-	for _, cfg := range []struct {
-		name string
-		memo bool
-	}{{"cold", false}, {"memo", true}} {
-		// The explicit k level keeps the name three segments deep, same
-		// as the Fig. 9 grid, so CI's bench-gate pattern addresses it.
-		b.Run(fmt.Sprintf("%s/k=%d", cfg.name, k), func(b *testing.B) {
-			s := New(tr, Config{Capacity: capacity, Workers: 1, Memo: cfg.memo})
-			defer s.Close()
-			var lease Lease
-			// Warm: one full cycle through the tenant pool, so the memoized
-			// run measures the steady state, not the first-touch misses.
-			for _, loads := range pool {
-				if err := s.PlaceInto(loads, k, &lease); err != nil {
-					b.Fatal(err)
-				}
-				if err := s.Release(lease.ID); err != nil {
-					b.Fatal(err)
-				}
+	// The explicit k level keeps the name three segments deep, same as
+	// the Fig. 9 grid, so CI's bench-gate pattern addresses it.
+	b.Run(fmt.Sprintf("cold/k=%d", k), func(b *testing.B) {
+		s := New(tr, Config{Capacity: capacity, Workers: 1})
+		defer s.Close()
+		var lease Lease
+		// Warm: one full cycle through the tenant pool, so the run
+		// measures the steady state, not the first-touch allocations.
+		for _, loads := range pool {
+			if err := s.PlaceInto(loads, k, &lease); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.PlaceInto(pool[i%len(pool)], k, &lease); err != nil {
-					b.Fatal(err)
-				}
-				if err := s.Release(lease.ID); err != nil {
-					b.Fatal(err)
-				}
+			if err := s.Release(lease.ID); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.PlaceInto(pool[i%len(pool)], k, &lease); err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Release(lease.ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkSchedulerSteadyState isolates the single-stream admission

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"soar/internal/core"
 	"soar/internal/obs"
 	"soar/internal/stats"
 )
@@ -91,8 +90,7 @@ type metrics struct {
 }
 
 // initMetrics registers every scheduler family in reg and interns the
-// span operations in tr. Called once from New, after the worker pool
-// exists (the memo gauge funcs walk it) and before any goroutine
+// span operations in tr. Called once from New, before any goroutine
 // starts. A registry belongs to one Scheduler: registering a second
 // one in the same registry panics on the duplicate families.
 func (s *Scheduler) initMetrics(reg *obs.Registry, tr *obs.Trace) {
@@ -182,22 +180,6 @@ func (s *Scheduler) initMetrics(reg *obs.Registry, tr *obs.Trace) {
 			}
 			return float64(total)
 		})
-
-	// Memo stats aggregate over the per-worker solve caches; the reads
-	// are atomic (core.Memo.Stats is documented concurrency-safe), so no
-	// lock is involved at scrape time.
-	reg.CounterFunc("soar_memo_hits_total",
-		"Solve-cache hits across the engine pool.", nil,
-		func() float64 { return float64(s.MemoStats().Hits) })
-	reg.CounterFunc("soar_memo_misses_total",
-		"Solve-cache misses across the engine pool.", nil,
-		func() float64 { return float64(s.MemoStats().Misses) })
-	reg.GaugeFunc("soar_memo_classes",
-		"Hash-consed subtree classes retained across the engine pool.", nil,
-		func() float64 { return float64(s.MemoStats().Classes) })
-	reg.GaugeFunc("soar_memo_bytes",
-		"Bytes retained by the solve caches.", nil,
-		func() float64 { return float64(s.MemoStats().Bytes) })
 
 	m.opPlace = tr.Op("sched.place")
 	m.opRelease = tr.Op("sched.release")
@@ -347,33 +329,6 @@ func (s *Scheduler) Registry() *obs.Registry { return s.met.reg }
 // most recent operations (sched.place, sched.batch, sched.solve,
 // sched.release, sched.repack, ckpt.*).
 func (s *Scheduler) Trace() *obs.Trace { return s.met.tr }
-
-// MemoStats aggregates the solve-cache statistics across the engine
-// pool (the dispatcher's background solver and every worker). Safe to
-// call concurrently with serving traffic: the underlying Memo counters
-// are atomic. Epoch reports the largest epoch among the caches. Zero
-// when memoization is off.
-func (s *Scheduler) MemoStats() core.MemoStats {
-	var agg core.MemoStats
-	add := func(m *core.Memo) {
-		if m == nil {
-			return
-		}
-		st := m.Stats()
-		agg.Classes += st.Classes
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Bytes += st.Bytes
-		if st.Epoch > agg.Epoch {
-			agg.Epoch = st.Epoch
-		}
-	}
-	add(s.bgSol.memo)
-	for _, w := range s.workers {
-		add(w.sol.memo)
-	}
-	return agg
-}
 
 func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))

@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"soar/internal/core"
 	"soar/internal/obs"
 	"soar/internal/topology"
 )
@@ -135,27 +134,6 @@ type Config struct {
 	// QueueDepth bounds the number of buffered requests (default
 	// max(64, 4·Workers)); submitters beyond it block.
 	QueueDepth int
-	// Memo enables the cross-request solve cache: every engine of the
-	// pool (and the dispatcher's background slot) keeps a core.Memo of
-	// hash-consed subtree classes, so churning tenants whose sparse
-	// loads revisit the same structures hit warm DP tables instead of
-	// recomputing them. Placements are bitwise identical either way.
-	Memo bool
-	// MemoBudget bounds the bytes each solve cache retains before it
-	// evicts (full reset; ≤ 0 selects the core default).
-	MemoBudget int64
-	// BatchSolve routes multi-placement batches through the fused batch
-	// engine (core.BatchSolver): the dispatcher groups a batch's
-	// placements by budget and solves each group in one pass over the
-	// tree against shared zero-load class tables, instead of fanning the
-	// placements out over per-worker engines. Placements are bitwise
-	// identical either way (the batch engine is an exact rearrangement
-	// of the memoized solve); the win is sparse tenants, whose solves
-	// are dominated by the zero-load subtrees the batch engine shares.
-	// Single-placement batches still use the incremental background
-	// engine. BatchSolve implies its own solve cache and is independent
-	// of Memo (which tunes the per-worker engines).
-	BatchSolve bool
 	// Repack tunes the background re-packer.
 	Repack RepackConfig
 	// Journal, when non-nil, receives one JournalEvent per committed
@@ -172,7 +150,7 @@ type Config struct {
 	// are rejected instead of diverging from the promoted standby.
 	Fence func() error
 	// Obs, when non-nil, is the metrics registry the scheduler registers
-	// its families in (soar_sched_*, soar_memo_*, soar_ckpt_*); nil gets
+	// its families in (soar_sched_*, soar_ckpt_*); nil gets
 	// a private registry. A registry belongs to at most one Scheduler —
 	// a second registration of the same families panics.
 	Obs *obs.Registry
@@ -283,15 +261,6 @@ type Scheduler struct {
 	// zero between candidates (repack scatters the pairs in for the
 	// engine, which copies them, and clears exactly those entries).
 	bgLoad []int
-	// Batch-solve state (nil/empty unless Config.BatchSolve): the fused
-	// engine plus the reusable per-group marshalling buffers. Dispatcher-
-	// owned, like the rest of the dispatch state.
-	bsol  *core.BatchSolver
-	bks   []int
-	bgrp  []*request
-	bload [][]int
-	bblue [][]bool
-	bcost []float64
 
 	mu     sync.Mutex //soar:critical guards ledger, leases, nextID, journalSeq, met
 	ledger *Ledger
@@ -339,15 +308,9 @@ func New(t *topology.Tree, cfg Config) *Scheduler {
 	}
 	s.reqPool.New = func() any { return &request{done: make(chan struct{}, 1)} }
 	s.tenPool.New = func() any { return new(tenant) }
-	s.bgSol.memo = s.newMemo()
-	if cfg.BatchSolve {
-		m := core.NewMemo(t)
-		m.SetBudget(cfg.MemoBudget)
-		s.bsol = core.NewBatchSolver(m)
-	}
 	s.workers = make([]*worker, cfg.Workers)
 	for i := range s.workers {
-		s.workers[i] = &worker{s: s, sol: solver{memo: s.newMemo()}, wake: make(chan struct{}, 1)}
+		s.workers[i] = &worker{s: s, wake: make(chan struct{}, 1)}
 	}
 	reg, trace := cfg.Obs, cfg.Trace
 	if reg == nil {
@@ -651,8 +614,6 @@ func (s *Scheduler) runBatch() {
 	// done, so workers read it without locks.
 	if len(s.places) == 1 {
 		s.solveOn(&s.bgSol, s.places[0])
-	} else if s.bsol != nil {
-		s.solveBatched()
 	} else {
 		s.batchNext.Store(0)
 		n := min(len(s.places), len(s.workers))
@@ -689,17 +650,6 @@ func (s *Scheduler) solveOn(sol *solver, r *request) {
 	r.phi = eng.SolveInto(r.blue)
 	r.allRed = s.allRed(r.load)
 	s.met.noteSolve(t0, int64(r.k))
-}
-
-// newMemo builds one solver's solve cache, or nil when memoization is
-// off.
-func (s *Scheduler) newMemo() *core.Memo {
-	if !s.cfg.Memo {
-		return nil
-	}
-	m := core.NewMemo(s.t)
-	m.SetBudget(s.cfg.MemoBudget)
-	return m
 }
 
 // allRed returns φ with no aggregation at all: every server's messages

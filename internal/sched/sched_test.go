@@ -78,7 +78,7 @@ func (b *seqBaseline) release(id int64) bool {
 // sequential from-scratch baseline, and ends in the same residual
 // state.
 func TestSchedulerMatchesSequential(t *testing.T) {
-	runSequentialEquivalence(t, false, 0)
+	runSequentialEquivalence(t, 0)
 }
 
 // TestSchedulerMatchesSequentialAcrossRepack interleaves re-packing
@@ -88,14 +88,7 @@ func TestSchedulerMatchesSequential(t *testing.T) {
 // utilization of its own load under its own blues, and admissions must
 // go on matching the from-scratch model on the migrated residuals.
 func TestSchedulerMatchesSequentialAcrossRepack(t *testing.T) {
-	runSequentialEquivalence(t, false, 7)
-}
-
-// TestSchedulerMemoMatchesSequential is the same acceptance test with
-// the cross-request solve cache on: memoized engines must stay
-// lease-for-lease identical to the from-scratch sequential model.
-func TestSchedulerMemoMatchesSequential(t *testing.T) {
-	runSequentialEquivalence(t, true, 0)
+	runSequentialEquivalence(t, 7)
 }
 
 // observeRepack makes the baseline see a re-packing round the way an
@@ -126,9 +119,9 @@ func (b *seqBaseline) observeRepack(t *testing.T, s *Scheduler, live []int64) {
 // runSequentialEquivalence drives scheduler and baseline through one
 // request order; repackEvery > 0 also runs a re-packing round every
 // that many steps.
-func runSequentialEquivalence(t *testing.T, memo bool, repackEvery int) {
+func runSequentialEquivalence(t *testing.T, repackEvery int) {
 	tr := topology.MustBT(128)
-	s := New(tr, Config{Capacity: 2, Workers: 3, Memo: memo})
+	s := New(tr, Config{Capacity: 2, Workers: 3})
 	base := newSeqBaseline(tr, 2)
 	rng := rand.New(rand.NewSource(42))
 	var live []int64
@@ -351,6 +344,90 @@ func TestConcurrentPlaceRelease(t *testing.T) {
 	}
 	if m.PlaceP99 < m.PlaceP50 || m.PlaceP50 <= 0 {
 		t.Fatalf("latency quantiles inconsistent: %+v", m)
+	}
+}
+
+// TestSchedulerBatchSolveInvariants hammers the scheduler from many
+// goroutines with mixed budgets — so the batches the worker pool solves
+// mix budgets too, pool engines rebuild between placements, and commit
+// conflicts re-solve at a budget the dispatcher's engine was not built
+// for — and audits the end state: every lease's reported Φ is exactly
+// the utilization of its blue set, no lease exceeds its budget, no
+// switch is oversubscribed, residuals match the held slots.
+func TestSchedulerBatchSolveInvariants(t *testing.T) {
+	tr := topology.MustBT(64)
+	s := New(tr, Config{Capacity: 2, Workers: 4})
+	defer s.Close()
+
+	const goroutines = 8
+	var mu sync.Mutex
+	live := make(map[int64]*Lease)
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			var mine []int64
+			for i := 0; i < 25; i++ {
+				loads := load.GenerateSparse(tr, load.PaperUniform(), 4, rng)
+				k := []int{3, 4, 6}[rng.Intn(3)]
+				lease, err := s.Place(loads, k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				live[lease.ID] = lease
+				mu.Unlock()
+				mine = append(mine, lease.ID)
+				if rng.Intn(2) == 0 {
+					id := mine[rng.Intn(len(mine))]
+					mu.Lock()
+					_, held := live[id]
+					delete(live, id)
+					mu.Unlock()
+					if held {
+						if err := s.Release(id); err != nil {
+							t.Errorf("release(%d): %v", id, err)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	used := make([]int, tr.N())
+	for id := range live {
+		got, err := s.Lookup(id)
+		if err != nil {
+			t.Fatalf("lookup(%d): %v", id, err)
+		}
+		blue := make([]bool, tr.N())
+		for _, v := range got.Blue {
+			blue[v] = true
+			used[v]++
+		}
+		if len(got.Blue) > got.K {
+			t.Fatalf("lease %d holds %d switches with budget %d", id, len(got.Blue), got.K)
+		}
+		if phi := reduce.Utilization(tr, got.Load, blue); phi != got.Phi {
+			t.Fatalf("lease %d: reported Φ %v, placement costs %v", id, got.Phi, phi)
+		}
+	}
+	for v, res := range s.Residual() {
+		if res < 0 {
+			t.Fatalf("switch %d oversubscribed: residual %d", v, res)
+		}
+		if res != 2-used[v] {
+			t.Fatalf("switch %d: residual %d with %d slots held", v, res, used[v])
+		}
+	}
+	if m := s.Metrics(); m.Placed != goroutines*25 {
+		t.Fatalf("placed %d, want %d", m.Placed, goroutines*25)
 	}
 }
 

@@ -45,7 +45,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	tr := topology.MustBT(64)
-	cfg := Config{Capacity: 2, Workers: 4, Memo: true}
+	cfg := Config{Capacity: 2, Workers: 4}
 
 	// cur always points at the serving scheduler; kill/restore swaps it.
 	var cur atomic.Pointer[Scheduler]

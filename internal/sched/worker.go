@@ -5,29 +5,21 @@ import (
 	"soar/internal/topology"
 )
 
-// solver is one reusable solving slot: an incremental engine plus,
-// when Config.Memo is on, its private cross-request solve cache. Each
-// pool worker (and the dispatcher's background slot) owns exactly one
-// solver, so the memo's hot path needs no locking — the cost is a
-// little redundant warmup per slot, paid once per recurring class.
+// solver is one reusable solving slot: an incremental engine. Each pool
+// worker (and the dispatcher's background slot) owns exactly one, so
+// solving needs no locking.
 type solver struct {
-	eng  *core.Incremental
-	memo *core.Memo
+	eng *core.Incremental
 }
 
 // ensure points the solver's engine at (load, avail, k) — rebuilding it
 // only when the budget changed, otherwise patching loads and
-// availability in place — and returns it. A rebuild keeps the memo, so
-// even budget churn reuses warm class tables.
+// availability in place — and returns it.
 //
 //soar:hotpath
 func (sol *solver) ensure(t *topology.Tree, load []int, avail []bool, k int) *core.Incremental {
 	if sol.eng == nil || sol.eng.K() != k {
-		if sol.memo != nil {
-			sol.eng = core.NewIncrementalMemo(sol.memo, load, avail, k) //soar:coldpath budget changed: rebuild
-		} else {
-			sol.eng = core.NewIncremental(t, load, avail, k) //soar:coldpath budget changed: rebuild
-		}
+		sol.eng = core.NewIncremental(t, load, avail, k) //soar:coldpath budget changed: rebuild
 	} else {
 		sol.eng.SetLoads(load)
 		sol.eng.SetAvails(avail)
@@ -46,9 +38,7 @@ func (sol *solver) ensure(t *topology.Tree, load []int, avail []bool, k int) *co
 // switches' root paths. For the sparse tenants a shared tree actually
 // sees (a few racks each), that is an order of magnitude less work than
 // the from-scratch solve the pre-scheduler serving path ran per
-// admission — and it allocates nothing. With Config.Memo on, even the
-// recomputed paths mostly alias tables the worker's solve cache already
-// holds from earlier tenants.
+// admission — and it allocates nothing.
 type worker struct {
 	s    *Scheduler
 	sol  solver

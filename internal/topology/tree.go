@@ -299,24 +299,6 @@ func (t *Tree) SubtreeLoads(load []int) []int64 {
 	return sub
 }
 
-// SubtreeLoadsInto is SubtreeLoads writing into a caller-owned buffer
-// (which must have length N()): stateful engines recompute subtree
-// loads on every solve, so the buffer makes the pass allocation-free.
-//
-//soar:hotpath
-func (t *Tree) SubtreeLoadsInto(sub []int64, load []int) {
-	if len(sub) != t.N() {
-		panic("topology: SubtreeLoadsInto buffer has wrong length")
-	}
-	for _, v := range t.post {
-		s := int64(load[v])
-		for _, c := range t.children[v] {
-			s += sub[c]
-		}
-		sub[v] = s
-	}
-}
-
 // Degree returns the undirected degree of v within the switch network
 // (children plus parent edge; the root's edge to d is counted).
 func (t *Tree) Degree(v int) int { return len(t.children[v]) + 1 }

@@ -10,10 +10,8 @@
 // chosen switches have their residual capacity decremented.
 //
 // Capacity bookkeeping is shared with the serving layer: an Allocator
-// embeds a sched.Ledger (the same type the concurrent scheduler charges
-// leases against), and NewSchedulerBacked routes every arrival through
-// a live sched.Scheduler so online experiments can measure the
-// production admission path instead of a private solver.
+// embeds a sched.Ledger, the same type the concurrent scheduler charges
+// leases against.
 package workload
 
 import (
@@ -35,93 +33,37 @@ type Allocator struct {
 	strategy placement.Strategy
 	k        int
 	ledger   *sched.Ledger
-	// inc, when non-nil, is the stateful SOAR engine backing the
-	// incremental fast path: Handle patches it with load deltas and
-	// availability changes instead of re-running Gather from scratch.
+	// inc serves a core.Strategy allocator: a stateful engine, built on
+	// first use, that Handle patches with each workload's load deltas
+	// and availability changes instead of re-running Gather from scratch
+	// through Place.
 	inc *core.Incremental
-	// sched, when non-nil, admits every workload through the concurrent
-	// placement scheduler instead of a private solver; lease is its
-	// reusable admission destination.
-	sched *sched.Scheduler
-	lease sched.Lease
 }
 
 // NewAllocator creates an online allocator with uniform per-switch
-// capacity. capacity ≤ 0 means unlimited.
+// capacity. capacity ≤ 0 means unlimited. When s is core.Strategy the
+// allocator solves on a stateful core.Incremental engine: placements
+// and φ values are exactly those of calling s.Place per workload (the
+// engine's tables are bitwise identical to a from-scratch Gather), but
+// between workloads only the switches whose load changed (or whose
+// capacity ran out) have their v→root table paths recomputed.
 func NewAllocator(t *topology.Tree, s placement.Strategy, k, capacity int) *Allocator {
 	return &Allocator{t: t, strategy: s, k: k, ledger: sched.NewLedger(t.N(), capacity)}
 }
 
-// NewAllocatorCaps creates an online allocator over a heterogeneous
-// deployment: caps[v] is the aggregation capacity a(v) of switch v, with
-// 0 marking a switch that may never aggregate (entries are literal, as
-// in sched.NewLedgerFromCaps). For uniform or unlimited capacity use
-// NewAllocator; caps must be a full-length vector here.
-func NewAllocatorCaps(t *topology.Tree, s placement.Strategy, k int, caps []int) *Allocator {
-	if caps == nil {
-		panic("workload: NewAllocatorCaps needs a capacity vector; use NewAllocator for uniform capacity")
-	}
-	if len(caps) != t.N() {
-		panic(fmt.Sprintf("workload: caps has %d entries for %d switches", len(caps), t.N()))
-	}
-	return &Allocator{t: t, strategy: s, k: k, ledger: sched.NewLedgerFromCaps(caps)}
-}
-
-// NewIncrementalAllocator creates an online SOAR allocator backed by a
-// stateful core.Incremental engine. Placements and φ values are exactly
-// those of NewAllocator(t, core.Strategy{}, k, capacity): the engine's
-// tables are bitwise identical to a from-scratch Gather. The difference
-// is cost: between workloads only the switches whose load changed (or
-// whose capacity ran out) have their v→root table paths recomputed, so
-// sparse workload diffs cost O(h²·k²) per changed switch instead of a
-// full O(n·h·k²) solve.
-func NewIncrementalAllocator(t *topology.Tree, k, capacity int) *Allocator {
-	a := NewAllocator(t, core.Strategy{}, k, capacity)
-	a.inc = core.NewIncremental(t, make([]int, t.N()), a.ledger.Avail(), k)
-	return a
-}
-
-// NewSchedulerBacked creates an allocator whose every Handle admits the
-// workload through s — the concurrent serving path of internal/sched —
-// so the Sec. 5.2 experiments exercise batching, the engine pool and
-// commit-order conflict resolution instead of a private solver. Driven
-// single-threaded it produces exactly the placements of
-// NewAllocator(t, core.Strategy{}, k, ...) over the scheduler's own
-// capacity configuration. The allocator never releases tenants
-// (arrivals only, as in the paper); SetCapacity is unsupported.
-func NewSchedulerBacked(s *sched.Scheduler, k int) *Allocator {
-	return &Allocator{t: s.Tree(), strategy: core.Strategy{}, k: k, sched: s}
-}
-
 // SetCapacity overrides the residual capacity of one switch (0 makes it
-// permanently unavailable); useful for heterogeneous deployments. It
-// panics on a scheduler-backed allocator, whose ledger belongs to the
-// scheduler.
+// permanently unavailable); useful for heterogeneous deployments.
 func (a *Allocator) SetCapacity(v, c int) {
-	if a.sched != nil {
-		panic("workload: SetCapacity on a scheduler-backed allocator")
-	}
 	a.ledger.SetCapacity(v, c)
 }
 
 // Residual returns the residual capacity of switch v.
 func (a *Allocator) Residual(v int) int {
-	if a.sched != nil {
-		return a.sched.Residual()[v]
-	}
 	return a.ledger.Residual(v)
 }
 
 // Available returns Λ_t as a boolean vector (a defensive copy).
 func (a *Allocator) Available() []bool {
-	if a.sched != nil {
-		res := a.sched.Residual()
-		avail := make([]bool, len(res))
-		for v, r := range res {
-			avail[v] = r > 0
-		}
-		return avail
-	}
 	return a.ledger.AvailCopy()
 }
 
@@ -132,16 +74,9 @@ func (a *Allocator) Handle(loads []int) (blue []bool, phi float64) {
 	if len(loads) != a.t.N() {
 		panic(fmt.Sprintf("workload: load has %d entries for %d switches", len(loads), a.t.N()))
 	}
-	switch {
-	case a.sched != nil:
-		// The lease's φ is the DP optimum for the returned blue set,
-		// which equals reduce.Utilization exactly (the repo-wide
-		// invariant); no need to re-simulate.
-		blue = a.placeScheduler(loads)
-		return blue, a.lease.Phi
-	case a.inc != nil:
+	if _, soar := a.strategy.(core.Strategy); soar {
 		blue = a.placeIncremental(loads)
-	default:
+	} else {
 		blue = a.strategy.Place(a.t, loads, a.ledger.AvailCopy(), a.k)
 	}
 	for v, b := range blue {
@@ -158,31 +93,17 @@ func (a *Allocator) Handle(loads []int) (blue []bool, phi float64) {
 // placeIncremental is the incremental fast path: per-workload load
 // deltas become a batched SetLoads sweep and capacity exhaustions
 // become SetAvails updates, each dirtying only the changed switches'
-// root paths before one coalesced re-sweep inside Solve. A budget
-// change (HandleWithBudget / RunPolicy) rebuilds the engine, since the
-// DP tables are sized by k.
+// root paths before one coalesced re-sweep inside Solve. The first
+// workload and every budget change (HandleWithBudget / RunPolicy) build
+// the engine, since the DP tables are sized by k.
 func (a *Allocator) placeIncremental(loads []int) []bool {
-	if a.inc.K() != a.k {
+	if a.inc == nil || a.inc.K() != a.k {
 		a.inc = core.NewIncremental(a.t, loads, a.ledger.Avail(), a.k)
 	} else {
 		a.inc.SetLoads(loads)
 		a.inc.SetAvails(a.ledger.Avail())
 	}
 	return a.inc.Solve().Blue
-}
-
-// placeScheduler admits the workload through the scheduler, which does
-// its own charging, and converts the lease to the strategy interface's
-// blue-vector form.
-func (a *Allocator) placeScheduler(loads []int) []bool {
-	if err := a.sched.PlaceInto(loads, a.k, &a.lease); err != nil {
-		panic(fmt.Sprintf("workload: scheduler admission failed: %v", err))
-	}
-	blue := make([]bool, a.t.N())
-	for _, v := range a.lease.Blue {
-		blue[v] = true
-	}
-	return blue
 }
 
 // Sequence generates the paper's online workload arrival process: each

@@ -8,7 +8,6 @@ import (
 	"soar/internal/load"
 	"soar/internal/placement"
 	"soar/internal/reduce"
-	"soar/internal/sched"
 	"soar/internal/topology"
 )
 
@@ -149,50 +148,78 @@ func TestSequence5050Mix(t *testing.T) {
 	}
 }
 
+// fromScratch is SOAR re-solved per workload by core.Solve. Not being
+// core.Strategy, it keeps NewAllocator on the plain Place path — the
+// model the incremental engine behind NewAllocator(core.Strategy{}) must
+// reproduce.
+type fromScratch struct{}
+
+func (fromScratch) Name() string { return "soar" }
+
+func (fromScratch) Place(t *topology.Tree, loads []int, avail []bool, k int) []bool {
+	return core.Solve(t, loads, avail, k).Blue
+}
+
+// requireSameStep fails unless the two allocators answered one workload
+// identically: same placement, exactly the same φ, same residuals.
+func requireSameStep(t *testing.T, i int, inc, full *Allocator, iBlue, fBlue []bool, iPhi, fPhi float64) {
+	t.Helper()
+	if fPhi != iPhi {
+		t.Fatalf("workload %d: incremental φ=%v, from-scratch φ=%v", i, iPhi, fPhi)
+	}
+	for v := range fBlue {
+		if fBlue[v] != iBlue[v] {
+			t.Fatalf("workload %d: placements differ at switch %d", i, v)
+		}
+		if full.Residual(v) != inc.Residual(v) {
+			t.Fatalf("workload %d: residual differs at switch %d: %d vs %d",
+				i, v, full.Residual(v), inc.Residual(v))
+		}
+	}
+}
+
 func TestIncrementalAllocatorMatchesFromScratch(t *testing.T) {
-	// The incremental allocator must be observationally identical to the
-	// from-scratch SOAR allocator: same placements, exactly the same
-	// per-workload φ, same residual capacities — across a whole online
-	// sequence including the capacity-exhaustion tail.
+	// NewAllocator(core.Strategy{}) solves on the incremental engine; it
+	// must be observationally identical to re-solving every workload
+	// from scratch: same placements, exactly the same per-workload φ,
+	// same residual capacities — across a whole online sequence
+	// including the capacity-exhaustion tail.
 	tr := topology.MustBT(64)
 	rng := rand.New(rand.NewSource(21))
 	seq := NewSequence(tr, rng)
-	full := NewAllocator(tr, core.Strategy{}, 8, 2)
-	inc := NewIncrementalAllocator(tr, 8, 2)
+	full := NewAllocator(tr, fromScratch{}, 8, 2)
+	inc := NewAllocator(tr, core.Strategy{}, 8, 2)
 	for i := 0; i < 24; i++ {
 		loads := seq.Next()
 		fBlue, fPhi := full.Handle(loads)
 		iBlue, iPhi := inc.Handle(loads)
-		if fPhi != iPhi {
-			t.Fatalf("workload %d: incremental φ=%v, from-scratch φ=%v", i, iPhi, fPhi)
+		requireSameStep(t, i, inc, full, iBlue, fBlue, iPhi, fPhi)
+	}
+	exhausted := 0
+	for v := 0; v < tr.N(); v++ {
+		if inc.Residual(v) == 0 {
+			exhausted++
 		}
-		for v := range fBlue {
-			if fBlue[v] != iBlue[v] {
-				t.Fatalf("workload %d: placements differ at switch %d", i, v)
-			}
-			if full.Residual(v) != inc.Residual(v) {
-				t.Fatalf("workload %d: residual differs at switch %d: %d vs %d",
-					i, v, full.Residual(v), inc.Residual(v))
-			}
-		}
+	}
+	if exhausted == 0 {
+		t.Fatal("no switch ran out of capacity; the exhaustion tail was not exercised")
 	}
 }
 
 func TestIncrementalAllocatorBudgetChange(t *testing.T) {
 	// HandleWithBudget changes k mid-stream; the incremental allocator
-	// rebuilds its engine and must keep matching the from-scratch one.
+	// rebuilds its engine and must keep matching the from-scratch one,
+	// through repeated budgets, k = 0 and the return to the first k.
 	tr := topology.MustBT(32)
 	rng := rand.New(rand.NewSource(5))
 	seq := NewSequence(tr, rng)
-	full := NewAllocator(tr, core.Strategy{}, 4, 3)
-	inc := NewIncrementalAllocator(tr, 4, 3)
+	full := NewAllocator(tr, fromScratch{}, 4, 3)
+	inc := NewAllocator(tr, core.Strategy{}, 4, 3)
 	for i, k := range []int{4, 2, 2, 7, 0, 4} {
 		loads := seq.Next()
-		_, fPhi := full.HandleWithBudget(loads, k)
-		_, iPhi := inc.HandleWithBudget(loads, k)
-		if fPhi != iPhi {
-			t.Fatalf("workload %d (k=%d): incremental φ=%v, from-scratch φ=%v", i, k, iPhi, fPhi)
-		}
+		fBlue, fPhi := full.HandleWithBudget(loads, k)
+		iBlue, iPhi := inc.HandleWithBudget(loads, k)
+		requireSameStep(t, i, inc, full, iBlue, fBlue, iPhi, fPhi)
 	}
 }
 
@@ -205,54 +232,4 @@ func TestHandleRejectsBadLoad(t *testing.T) {
 		}
 	}()
 	a.Handle([]int{1})
-}
-
-func TestSchedulerBackedMatchesFromScratch(t *testing.T) {
-	// The scheduler-backed allocator routes arrivals through the full
-	// concurrent serving stack (queue, batch, engine pool, commit); for
-	// a single-threaded workload sequence it must still be observably
-	// identical to the plain Sec. 5.2 allocator.
-	tr := topology.MustBT(64)
-	rng := rand.New(rand.NewSource(33))
-	seq := NewSequence(tr, rng)
-	workloads := make([][]int, 20)
-	for i := range workloads {
-		workloads[i] = seq.Next()
-	}
-	s := sched.New(tr, sched.Config{Capacity: 2, Workers: 2})
-	defer s.Close()
-	viaSched := Run(NewSchedulerBacked(s, 8), workloads)
-	direct := Run(NewAllocator(tr, core.Strategy{}, 8, 2), workloads)
-	for i := range workloads {
-		if viaSched.PerWorkload[i] != direct.PerWorkload[i] {
-			t.Fatalf("workload %d: scheduler-backed φ=%v, direct φ=%v",
-				i, viaSched.PerWorkload[i], direct.PerWorkload[i])
-		}
-		if viaSched.CumulativeRatio[i] != direct.CumulativeRatio[i] {
-			t.Fatalf("workload %d: cumulative ratio diverged", i)
-		}
-	}
-	// The scheduler's ledger saw the same charges.
-	a := NewAllocator(tr, core.Strategy{}, 8, 2)
-	for _, l := range workloads {
-		a.Handle(l)
-	}
-	for v, r := range s.Residual() {
-		if r != a.Residual(v) {
-			t.Fatalf("switch %d: scheduler residual %d, direct %d", v, r, a.Residual(v))
-		}
-	}
-}
-
-func TestSchedulerBackedGuards(t *testing.T) {
-	tr := topology.MustBT(32)
-	s := sched.New(tr, sched.Config{Capacity: 1})
-	defer s.Close()
-	a := NewSchedulerBacked(s, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetCapacity on scheduler-backed allocator must panic")
-		}
-	}()
-	a.SetCapacity(0, 1)
 }

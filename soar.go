@@ -15,7 +15,7 @@
 //   - internal/load: the paper's load distributions
 //   - internal/reduce: the Reduce simulator (message and byte complexity)
 //   - internal/placement: baseline strategies and a brute-force oracle
-//   - internal/core: the SOAR dynamic program (serial and distributed)
+//   - internal/core: the SOAR dynamic program
 //   - internal/workload: the online multiple-workload setting
 //   - internal/sched: the concurrent multi-tenant placement scheduler
 //   - internal/wordcount, internal/paramserver: the two use-case models
@@ -105,9 +105,9 @@ func SolveCaps(t *Tree, loads []int, caps []int, k int) Result {
 // internal/core for the full model and ownership rules.
 type Memo = core.Memo
 
-// NewMemo returns an empty solve cache for t. Pass it to SolveMemo,
-// SolveMemoCaps or NewIncrementalMemo; reuse it across solves to keep
-// the class tables warm. A Memo is not safe for concurrent use.
+// NewMemo returns an empty solve cache for t. Pass it to SolveMemo
+// or SolveMemoCaps; reuse it across solves to keep the class tables
+// warm. A Memo is not safe for concurrent use.
 func NewMemo(t *Tree) *Memo { return core.NewMemo(t) }
 
 // SolveMemo is Solve through the solve cache: on symmetric topologies
@@ -122,52 +122,6 @@ func SolveMemo(m *Memo, loads []int, k int) Result {
 // uniform and capacity-vector solves interchangeably.
 func SolveMemoCaps(m *Memo, loads []int, caps []int, k int) Result {
 	return core.SolveMemoCaps(m, loads, caps, k)
-}
-
-// BatchSolver solves batches of sparse instances sharing one
-// availability set and budget in a single fused pass over the tree,
-// against shared zero-load class tables. Placements are bitwise
-// identical to per-instance Solve calls. See internal/core.BatchSolver.
-type BatchSolver = core.BatchSolver
-
-// NewBatchSolver returns a reusable batch solver over the solve cache m.
-// Like the Memo it wraps, it is not safe for concurrent use.
-func NewBatchSolver(m *Memo) *BatchSolver { return core.NewBatchSolver(m) }
-
-// SolveBatch solves every load vector of the batch (every switch
-// available, shared budget k) through the solve cache and returns one
-// Result per instance; each is bitwise identical to the corresponding
-// Solve call.
-func SolveBatch(m *Memo, loads [][]int, k int) []Result {
-	return core.SolveBatch(m, loads, nil, k)
-}
-
-// NewIncrementalMemo is NewIncremental backed by a shared solve cache:
-// point updates re-intern only the dirtied root path, and recurring
-// subtree classes are pure cache hits — the engine behind the
-// scheduler's `Memo` configuration.
-func NewIncrementalMemo(m *Memo, loads []int, avail []bool, k int) *Incremental {
-	return core.NewIncrementalMemo(m, loads, avail, k)
-}
-
-// SolveDistributed runs SOAR as an asynchronous message-passing protocol
-// (one goroutine per switch); the result is identical to Solve.
-func SolveDistributed(t *Tree, loads []int, k int) Result {
-	return core.SolveDistributed(t, loads, nil, k)
-}
-
-// SolveParallel runs the parallel bottom-up SOAR-Gather (the speedup the
-// paper's Sec. 5.4 leaves as future work) with the given worker count
-// (≤ 0 selects GOMAXPROCS); the result is identical to Solve.
-func SolveParallel(t *Tree, loads []int, k, workers int) Result {
-	return core.SolveParallel(t, loads, nil, k, workers)
-}
-
-// SolveCompact runs the low-memory engine: no traceback breadcrumbs are
-// stored, the color phase re-derives budget splits on demand. Identical
-// results to Solve with a smaller peak footprint.
-func SolveCompact(t *Tree, loads []int, k int) Result {
-	return core.SolveCompact(t, loads, nil, k)
 }
 
 // Incremental is a stateful SOAR engine for online settings: it keeps
@@ -197,8 +151,8 @@ func NewIncrementalCaps(t *Tree, loads []int, caps []int, k int) *Incremental {
 // full documentation.
 type Scheduler = sched.Scheduler
 
-// SchedulerConfig tunes a Scheduler (capacity, workers, batching
-// window, re-packing); the zero value is usable.
+// SchedulerConfig tunes a Scheduler (capacity, workers, re-packing); the
+// zero value is usable.
 type SchedulerConfig = sched.Config
 
 // Lease describes one tenant's allocation from a Scheduler.

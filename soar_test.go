@@ -97,7 +97,7 @@ func TestFacadeStrategies(t *testing.T) {
 	}
 }
 
-func TestFacadeRestrictedAndDistributed(t *testing.T) {
+func TestFacadeRestricted(t *testing.T) {
 	tr := CompleteBinaryTree(4)
 	loads := UniformLoads(tr, 5)
 	avail := make([]bool, tr.N())
@@ -110,16 +110,8 @@ func TestFacadeRestrictedAndDistributed(t *testing.T) {
 			t.Fatalf("unavailable switch %d selected", v)
 		}
 	}
-	dist := SolveDistributed(tr, loads, 3)
-	serial := Solve(tr, loads, 3)
-	if dist.Cost != serial.Cost {
-		t.Fatalf("distributed %v != serial %v", dist.Cost, serial.Cost)
-	}
-	if par := SolveParallel(tr, loads, 3, 4); par.Cost != serial.Cost {
-		t.Fatalf("parallel %v != serial %v", par.Cost, serial.Cost)
-	}
-	if compact := SolveCompact(tr, loads, 3); compact.Cost != serial.Cost {
-		t.Fatalf("compact %v != serial %v", compact.Cost, serial.Cost)
+	if all := Solve(tr, loads, 3); res.Cost < all.Cost {
+		t.Fatalf("restricted φ=%v beats the unrestricted optimum %v", res.Cost, all.Cost)
 	}
 }
 
@@ -155,13 +147,6 @@ func TestFacadeMemo(t *testing.T) {
 	caps := CapsTiered(tr, 1, 1, 2)
 	if got, want := SolveMemoCaps(m, loads, caps, 2), SolveCaps(tr, loads, caps, 2); got.Cost != want.Cost {
 		t.Fatalf("memo caps φ=%v, want %v", got.Cost, want.Cost)
-	}
-	eng := NewIncrementalMemo(m, loads, nil, 2)
-	eng.UpdateLoad(4, -3)
-	loads2 := append([]int(nil), loads...)
-	loads2[4] -= 3
-	if got, want := eng.Solve(), Solve(tr, loads2, 2); got.Cost != want.Cost {
-		t.Fatalf("incremental memo φ=%v, want %v", got.Cost, want.Cost)
 	}
 }
 
