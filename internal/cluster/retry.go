@@ -62,8 +62,7 @@ func RunOrFallback(ctx context.Context, t *topology.Tree, load []int, caps []int
 // solveLocal computes the placement and its Reduce costs without any
 // network: the degraded path of RunOrFallback.
 func solveLocal(t *topology.Tree, load []int, caps []int, k int) *Result {
-	m := core.NewMemo(t)
-	r := core.SolveMemoCaps(m, load, caps, k)
+	r := core.SolveCaps(t, load, caps, k)
 	counts := reduce.MessageCounts(t, load, r.Blue)
 	var phi float64
 	for v, c := range counts {

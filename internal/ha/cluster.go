@@ -44,9 +44,6 @@ type Options struct {
 	// RouteTimeout bounds how long routing retries across a failover
 	// before giving up with ErrNoPrimary (default 12×Heartbeat×MissBudget).
 	RouteTimeout time.Duration
-	// MaxJournal bounds a standby's accumulated delta journal before it
-	// resyncs from a fresh checkpoint (default 32768 events).
-	MaxJournal int
 	// Sched is the base scheduler configuration applied to every shard.
 	Sched sched.Config
 	// Obs is the cluster metrics registry (soar_ha_*); nil gets a
@@ -112,9 +109,6 @@ func NewCluster(t *topology.Tree, opts Options) (*Cluster, error) {
 	}
 	if opts.RouteTimeout <= 0 {
 		opts.RouteTimeout = 12 * time.Duration(opts.MissBudget) * opts.Heartbeat
-	}
-	if opts.MaxJournal <= 0 {
-		opts.MaxJournal = defaultMaxJournal
 	}
 	if opts.Dial == nil {
 		opts.Dial = func(ctx context.Context, _ int, addr string) (net.Conn, error) {

@@ -64,6 +64,14 @@ func checkDelta(d *wire.LeaseDelta, n int) error {
 	return nil
 }
 
+// deltaBytes is the encoded size of a lease-delta frame's body — the
+// unit a journal is weighed in against the checkpoint it extends, which
+// is encoded bytes too.
+func deltaBytes(d *wire.LeaseDelta) int {
+	const fixed = 4 + 8 + 8 + 1 + 8 + 4 + 8 + 8 + 4 + 4
+	return fixed + 4*len(d.Blue) + 8*len(d.LoadV)
+}
+
 // eventFromDelta converts a lease-delta frame that passed checkDelta
 // back into a journal event. The event borrows the frame's load pairs;
 // ApplyEvent copies what it keeps.

@@ -222,8 +222,7 @@ func TestReplicationCatchUp(t *testing.T) {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		for _, cand := range sh.standbys {
-			_, seq, journal, _, ok := cand.state()
-			if ok && seq+uint64(len(journal)) >= primSeq {
+			if st, ok := cand.state(); ok && st.lastSeq >= primSeq {
 				sb = cand
 				return true
 			}
@@ -231,10 +230,10 @@ func TestReplicationCatchUp(t *testing.T) {
 		return false
 	})
 
-	ckpt, seq, journal, _, _ := sb.state()
+	st, _ := sb.state()
 	replica := sched.New(p.Shards[0].Pod.Tree, sched.Config{Capacities: localCaps(p.Shards[0].Pod, sched.Config{Capacity: 2})})
 	defer replica.Close()
-	if err := replay(replica, ckpt, seq, journal); err != nil {
+	if err := replay(replica, st.ckpt, st.ckptSeq, st.journal); err != nil {
 		t.Fatal(err)
 	}
 	prim := sh.scheduler()
@@ -286,8 +285,7 @@ func TestFailoverPreservesLeases(t *testing.T) {
 		cl.shards[0].mu.Lock()
 		defer cl.shards[0].mu.Unlock()
 		for _, sb := range cl.shards[0].standbys {
-			_, seq, journal, _, ok := sb.state()
-			if ok && seq+uint64(len(journal)) >= primSeq {
+			if st, ok := sb.state(); ok && st.lastSeq >= primSeq {
 				return true
 			}
 		}

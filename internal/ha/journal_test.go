@@ -3,8 +3,11 @@ package ha
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"soar/internal/obs"
+	"soar/internal/sched"
 	"soar/internal/topology"
 	"soar/internal/wire"
 )
@@ -31,12 +36,31 @@ func asReceived(t *testing.T, d *wire.LeaseDelta) *wire.LeaseDelta {
 	return m.(*wire.LeaseDelta)
 }
 
+// bareStandby is a standby with no network side: the state a first
+// checkpoint of base would have left, ready for absorb.
+func bareStandby(t *testing.T, tree *topology.Tree, base *sched.Scheduler) *standby {
+	t.Helper()
+	var ckpt bytes.Buffer
+	seq, err := base.CheckpointSeq(&ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &standby{
+		cfg:       standbyConfig{tree: tree, met: NewMetrics(obs.NewRegistry())},
+		haveState: true,
+		ckpt:      ckpt.Bytes(),
+		ckptSeq:   seq,
+		lastSeq:   seq,
+	}
+}
+
 // TestAbsorbRejectsCorruptDelta: the journal keeps frames as they came
 // and promotion stores their load pairs verbatim, so the range checks
 // and the canonical-pair rule run when a frame is absorbed — a bad
 // frame is a resync, never a panic or a wrong record at promotion.
 func TestAbsorbRejectsCorruptDelta(t *testing.T) {
-	const n = 40
+	tree := topology.CompleteKAry(3, 4)
+	n := uint32(tree.N()) // 40
 	good := func() *wire.LeaseDelta {
 		return &wire.LeaseDelta{Seq: 1, Op: wire.DeltaPlace, ID: 7, K: 2,
 			Blue: []uint32{3, 9}, LoadV: []uint32{20, 39}, LoadN: []uint32{1, 5}}
@@ -56,7 +80,7 @@ func TestAbsorbRejectsCorruptDelta(t *testing.T) {
 		{"load count overflows int32", func(d *wire.LeaseDelta) { d.LoadN[0] = math.MaxInt32 + 1 }, "load count 2147483648"},
 		{"sequence gap", func(d *wire.LeaseDelta) { d.Seq = 3 }, "journal gap"},
 	} {
-		sb := &standby{cfg: standbyConfig{treeN: n, maxJournal: 8}}
+		sb := &standby{cfg: standbyConfig{tree: tree}}
 		d := good()
 		tc.corrupt(d)
 		if err := sb.absorb(d); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -71,40 +95,348 @@ func TestAbsorbRejectsCorruptDelta(t *testing.T) {
 	}
 }
 
-// TestSparseJournalFootprint: 10 000 sparse place events on a
-// 255-switch pod. One dense load vector per event was 2 KB of journal
-// per commit (20 MB here, and the whole heap of a sharded daemon under
-// churn); the frames as received are a few hundred bytes.
-func TestSparseJournalFootprint(t *testing.T) {
-	const events, racks = 10000, 8
-	n := topology.MustBT(256).N()
-	sb := &standby{cfg: standbyConfig{treeN: n, maxJournal: defaultMaxJournal}}
+// TestStandbyStateBoundedByLiveLeases: 50 000 place/release deltas on a
+// 255-switch pod with at most 200 leases live, absorbed as they come
+// off the wire. What the standby holds follows the live set — no absorb
+// leaves the journal at the compaction floor, the heap stays under a
+// megabyte where the uncompacted journal was the replica's whole
+// heap — and what it holds is still the primary's state: replay
+// of the final checkpoint + journal equals, lease for lease, a
+// reference scheduler that applied every event in order.
+func TestStandbyStateBoundedByLiveLeases(t *testing.T) {
+	const events, maxLive, racks = 50000, 200, 8
+	tree := topology.MustBT(256)
+	n := tree.N()
+	ref := sched.New(tree, sched.Config{Workers: 1, Capacity: 16})
+	defer ref.Close()
+	sb := bareStandby(t, tree, ref)
+
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	for i := 1; i <= events; i++ {
-		d := &wire.LeaseDelta{Shard: 1, Epoch: 1, Seq: uint64(i), Op: wire.DeltaPlace, ID: uint64(i), K: racks}
-		d.SetPhi(float64(i))
-		for r := 0; r < racks; r++ {
-			v := uint32((i*31)%(n-racks*17) + r*17) // ascending, as a primary emits them
-			d.Blue = append(d.Blue, v)
-			d.LoadV = append(d.LoadV, v)
-			d.LoadN = append(d.LoadN, uint32(1+r))
+
+	rng := rand.New(rand.NewSource(22))
+	var live []int64
+	nextID := int64(1)
+	for seq := uint64(1); seq <= events; seq++ {
+		ev := sched.JournalEvent{Seq: seq}
+		if len(live) == maxLive || (len(live) > 0 && rng.Intn(4) == 0) {
+			i := rng.Intn(len(live))
+			ev.Op, ev.ID = sched.JournalRelease, live[i]
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		} else {
+			ev.Op, ev.ID, ev.K = sched.JournalPlace, nextID, 2
+			ev.Phi, ev.AllRed = float64(seq), 2*float64(seq)
+			base := rng.Intn(n - racks*17)
+			for r := 0; r < racks; r++ { // ascending, as a primary emits them
+				ev.Load.V = append(ev.Load.V, uint32(base+r*17))
+				ev.Load.N = append(ev.Load.N, uint32(1+r))
+			}
+			ev.Blue = []int{base, base + 17}
+			live = append(live, nextID)
+			nextID++
+		}
+		if err := ref.ApplyEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+		d, err := deltaFromEvent(1, 1, ev)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := sb.absorb(asReceived(t, d)); err != nil {
-			t.Fatal(err)
+			t.Fatalf("absorb event %d: %v", seq, err)
+		}
+		if len(sb.journal) >= compactMinEvents {
+			t.Fatalf("journal holds %d events after event %d with %d leases live", len(sb.journal), seq, len(live))
 		}
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if len(sb.journal) != events {
-		t.Fatalf("journal holds %d events, want %d", len(sb.journal), events)
+	const limit = 1 << 20
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d events, ≤ %d live: %d bytes retained, %d compactions, peak journal %d events, checkpoint %d bytes",
+		events, maxLive, grown, sb.compactions, sb.peakJournal, len(sb.ckpt))
+	if grown >= limit {
+		t.Fatalf("standby retains %d bytes after %d events with ≤ %d live, want < %d", grown, events, maxLive, limit)
 	}
-	const limit = 4 << 20
-	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown >= limit {
-		t.Fatalf("journal of %d sparse events retains %d bytes, want < %d", events, grown, limit)
+	if sb.peakJournal > compactMinEvents || sb.compactions < events/compactMinEvents {
+		t.Fatalf("peak journal %d events, %d compactions over %d events", sb.peakJournal, sb.compactions, events)
 	}
-	runtime.KeepAlive(sb)
+
+	st, ok := sb.state()
+	if !ok || st.lastSeq != events || st.ckptSeq+uint64(len(st.journal)) != events {
+		t.Fatalf("state ok=%v: checkpoint at %d + %d journal events, last %d, want %d", ok, st.ckptSeq, len(st.journal), st.lastSeq, events)
+	}
+	got := sched.New(tree, sched.Config{Workers: 1})
+	defer got.Close()
+	if err := replay(got, st.ckpt, st.ckptSeq, st.journal); err != nil {
+		t.Fatal(err)
+	}
+	if got.JournalSeq() != ref.JournalSeq() {
+		t.Fatalf("replayed sequence %d, reference %d", got.JournalSeq(), ref.JournalSeq())
+	}
+	if !reflect.DeepEqual(got.Residual(), ref.Residual()) {
+		t.Fatal("replayed and reference ledgers diverge")
+	}
+	if g, w := len(got.LeaseIDs()), len(live); g != w {
+		t.Fatalf("replayed state holds %d leases, reference %d", g, w)
+	}
+	for _, id := range live {
+		want, err := ref.Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lease, err := got.Lookup(id); err != nil || !reflect.DeepEqual(lease, want) {
+			t.Fatalf("lease %d: replayed %+v (%v), reference %+v", id, lease, err, want)
+		}
+	}
+}
+
+// TestCompactionRejectsLedgerViolation: a delta can pass checkDelta —
+// every switch in range, the pairs canonical — and still be impossible
+// against the ledger. Such a frame used to sit in the journal until a
+// promotion replayed it, on a shard that by then had no primary; now
+// the next compaction replays it, absorb returns the replay error (the
+// stream ends, as for a sequence gap) and the state that failed is
+// dropped rather than offered for election.
+func TestCompactionRejectsLedgerViolation(t *testing.T) {
+	tree := topology.CompleteKAry(3, 4)
+	place := func(id uint64, blue uint32) *wire.LeaseDelta {
+		return &wire.LeaseDelta{Op: wire.DeltaPlace, ID: id, K: 1,
+			Blue: []uint32{blue}, LoadV: []uint32{30}, LoadN: []uint32{2}}
+	}
+	for _, tc := range []struct {
+		name string
+		bad  []*wire.LeaseDelta
+		want string
+	}{
+		{"release of an unknown lease",
+			[]*wire.LeaseDelta{{Op: wire.DeltaRelease, ID: 99}},
+			"replay event 1: sched: apply: release of unknown tenant 99"},
+		{"place on an exhausted switch",
+			[]*wire.LeaseDelta{place(1, 3), place(2, 3)},
+			"replay event 2"},
+	} {
+		base := sched.New(tree, sched.Config{Workers: 1, Capacity: 1})
+		sb := bareStandby(t, tree, base)
+		base.Close()
+		feed := tc.bad
+		for id := uint64(100); len(feed) < compactMinEvents; id++ {
+			feed = append(feed, place(id, 5), &wire.LeaseDelta{Op: wire.DeltaRelease, ID: id})
+		}
+		for i, d := range feed[:compactMinEvents] {
+			d.Seq = uint64(i + 1)
+			err := sb.absorb(d)
+			if i < compactMinEvents-1 {
+				if err != nil {
+					t.Fatalf("%s: absorb %d: %v", tc.name, d.Seq, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: compaction = %v, want an error naming %q", tc.name, err, tc.want)
+			}
+		}
+		if _, ok := sb.state(); ok || sb.compactions != 0 {
+			t.Fatalf("%s: the state that failed to replay is still on offer", tc.name)
+		}
+	}
+}
+
+// captureLog collects a cluster's log lines for tests that assert on
+// what the operator would have seen.
+type captureLog struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (c *captureLog) logf(format string, args ...any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lines = append(c.lines, fmt.Sprintf(format, args...))
+}
+
+func (c *captureLog) contains(sub string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, l := range c.lines {
+		if strings.Contains(l, sub) {
+			return true
+		}
+	}
+	return false
+}
+
+// churnShard commits pairs place/release pairs on shard si through the
+// cluster's router: 2×pairs journal events.
+func churnShard(t *testing.T, cl *Cluster, si, pairs int) {
+	t.Helper()
+	load := podLoad(cl.Partitioning(), si)
+	for i := 0; i < pairs; i++ {
+		l, err := cl.Place(load, 1+i%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Release(l.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// standbysCaughtUp reports whether every standby of shard si has
+// absorbed the primary's whole journal.
+func standbysCaughtUp(cl *Cluster, si int) bool {
+	sh := cl.shards[si]
+	primSeq := sh.scheduler().JournalSeq()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, sb := range sh.standbys {
+		if st, ok := sb.state(); !ok || st.lastSeq < primSeq {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFailoverAfterCompaction: promotion from a checkpoint the standby
+// folded itself, not one the primary streamed. More than three
+// compaction floors of churn go through shard 0 around a standing set
+// of leases; after the crash every acknowledged lease is there with the
+// placement its client was told, the books balance and the journal
+// sequence carries on from where the dead primary stopped.
+func TestFailoverAfterCompaction(t *testing.T) {
+	tr := topology.CompleteKAry(3, 3)
+	opts := fastOpts()
+	opts.Sched.Capacity = 8
+	var log captureLog
+	opts.Logf = log.logf
+	cl, err := NewCluster(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	p := cl.Partitioning()
+
+	standing := make(map[int64]*sched.Lease)
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 3; i++ {
+			l, err := cl.Place(podLoad(p, 0), 1+i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			standing[l.ID] = l
+		}
+		churnShard(t, cl, 0, compactMinEvents/2)
+		// In-process commits outrun a standby's socket; a round is kept
+		// under the hub's buffer so no replica is kicked into a resync
+		// and every checkpoint below is one a standby folded itself.
+		waitFor(t, 10*time.Second, "replication drained", func() bool { return standbysCaughtUp(cl, 0) })
+	}
+	sh := cl.shards[0]
+	primSeq := sh.scheduler().JournalSeq()
+	sh.mu.Lock()
+	for _, sb := range sh.standbys {
+		st, _ := sb.state()
+		if sb.compactions < 3 || len(st.journal) >= compactMinEvents || st.ckptSeq == 0 {
+			t.Errorf("standby %d after %d commits: %d compactions, checkpoint at %d, %d journal events",
+				sb.cfg.node, primSeq, sb.compactions, st.ckptSeq, len(st.journal))
+		}
+	}
+	sh.mu.Unlock()
+	if primSeq <= 3*compactMinEvents {
+		t.Fatalf("only %d commits went through shard 0", primSeq)
+	}
+
+	if cl.CrashPrimary(0) == nil {
+		t.Fatal("no primary to crash")
+	}
+	waitFor(t, 10*time.Second, "promotion", func() bool {
+		st := cl.Status()[0]
+		return st.Epoch == 2 && st.PrimaryNode >= 0
+	})
+	if got := cl.Status()[0].Seq; got != primSeq {
+		t.Fatalf("promoted primary is at sequence %d, the dead one stopped at %d", got, primSeq)
+	}
+	for id, want := range standing {
+		got, err := cl.Lookup(id)
+		if err != nil {
+			t.Fatalf("lease %d lost in failover: %v", id, err)
+		}
+		if !reflect.DeepEqual(got.Blue, want.Blue) || math.Float64bits(got.Phi) != math.Float64bits(want.Phi) {
+			t.Fatalf("lease %d across failover: %+v, client was told %+v", id, got, want)
+		}
+	}
+	if err := cl.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Place(podLoad(p, 0), 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := cl.Status()[0].Seq; got != primSeq+1 {
+		t.Fatalf("first commit of epoch 2 has sequence %d, want %d", got, primSeq+1)
+	}
+	if got := len(cl.shards[0].scheduler().LeaseIDs()); got != len(standing)+1 {
+		t.Fatalf("shard 0 holds %d leases, want %d", got, len(standing)+1)
+	}
+	if !log.contains("promoted at epoch 2") || log.contains("stream ended") {
+		t.Fatalf("log: %q", log.lines)
+	}
+}
+
+// TestCompactionFailureResyncs drives the early rejection end to end:
+// a ledger-violating delta lands in a live standby's journal, the next
+// compaction refuses it, the stream ends with the replay error, the
+// standby re-attaches for a fresh checkpoint — and the promotion that
+// would have failed on that journal succeeds.
+func TestCompactionFailureResyncs(t *testing.T) {
+	tr := topology.CompleteKAry(3, 3)
+	opts := fastOpts()
+	opts.Replicas = 1
+	var log captureLog
+	opts.Logf = log.logf
+	cl, err := NewCluster(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	p := cl.Partitioning()
+	sh := cl.shards[0]
+
+	keep, err := cl.Place(podLoad(p, 0), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "first lease replicated", func() bool { return standbysCaughtUp(cl, 0) })
+	sb := sh.standbys[0]
+	st, _ := sb.state()
+	bad := &wire.LeaseDelta{Seq: st.lastSeq + 1, Op: wire.DeltaRelease, ID: 1 << 40}
+	if err := sb.absorb(bad); err != nil {
+		t.Fatalf("a release of an unknown lease is a well-formed frame: absorb = %v", err)
+	}
+
+	churnShard(t, cl, 0, compactMinEvents/2)
+	waitFor(t, 10*time.Second, "compaction to refuse the journal", func() bool {
+		return log.contains("stream ended: ha: replay event")
+	})
+	waitFor(t, 10*time.Second, "re-attach", func() bool { return standbysCaughtUp(cl, 0) })
+	if sb.compactions != 0 {
+		t.Fatalf("the violating journal was folded %d times", sb.compactions)
+	}
+
+	if cl.CrashPrimary(0) == nil {
+		t.Fatal("no primary to crash")
+	}
+	waitFor(t, 10*time.Second, "promotion", func() bool {
+		st := cl.Status()[0]
+		return st.Epoch == 2 && st.PrimaryNode >= 0
+	})
+	if _, err := cl.Lookup(keep.ID); err != nil {
+		t.Fatalf("lease lost across the resync and the failover: %v", err)
+	}
+	if err := cl.Audit(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // gate makes shard 0's replication connections go deaf on demand: the
@@ -172,8 +504,8 @@ func TestPromotedEpochNeverReissuesAckedID(t *testing.T) {
 	waitFor(t, 5*time.Second, "first lease replicated", func() bool {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		_, seq, journal, _, ok := sh.standbys[0].state()
-		return ok && seq+uint64(len(journal)) >= 1
+		st, ok := sh.standbys[0].state()
+		return ok && st.lastSeq >= 1
 	})
 
 	// From here on the standby hears nothing: the next commit is

@@ -38,9 +38,6 @@ type MirrorConfig struct {
 	// silence watchdog measures against MissBudget×Heartbeat.
 	Heartbeat  time.Duration
 	MissBudget int
-	// MaxJournal bounds the accumulated delta journal before the
-	// mirror resyncs from a fresh checkpoint.
-	MaxJournal int
 	// Dial opens the replication connection; nil uses plain TCP.
 	Dial func(ctx context.Context, node int, addr string) (net.Conn, error)
 	// Obs receives the mirror's soar_ha_* families; nil gets a private
@@ -102,10 +99,9 @@ func NewMirror(t *topology.Tree, level int, addr string, cfg MirrorConfig) (*Mir
 	m.st = newStandby(standbyConfig{
 		shard:      uint32(cfg.Shard),
 		node:       cfg.Node,
-		treeN:      part.Shards[cfg.Shard].Pod.Tree.N(),
+		tree:       part.Shards[cfg.Shard].Pod.Tree,
 		heartbeat:  cfg.Heartbeat,
 		missBudget: cfg.MissBudget,
-		maxJournal: cfg.MaxJournal,
 		dial:       cfg.Dial,
 		met:        m.met,
 		logf:       cfg.Logf,
@@ -125,12 +121,12 @@ func NewMirror(t *topology.Tree, level int, addr string, cfg MirrorConfig) (*Mir
 
 // Status reports replication progress.
 func (m *Mirror) Status() MirrorStatus {
-	_, ckptSeq, journal, epoch, ok := m.st.state()
+	st, ok := m.st.state()
 	return MirrorStatus{
 		Synced:  ok,
-		Epoch:   epoch,
-		Seq:     ckptSeq + uint64(len(journal)),
-		Journal: len(journal),
+		Epoch:   st.epoch,
+		Seq:     st.lastSeq,
+		Journal: len(st.journal),
 	}
 }
 
@@ -150,7 +146,7 @@ func (m *Mirror) Registry() *obs.Registry { return m.reg }
 // afterwards, whether promotion succeeded or not.
 func (m *Mirror) Promote(base sched.Config) (*sched.Scheduler, error) {
 	m.st.halt()
-	ckpt, seq, journal, epoch, ok := m.st.state()
+	st, ok := m.st.state()
 	if !ok {
 		return nil, fmt.Errorf("ha: mirror of shard %d has no checkpoint to promote", m.shard)
 	}
@@ -161,12 +157,12 @@ func (m *Mirror) Promote(base sched.Config) (*sched.Scheduler, error) {
 	cfg.Journal = nil
 	cfg.Fence = nil
 	sch := sched.New(pod.Tree, cfg)
-	if err := replay(sch, ckpt, seq, journal); err != nil {
+	if err := replay(sch, st.ckpt, st.ckptSeq, st.journal); err != nil {
 		sch.Close()
 		return nil, err
 	}
 	// The mirror serves as the successor of the last epoch it heard.
-	sch.SeedNextID(epochIDFloor(epoch + 1))
+	sch.SeedNextID(epochIDFloor(st.epoch + 1))
 	return sch, nil
 }
 

@@ -181,10 +181,9 @@ func (s *shard) spawnStandby(node int, primaryAddr string) *standby {
 	return newStandby(standbyConfig{
 		shard:      uint32(s.idx),
 		node:       node,
-		treeN:      s.spec.Pod.Tree.N(),
+		tree:       s.spec.Pod.Tree,
 		heartbeat:  s.opts.Heartbeat,
 		missBudget: s.opts.MissBudget,
-		maxJournal: s.opts.MaxJournal,
 		dial:       s.opts.Dial,
 		met:        s.met,
 		logf:       s.logf,
@@ -227,11 +226,11 @@ func (s *shard) promoteLocked() {
 	start := time.Now()
 	best, bestSeq := -1, uint64(0)
 	for i, sb := range s.standbys {
-		_, seq, journal, _, ok := sb.state()
+		st, ok := sb.state()
 		if !ok {
 			continue
 		}
-		last := seq + uint64(len(journal))
+		last := st.lastSeq
 		// Freshest journal wins; node id breaks ties deterministically.
 		if best == -1 || last > bestSeq || (last == bestSeq && sb.cfg.node < s.standbys[best].cfg.node) {
 			best, bestSeq = i, last
@@ -255,9 +254,9 @@ func (s *shard) promoteLocked() {
 	sb := s.standbys[best]
 	s.standbys = append(s.standbys[:best], s.standbys[best+1:]...)
 	sb.halt()
-	ckpt, seq, journal, _, _ := sb.state()
+	st, _ := sb.state()
 	inc, err := s.spawnPrimary(sb.cfg.node, newEpoch, func(sch *sched.Scheduler) error {
-		if err := replay(sch, ckpt, seq, journal); err != nil {
+		if err := replay(sch, st.ckpt, st.ckptSeq, st.journal); err != nil {
 			return err
 		}
 		sch.SeedNextID(epochIDFloor(newEpoch))
@@ -274,7 +273,7 @@ func (s *shard) promoteLocked() {
 	s.met.failovers.Inc()
 	s.met.promoteSeconds.Observe(time.Since(start).Seconds())
 	s.logf("ha: shard %d: node %d promoted at epoch %d (seq %d, %d journal events)",
-		s.idx, sb.cfg.node, newEpoch, seq, len(journal))
+		s.idx, sb.cfg.node, newEpoch, st.ckptSeq, len(st.journal))
 	for _, other := range s.standbys {
 		other.setPrimaryAddr(inc.prim.addr())
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"soar/internal/sched"
+	"soar/internal/topology"
 	"soar/internal/wire"
 )
 
@@ -20,19 +21,24 @@ import (
 // unboundedly. Real checkpoints are a few MB even for large fabrics.
 const maxCkptStream = 256 << 20
 
-// defaultMaxJournal is the delta-journal length a standby accumulates
-// before it prefers re-attaching for a fresh checkpoint over replaying
-// an ever-longer suffix at promotion time.
-const defaultMaxJournal = 1 << 15
+// compactMinEvents is the journal length below which a standby never
+// compacts. Past it, the standby folds its journal into its checkpoint
+// as soon as the journal's bytes reach the checkpoint's: waiting for
+// the log to match the state it extends makes the fold amortised O(1)
+// per delta, as in any log compaction, and bounds what a replica holds
+// by the live lease set rather than by the commits it has seen. The
+// floor keeps a near-empty shard from re-encoding on every commit.
+const compactMinEvents = 1024
 
 // standbyConfig fixes one warm standby's identity and cadence.
 type standbyConfig struct {
-	shard      uint32
-	node       int
-	treeN      int // shard-local switch count, for delta validation
+	shard uint32
+	node  int
+	// tree is the shard's pod tree: its size validates deltas, and
+	// compaction replays into a throw-away scheduler over it.
+	tree       *topology.Tree
 	heartbeat  time.Duration
 	missBudget int
-	maxJournal int
 	dial       func(ctx context.Context, node int, addr string) (net.Conn, error)
 	met        *Metrics
 	logf       func(format string, args ...any)
@@ -48,7 +54,7 @@ type standbyConfig struct {
 // receives a checkpoint stamped with its journal sequence, then
 // accumulates per-commit lease deltas so promotion is checkpoint +
 // replay, not a cold resync. It holds no scheduler of its own until
-// promoted.
+// promoted; compaction borrows one for the length of a replay.
 type standby struct {
 	cfg standbyConfig
 
@@ -71,15 +77,17 @@ type standby struct {
 	epoch     uint64
 	// journal holds the deltas past the checkpoint as the sparse frames
 	// they arrived in (range-checked by absorb); replay densifies them
-	// one at a time. A dense load vector per event would make a long
-	// journal the replica's whole heap.
-	journal []*wire.LeaseDelta
+	// one at a time. journalBytes is their encoded size, the quantity
+	// compaction weighs against len(ckpt).
+	journal      []*wire.LeaseDelta
+	journalBytes int
+	// compactions and peakJournal are what the failover soak reports:
+	// folds performed and the longest journal ever held.
+	compactions int
+	peakJournal int
 }
 
 func newStandby(cfg standbyConfig, primaryAddr string) *standby {
-	if cfg.maxJournal <= 0 {
-		cfg.maxJournal = defaultMaxJournal
-	}
 	s := &standby{cfg: cfg, stop: make(chan struct{})}
 	s.addr.Store(primaryAddr)
 	s.lastHeard.Store(time.Now().UnixNano())
@@ -120,14 +128,26 @@ func (s *standby) stopped() bool {
 	}
 }
 
-// state returns the standby's replication state: the last streamed
-// checkpoint, the sequence it was stamped with, the delta journal
-// accumulated since, and the epoch it was heard at. ok is false until
-// a first checkpoint has landed.
-func (s *standby) state() (ckpt []byte, seq uint64, journal []*wire.LeaseDelta, epoch uint64, ok bool) {
+// replicaState is a standby's replication state at one instant: the
+// checkpoint it holds (streamed by the primary or folded by compact),
+// the sequence that checkpoint reflects, the delta journal accumulated
+// since, the last sequence absorbed — the one measure of how fresh the
+// replica is, wherever compaction has moved ckptSeq — and the epoch it
+// was heard at.
+type replicaState struct {
+	ckpt    []byte
+	ckptSeq uint64
+	journal []*wire.LeaseDelta
+	lastSeq uint64
+	epoch   uint64
+}
+
+// state returns the standby's replication state; ok is false until a
+// first checkpoint has landed.
+func (s *standby) state() (st replicaState, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ckpt, s.ckptSeq, s.journal, s.epoch, s.haveState
+	return replicaState{s.ckpt, s.ckptSeq, s.journal, s.lastSeq, s.epoch}, s.haveState
 }
 
 // knownEpoch is the newest epoch the standby has heard a primary at.
@@ -165,7 +185,8 @@ func (s *standby) watchdog() {
 }
 
 // run dials and attaches until halted, re-attaching after any stream
-// error (connection death, journal gap or overflow, stale primary).
+// error (connection death, journal gap, failed compaction, stale
+// primary).
 func (s *standby) run() {
 	defer s.wg.Done()
 	for !s.stopped() {
@@ -248,7 +269,7 @@ func (s *standby) attach(conn net.Conn) error {
 	s.ckptSeq = offer.Seq
 	s.lastSeq = offer.Seq
 	s.epoch = reply.Epoch
-	s.journal = nil
+	s.journal, s.journalBytes = nil, 0
 	s.mu.Unlock()
 	s.markHeard()
 
@@ -282,16 +303,18 @@ func (s *standby) attach(conn net.Conn) error {
 
 // streamNoise reports the stream-end causes that are routine under
 // churn and chaos — peer closes, resets, deadline kicks — and not
-// worth a log line each (gaps, overflows and protocol violations are).
+// worth a log line each (gaps, failed compactions and protocol
+// violations are).
 func streamNoise(err error) bool {
 	var ne net.Error
 	return errors.Is(err, io.EOF) || errors.As(err, &ne)
 }
 
 // absorb appends one delta to the journal, skipping the prefix the
-// checkpoint already covers and treating any sequence gap, journal
-// overflow or out-of-range frame as a resync trigger (error →
-// re-attach for a fresh checkpoint).
+// checkpoint already covers, and compacts once the journal has grown to
+// the size of the checkpoint it extends. A sequence gap, an
+// out-of-range frame or a journal that does not replay is a resync
+// trigger (error → re-attach for a fresh checkpoint).
 func (s *standby) absorb(d *wire.LeaseDelta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -301,14 +324,46 @@ func (s *standby) absorb(d *wire.LeaseDelta) error {
 	if d.Seq != s.lastSeq+1 {
 		return fmt.Errorf("journal gap: delta %d after %d", d.Seq, s.lastSeq)
 	}
-	if len(s.journal) >= s.cfg.maxJournal {
-		return fmt.Errorf("journal overflow at %d events", len(s.journal))
-	}
-	if err := checkDelta(d, s.cfg.treeN); err != nil {
+	if err := checkDelta(d, s.cfg.tree.N()); err != nil {
 		return err
 	}
 	s.journal = append(s.journal, d)
+	s.journalBytes += deltaBytes(d)
 	s.lastSeq = d.Seq
+	s.peakJournal = max(s.peakJournal, len(s.journal))
+	if len(s.journal) >= compactMinEvents && s.journalBytes >= len(s.ckpt) {
+		return s.compactLocked()
+	}
+	return nil
+}
+
+// compactLocked folds the journal into the checkpoint by the promotion
+// path itself: replay into a throw-away scheduler (Restore installs the
+// checkpoint's own ledger, so the pod tree is all it needs), then
+// checkpoint that scheduler at the last absorbed sequence. A delta that
+// passed checkDelta but breaks the ledger — a release of an unknown
+// lease, a place on an exhausted switch — is therefore found here,
+// while a primary still serves, not when the shard is headless: the
+// state that failed to replay is dropped, so the replica is not elected
+// on it, and the error ends the stream. Caller holds mu.
+func (s *standby) compactLocked() error {
+	start := time.Now()
+	sch := sched.New(s.cfg.tree, sched.Config{Workers: 1})
+	defer sch.Close()
+	var buf bytes.Buffer
+	buf.Grow(len(s.ckpt))
+	err := replay(sch, s.ckpt, s.ckptSeq, s.journal)
+	if err == nil {
+		_, err = sch.CheckpointSeq(&buf)
+	}
+	if err != nil {
+		s.haveState, s.ckpt, s.journal, s.journalBytes = false, nil, nil, 0
+		return err
+	}
+	s.ckpt, s.ckptSeq, s.journal, s.journalBytes = buf.Bytes(), s.lastSeq, nil, 0
+	s.compactions++
+	s.cfg.met.compactions.Inc()
+	s.cfg.met.compactSeconds.Observe(time.Since(start).Seconds())
 	return nil
 }
 
