@@ -30,8 +30,9 @@
 // talking to this one endpoint (admissions route to the shard their
 // load lives in). GET /v1/shards shows membership. With -join the
 // daemon instead attaches to a running primary's replication listener
-// as an out-of-process warm replica: it mirrors the checkpoint and
-// per-commit deltas, serves /v1/readyz as a standby (503), and
+// as an out-of-process warm replica: it keeps a live copy of the
+// primary's lease table (checkpoint, then per-commit deltas applied as
+// they arrive), serves /v1/readyz as a standby (503), and
 // promotes itself into a serving primary when the primary falls silent
 // past the heartbeat budget.
 //
@@ -63,7 +64,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -312,9 +312,9 @@ const joinNode = 999
 
 // runJoin attaches to a running primary as an out-of-process warm
 // replica. While mirroring it serves probes and metrics only (readyz
-// 503 standby); when the primary falls silent past the heartbeat
-// budget it promotes — checkpoint restore, delta replay, Audit — and
-// swaps in the full serving API.
+// 503 standby, naas.MirrorHandler); when the primary falls silent past
+// the heartbeat budget it promotes — Audit, then a scheduler on the
+// mirrored table — and swaps in the full serving API.
 func runJoin(ctx context.Context, tr *topology.Tree, cfg sched.Config, addr, primary string, level, shard int, heartbeat time.Duration, miss int) {
 	var handler atomic.Value // http.Handler, swapped on promotion
 	var promoted atomic.Bool
@@ -350,7 +350,7 @@ func runJoin(ctx context.Context, tr *topology.Tree, cfg sched.Config, addr, pri
 	}
 	mirror = m
 	defer m.Close()
-	handler.Store(standbyMux(m))
+	handler.Store(naas.MirrorHandler(m))
 
 	srv := &http.Server{
 		Addr: addr,
@@ -370,40 +370,6 @@ func runJoin(ctx context.Context, tr *topology.Tree, cfg sched.Config, addr, pri
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
-}
-
-// standbyMux is the join-mode surface before promotion: liveness,
-// standby readiness, replication progress, and the mirror's metrics.
-func standbyMux(m *ha.Mirror) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/v1/readyz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "standby"})
-	})
-	mux.HandleFunc("/v1/shards", func(w http.ResponseWriter, r *http.Request) {
-		st := m.Status()
-		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"shard": m.Shard(), "synced": st.Synced, "epoch": st.Epoch,
-			"seq": st.Seq, "journal": st.Journal,
-		})
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		var buf bytes.Buffer
-		if err := m.Registry().WriteText(&buf); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		buf.WriteTo(w)
-	})
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }
 
 // debugMux routes the standard pprof surface explicitly rather than

@@ -26,10 +26,6 @@ type Metrics struct {
 	attaches *obs.Counter
 	// promoteSeconds observes silence-to-serving promotion latency.
 	promoteSeconds *obs.Histogram
-	// compactions counts journals a standby folded into its checkpoint
-	// by local replay; compactSeconds observes what each fold cost.
-	compactions    *obs.Counter
-	compactSeconds *obs.Histogram
 }
 
 // NewMetrics registers the soar_ha_* families in reg.
@@ -49,11 +45,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Standby attach attempts reaching the epoch handshake.", nil),
 		promoteSeconds: reg.Histogram("soar_ha_promote_seconds",
 			"Promotion latency from silence verdict to serving standby.",
-			nil, obs.ExpBuckets(1e-4, 2, 18)),
-		compactions: reg.Counter("soar_ha_journal_compactions_total",
-			"Standby delta journals folded into their checkpoint by local replay.", nil),
-		compactSeconds: reg.Histogram("soar_ha_journal_compact_seconds",
-			"Time one standby journal compaction took (replay, audit, re-encode).",
 			nil, obs.ExpBuckets(1e-4, 2, 18)),
 	}
 }

@@ -12,18 +12,16 @@ import (
 )
 
 // Mirror is an out-of-process warm replica: the standby protocol
-// (attach, checkpoint stream, delta journal) exported for a separate
-// daemon to run against a primary's replication listener. Where the
-// in-process shard replicas of Cluster promote themselves behind an
-// epoch fence, a mirror lives in another process and cannot reach the
-// primary's fencing register — Promote therefore only builds the
-// scheduler; deciding that the old primary is dead is the operator's
-// (or the joining daemon's silence watchdog's) call.
+// (attach, checkpoint stream, deltas applied to a live table) exported
+// for a separate daemon to run against a primary's replication
+// listener. Where the in-process shard replicas of Cluster promote
+// themselves behind an epoch fence, a mirror lives in another process
+// and cannot reach the primary's fencing register — Promote therefore
+// only serves the table; deciding that the old primary is dead is the
+// operator's (or the joining daemon's silence watchdog's) call.
 type Mirror struct {
-	part  *Partitioning
 	shard int
 	st    *standby
-	met   *Metrics
 	reg   *obs.Registry
 }
 
@@ -55,11 +53,10 @@ type MirrorConfig struct {
 type MirrorStatus struct {
 	// Synced is false until the first checkpoint lands.
 	Synced bool
-	// Epoch is the newest epoch heard; Seq the last absorbed journal
-	// sequence; Journal the delta count held beyond the checkpoint.
-	Epoch   uint64
-	Seq     uint64
-	Journal int
+	// Epoch is the newest epoch heard; Seq the last journal sequence
+	// the mirror's table reflects.
+	Epoch uint64
+	Seq   uint64
 }
 
 // NewMirror partitions t at level (the same level the primary's
@@ -95,7 +92,8 @@ func NewMirror(t *topology.Tree, level int, addr string, cfg MirrorConfig) (*Mir
 	if onSilence == nil {
 		onSilence = func(uint64) {}
 	}
-	m := &Mirror{part: part, shard: cfg.Shard, met: NewMetrics(cfg.Obs), reg: cfg.Obs}
+	NewMetrics(cfg.Obs) // a mirror's scrape shows the soar_ha_* families a cluster's does
+	m := &Mirror{shard: cfg.Shard, reg: cfg.Obs}
 	m.st = newStandby(standbyConfig{
 		shard:      uint32(cfg.Shard),
 		node:       cfg.Node,
@@ -103,31 +101,22 @@ func NewMirror(t *topology.Tree, level int, addr string, cfg MirrorConfig) (*Mir
 		heartbeat:  cfg.Heartbeat,
 		missBudget: cfg.MissBudget,
 		dial:       cfg.Dial,
-		met:        m.met,
 		logf:       cfg.Logf,
 		onSilence:  onSilence,
 	}, addr)
 	cfg.Obs.GaugeFunc("soar_ha_mirror_seq",
-		"Last journal sequence the mirror absorbed.", nil,
+		"Last journal sequence the mirror's table reflects.", nil,
 		func() float64 { return float64(m.Status().Seq) })
 	cfg.Obs.GaugeFunc("soar_ha_mirror_epoch",
 		"Newest primary epoch the mirror has heard.", nil,
 		func() float64 { return float64(m.Status().Epoch) })
-	cfg.Obs.GaugeFunc("soar_ha_mirror_journal_events",
-		"Delta-journal events held beyond the last checkpoint.", nil,
-		func() float64 { return float64(m.Status().Journal) })
 	return m, nil
 }
 
 // Status reports replication progress.
 func (m *Mirror) Status() MirrorStatus {
 	st, ok := m.st.state()
-	return MirrorStatus{
-		Synced:  ok,
-		Epoch:   st.epoch,
-		Seq:     st.lastSeq,
-		Journal: len(st.journal),
-	}
+	return MirrorStatus{Synced: ok, Epoch: st.epoch, Seq: st.seq}
 }
 
 // Shard returns the mirrored shard's index.
@@ -136,34 +125,27 @@ func (m *Mirror) Shard() int { return m.shard }
 // Registry returns the mirror's metrics registry.
 func (m *Mirror) Registry() *obs.Registry { return m.reg }
 
-// Promote stops replicating and folds the mirror's state into a fresh
-// serving scheduler over the shard's pod tree: checkpoint restore,
-// delta replay, then Audit proves conservation before it is returned.
-// base carries the caller's scheduler tuning; its capacity fields are
-// replaced by the shard-local vector (spine switches pinned to zero),
-// exactly as the primary configured them, so replayed admissions meet
-// the residual checks they originally passed. The mirror is spent
-// afterwards, whether promotion succeeded or not.
+// Promote stops replicating and serves the mirror's table: Audit proves
+// conservation, then a scheduler starts on it. base carries the caller's
+// scheduler tuning; the capacities served are the table's — the ledger
+// the primary checkpointed, spine switches pinned to zero — whatever
+// base says. The mirror is spent afterwards, whether promotion
+// succeeded or not.
 func (m *Mirror) Promote(base sched.Config) (*sched.Scheduler, error) {
 	m.st.halt()
 	st, ok := m.st.state()
 	if !ok {
 		return nil, fmt.Errorf("ha: mirror of shard %d has no checkpoint to promote", m.shard)
 	}
-	pod := m.part.Shards[m.shard].Pod
-	cfg := base
-	cfg.Capacity = 0
-	cfg.Capacities = localCaps(pod, base)
-	cfg.Journal = nil
-	cfg.Fence = nil
-	sch := sched.New(pod.Tree, cfg)
-	if err := replay(sch, st.ckpt, st.ckptSeq, st.journal); err != nil {
-		sch.Close()
-		return nil, err
+	if err := st.tab.Audit(); err != nil {
+		return nil, fmt.Errorf("ha: mirror of shard %d: %w", m.shard, err)
 	}
 	// The mirror serves as the successor of the last epoch it heard.
-	sch.SeedNextID(epochIDFloor(st.epoch + 1))
-	return sch, nil
+	st.tab.SeedNextID(epochIDFloor(st.epoch + 1))
+	cfg := base
+	cfg.Journal = nil
+	cfg.Fence = nil
+	return sched.Serve(st.tab, cfg), nil
 }
 
 // Close stops the mirror's goroutines.

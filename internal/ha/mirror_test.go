@@ -52,7 +52,7 @@ func TestMirrorJoinAndPromote(t *testing.T) {
 	waitFor(t, 3*time.Second, "mirror delta catch-up", func() bool {
 		return m.Status().Seq >= cl.Status()[0].Seq
 	})
-	if m.Status().Journal == 0 {
+	if st, _ := m.st.state(); st.applied == 0 {
 		t.Fatal("post-attach commit did not travel as a delta")
 	}
 

@@ -11,29 +11,25 @@ import (
 	"soar/internal/wire"
 )
 
-// feed adapts the scheduler's journal hook to the replication hub: it
-// converts each committed JournalEvent to a LeaseDelta frame stamped
-// with the primary's shard and epoch and publishes it. It runs on the
-// scheduler's dispatcher goroutine, so it only does the conversion and
-// a non-blocking fan-out.
+// feed adapts the scheduler's journal hook to the replication hub: the
+// commit-log record is the LeaseDelta frame already, so it stamps the
+// primary's shard and epoch on it and publishes it. Blue and load switch
+// ids are shard-local: primary and standby deterministically build the
+// same pod tree, so local ids agree. It runs on the scheduler's
+// dispatcher goroutine, so it only does a non-blocking fan-out.
 type feed struct {
 	shard uint32
 	epoch uint64
 	hub   *hub
 	met   *Metrics
-	logf  func(format string, args ...any)
 	// seq tracks the last published sequence so heartbeats advertise
 	// how far the commit stream has progressed.
 	seq atomic.Uint64
 }
 
-func (f *feed) journal(ev sched.JournalEvent) {
-	d, err := deltaFromEvent(f.shard, f.epoch, ev)
-	if err != nil {
-		f.logf("ha: shard %d: journal event %d dropped: %v", f.shard, ev.Seq, err)
-		return
-	}
-	f.seq.Store(ev.Seq)
+func (f *feed) journal(d *wire.LeaseDelta) {
+	d.Shard, d.Epoch = f.shard, f.epoch
+	f.seq.Store(d.Seq)
 	f.hub.publish(d)
 	f.met.deltas.Inc()
 }

@@ -36,6 +36,9 @@ type incarnation struct {
 	reg   *obs.Registry // the scheduler's private metrics registry
 	epoch uint64
 	node  int
+	// applied is the number of deltas the incarnation's table had applied
+	// as a standby when it was promoted (0 for a bootstrap primary).
+	applied int
 	// crashed is the in-process stand-in for the primary's process
 	// dying: set by CrashPrimary, read by the fence closure.
 	crashed *atomic.Bool
@@ -134,13 +137,20 @@ func (s *shard) fenceFor(epoch uint64, crashed *atomic.Bool) func() error {
 }
 
 // spawnPrimary builds one serving incarnation at the given epoch: a
-// fresh scheduler journaling into a fresh hub, fenced against the
-// shard's epoch register, serving replication on its own listener.
-// prep (the promotion replay) runs after the scheduler exists and
-// before it is reachable; a prep failure tears the incarnation down.
-func (s *shard) spawnPrimary(node int, epoch uint64, prep func(*sched.Scheduler) error) (*incarnation, error) {
+// scheduler journaling into a fresh hub, fenced against the shard's
+// epoch register, serving replication on its own listener. tab is the
+// promoted replica's table, audited here before anything is built on
+// it; nil starts the shard on a fresh table at its configured
+// capacities.
+func (s *shard) spawnPrimary(node int, epoch uint64, tab *sched.Table) (*incarnation, error) {
+	if tab != nil {
+		if err := tab.Audit(); err != nil {
+			return nil, err
+		}
+		tab.SeedNextID(epochIDFloor(epoch))
+	}
 	h := newHub()
-	f := &feed{shard: uint32(s.idx), epoch: epoch, hub: h, met: s.met, logf: s.logf}
+	f := &feed{shard: uint32(s.idx), epoch: epoch, hub: h, met: s.met}
 	crashed := new(atomic.Bool)
 	cfg := s.opts.Sched
 	cfg.Capacity = 0
@@ -149,13 +159,11 @@ func (s *shard) spawnPrimary(node int, epoch uint64, prep func(*sched.Scheduler)
 	cfg.Fence = s.fenceFor(epoch, crashed)
 	cfg.Obs = obs.NewRegistry() // a registry belongs to one scheduler
 	cfg.Trace = nil
-	sch := sched.New(s.spec.Pod.Tree, cfg)
-	if prep != nil {
-		if err := prep(sch); err != nil {
-			sch.Close()
-			h.close()
-			return nil, err
-		}
+	var sch *sched.Scheduler
+	if tab != nil {
+		sch = sched.Serve(tab, cfg)
+	} else {
+		sch = sched.New(s.spec.Pod.Tree, cfg)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -185,7 +193,6 @@ func (s *shard) spawnStandby(node int, primaryAddr string) *standby {
 		heartbeat:  s.opts.Heartbeat,
 		missBudget: s.opts.MissBudget,
 		dial:       s.opts.Dial,
-		met:        s.met,
 		logf:       s.logf,
 		onSilence:  s.onSilence,
 	}, primaryAddr)
@@ -220,8 +227,8 @@ func (s *shard) onSilence(obsEpoch uint64) {
 func epochIDFloor(epoch uint64) int64 { return int64(epoch) << 32 }
 
 // promoteLocked fails the shard over: advance the epoch (fencing every
-// older incarnation), replay the freshest standby's checkpoint+journal
-// into a new scheduler, audit it, and start serving. Caller holds mu.
+// older incarnation), audit the freshest standby's table and start
+// serving it. Caller holds mu.
 func (s *shard) promoteLocked() {
 	start := time.Now()
 	best, bestSeq := -1, uint64(0)
@@ -230,8 +237,8 @@ func (s *shard) promoteLocked() {
 		if !ok {
 			continue
 		}
-		last := st.lastSeq
-		// Freshest journal wins; node id breaks ties deterministically.
+		last := st.seq
+		// Freshest table wins; node id breaks ties deterministically.
 		if best == -1 || last > bestSeq || (last == bestSeq && sb.cfg.node < s.standbys[best].cfg.node) {
 			best, bestSeq = i, last
 		}
@@ -254,14 +261,14 @@ func (s *shard) promoteLocked() {
 	sb := s.standbys[best]
 	s.standbys = append(s.standbys[:best], s.standbys[best+1:]...)
 	sb.halt()
-	st, _ := sb.state()
-	inc, err := s.spawnPrimary(sb.cfg.node, newEpoch, func(sch *sched.Scheduler) error {
-		if err := replay(sch, st.ckpt, st.ckptSeq, st.journal); err != nil {
-			return err
-		}
-		sch.SeedNextID(epochIDFloor(newEpoch))
-		return nil
-	})
+	// The table is read again now that nothing can touch it: a delta
+	// refused since the election above has taken it off offer.
+	st, ok := sb.state()
+	err := errors.New("its table was dropped on a refused delta")
+	var inc *incarnation
+	if ok {
+		inc, err = s.spawnPrimary(sb.cfg.node, newEpoch, st.tab)
+	}
 	if err != nil {
 		// The shard is headless until another silence verdict retries
 		// with the remaining standbys; routing returns ErrNoPrimary
@@ -269,11 +276,12 @@ func (s *shard) promoteLocked() {
 		s.logf("ha: shard %d: promotion of node %d at epoch %d failed: %v", s.idx, sb.cfg.node, newEpoch, err)
 		return
 	}
+	inc.applied = st.applied
 	s.cur.Store(inc)
 	s.met.failovers.Inc()
 	s.met.promoteSeconds.Observe(time.Since(start).Seconds())
-	s.logf("ha: shard %d: node %d promoted at epoch %d (seq %d, %d journal events)",
-		s.idx, sb.cfg.node, newEpoch, st.ckptSeq, len(st.journal))
+	s.logf("ha: shard %d: node %d promoted at epoch %d (seq %d, %d deltas applied live)",
+		s.idx, sb.cfg.node, newEpoch, st.seq, st.applied)
 	for _, other := range s.standbys {
 		other.setPrimaryAddr(inc.prim.addr())
 	}

@@ -1,7 +1,7 @@
 package ha
 
 import (
-	"bytes"
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -21,26 +21,15 @@ import (
 // unboundedly. Real checkpoints are a few MB even for large fabrics.
 const maxCkptStream = 256 << 20
 
-// compactMinEvents is the journal length below which a standby never
-// compacts. Past it, the standby folds its journal into its checkpoint
-// as soon as the journal's bytes reach the checkpoint's: waiting for
-// the log to match the state it extends makes the fold amortised O(1)
-// per delta, as in any log compaction, and bounds what a replica holds
-// by the live lease set rather than by the commits it has seen. The
-// floor keeps a near-empty shard from re-encoding on every commit.
-const compactMinEvents = 1024
-
 // standbyConfig fixes one warm standby's identity and cadence.
 type standbyConfig struct {
 	shard uint32
 	node  int
-	// tree is the shard's pod tree: its size validates deltas, and
-	// compaction replays into a throw-away scheduler over it.
+	// tree is the shard's pod tree, the one the replica's table is over.
 	tree       *topology.Tree
 	heartbeat  time.Duration
 	missBudget int
 	dial       func(ctx context.Context, node int, addr string) (net.Conn, error)
-	met        *Metrics
 	logf       func(format string, args ...any)
 	// onSilence fires (async, at most once per heartbeat budget) when
 	// the standby has heard nothing from any primary for the full
@@ -50,11 +39,12 @@ type standbyConfig struct {
 	onSilence func(lastEpoch uint64)
 }
 
-// standby is one warm replica: it attaches to the shard's primary,
-// receives a checkpoint stamped with its journal sequence, then
-// accumulates per-commit lease deltas so promotion is checkpoint +
-// replay, not a cold resync. It holds no scheduler of its own until
-// promoted; compaction borrows one for the length of a replay.
+// standby is one warm replica: a live lease table. It attaches to the
+// shard's primary, restores the offered checkpoint into a fresh table —
+// a bad checkpoint is refused here, not at promotion — and applies each
+// lease delta as it arrives, so what it holds is always the primary's
+// state as of the last delta, bounded by the live leases, and promotion
+// is an audit and "serve this table". It builds no scheduler.
 type standby struct {
 	cfg standbyConfig
 
@@ -68,23 +58,16 @@ type standby struct {
 	// a primary; the watchdog measures silence against it.
 	lastHeard atomic.Int64
 
-	mu        sync.Mutex
-	curConn   net.Conn
-	haveState bool
-	ckpt      []byte
-	ckptSeq   uint64
-	lastSeq   uint64
-	epoch     uint64
-	// journal holds the deltas past the checkpoint as the sparse frames
-	// they arrived in (range-checked by absorb); replay densifies them
-	// one at a time. journalBytes is their encoded size, the quantity
-	// compaction weighs against len(ckpt).
-	journal      []*wire.LeaseDelta
-	journalBytes int
-	// compactions and peakJournal are what the failover soak reports:
-	// folds performed and the longest journal ever held.
-	compactions int
-	peakJournal int
+	mu      sync.Mutex
+	curConn net.Conn
+	// tab is nil until a first checkpoint has landed, and again once a
+	// delta was refused: a table the primary's own log does not extend
+	// is not offered for election.
+	tab   *sched.Table
+	epoch uint64
+	// applied counts the deltas folded into tab since its checkpoint:
+	// what the failover soak reports of a promoted replica.
+	applied int
 }
 
 func newStandby(cfg standbyConfig, primaryAddr string) *standby {
@@ -128,26 +111,27 @@ func (s *standby) stopped() bool {
 	}
 }
 
-// replicaState is a standby's replication state at one instant: the
-// checkpoint it holds (streamed by the primary or folded by compact),
-// the sequence that checkpoint reflects, the delta journal accumulated
-// since, the last sequence absorbed — the one measure of how fresh the
-// replica is, wherever compaction has moved ckptSeq — and the epoch it
-// was heard at.
+// replicaState is a standby's replication state at one instant: its
+// table (nil while it has none to offer; only a halted standby's may be
+// touched), the last sequence the table reflects — the one measure of
+// how fresh the replica is — the deltas applied since its checkpoint
+// and the epoch it was heard at.
 type replicaState struct {
-	ckpt    []byte
-	ckptSeq uint64
-	journal []*wire.LeaseDelta
-	lastSeq uint64
+	tab     *sched.Table
+	seq     uint64
+	applied int
 	epoch   uint64
 }
 
-// state returns the standby's replication state; ok is false until a
-// first checkpoint has landed.
+// state returns the standby's replication state; ok is false while it
+// holds no table.
 func (s *standby) state() (st replicaState, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return replicaState{s.ckpt, s.ckptSeq, s.journal, s.lastSeq, s.epoch}, s.haveState
+	if s.tab == nil {
+		return replicaState{epoch: s.epoch}, false
+	}
+	return replicaState{s.tab, s.tab.Seq(), s.applied, s.epoch}, true
 }
 
 // knownEpoch is the newest epoch the standby has heard a primary at.
@@ -185,8 +169,7 @@ func (s *standby) watchdog() {
 }
 
 // run dials and attaches until halted, re-attaching after any stream
-// error (connection death, journal gap, failed compaction, stale
-// primary).
+// error (connection death, sequence gap, refused delta, stale primary).
 func (s *standby) run() {
 	defer s.wg.Done()
 	for !s.stopped() {
@@ -226,7 +209,8 @@ func (s *standby) run() {
 }
 
 // attach runs one replication session: epoch handshake, checkpoint
-// stream, then delta/heartbeat accumulation until the stream breaks.
+// stream restored into a fresh table, then deltas applied to it and
+// heartbeats noted until the stream breaks.
 func (s *standby) attach(conn net.Conn) error {
 	budget := time.Duration(s.cfg.missBudget) * s.cfg.heartbeat
 	hello := &wire.Epoch{Shard: s.cfg.shard, Epoch: s.knownEpoch(), Node: uint32(s.cfg.node)}
@@ -258,18 +242,20 @@ func (s *standby) attach(conn net.Conn) error {
 	if offer.Bytes > maxCkptStream {
 		return fmt.Errorf("checkpoint offer of %d bytes exceeds cap", offer.Bytes)
 	}
-	ckpt := make([]byte, offer.Bytes)
+	// The stream is restored as it arrives: what the standby allocates
+	// follows the frames actually read, never a size the offer claims.
 	conn.SetReadDeadline(time.Now().Add(4 * budget))
-	if _, err := io.ReadFull(conn, ckpt); err != nil {
+	body := &io.LimitedReader{R: conn, N: int64(offer.Bytes)}
+	tab, err := sched.RestoreTable(s.cfg.tree, bufio.NewReader(body), offer.Seq)
+	if err == nil && body.N != 0 {
+		err = fmt.Errorf("checkpoint ends %d bytes short of the %d offered", body.N, offer.Bytes)
+	}
+	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.haveState = true
-	s.ckpt = ckpt
-	s.ckptSeq = offer.Seq
-	s.lastSeq = offer.Seq
+	s.tab, s.applied = tab, 0
 	s.epoch = reply.Epoch
-	s.journal, s.journalBytes = nil, 0
 	s.mu.Unlock()
 	s.markHeard()
 
@@ -303,87 +289,36 @@ func (s *standby) attach(conn net.Conn) error {
 
 // streamNoise reports the stream-end causes that are routine under
 // churn and chaos — peer closes, resets, deadline kicks — and not
-// worth a log line each (gaps, failed compactions and protocol
-// violations are).
+// worth a log line each (gaps, refused deltas and protocol violations
+// are).
 func streamNoise(err error) bool {
 	var ne net.Error
 	return errors.Is(err, io.EOF) || errors.As(err, &ne)
 }
 
-// absorb appends one delta to the journal, skipping the prefix the
-// checkpoint already covers, and compacts once the journal has grown to
-// the size of the checkpoint it extends. A sequence gap, an
-// out-of-range frame or a journal that does not replay is a resync
-// trigger (error → re-attach for a fresh checkpoint).
+// absorb applies one delta to the table, skipping the prefix the
+// checkpoint already covers. A sequence gap ends the stream with the
+// table intact (it is still a true prefix of the primary's log); a delta
+// the table refuses — an out-of-range or non-canonical frame, a release
+// of an unknown lease, a place on an exhausted switch — is found here,
+// while a primary still serves, not when the shard is headless: the
+// table is dropped, so the replica is not elected on it, and the error
+// ends the stream (error → re-attach for a fresh checkpoint).
 func (s *standby) absorb(d *wire.LeaseDelta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if d.Seq <= s.lastSeq {
+	if s.tab == nil {
+		return errors.New("lease delta before a checkpoint")
+	}
+	if seq := s.tab.Seq(); d.Seq <= seq {
 		return nil // covered by the checkpoint (or a duplicate)
+	} else if d.Seq != seq+1 {
+		return fmt.Errorf("sequence gap: delta %d after %d", d.Seq, seq)
 	}
-	if d.Seq != s.lastSeq+1 {
-		return fmt.Errorf("journal gap: delta %d after %d", d.Seq, s.lastSeq)
-	}
-	if err := checkDelta(d, s.cfg.tree.N()); err != nil {
+	if err := s.tab.Apply(d); err != nil {
+		s.tab = nil
 		return err
 	}
-	s.journal = append(s.journal, d)
-	s.journalBytes += deltaBytes(d)
-	s.lastSeq = d.Seq
-	s.peakJournal = max(s.peakJournal, len(s.journal))
-	if len(s.journal) >= compactMinEvents && s.journalBytes >= len(s.ckpt) {
-		return s.compactLocked()
-	}
-	return nil
-}
-
-// compactLocked folds the journal into the checkpoint by the promotion
-// path itself: replay into a throw-away scheduler (Restore installs the
-// checkpoint's own ledger, so the pod tree is all it needs), then
-// checkpoint that scheduler at the last absorbed sequence. A delta that
-// passed checkDelta but breaks the ledger — a release of an unknown
-// lease, a place on an exhausted switch — is therefore found here,
-// while a primary still serves, not when the shard is headless: the
-// state that failed to replay is dropped, so the replica is not elected
-// on it, and the error ends the stream. Caller holds mu.
-func (s *standby) compactLocked() error {
-	start := time.Now()
-	sch := sched.New(s.cfg.tree, sched.Config{Workers: 1})
-	defer sch.Close()
-	var buf bytes.Buffer
-	buf.Grow(len(s.ckpt))
-	err := replay(sch, s.ckpt, s.ckptSeq, s.journal)
-	if err == nil {
-		_, err = sch.CheckpointSeq(&buf)
-	}
-	if err != nil {
-		s.haveState, s.ckpt, s.journal, s.journalBytes = false, nil, nil, 0
-		return err
-	}
-	s.ckpt, s.ckptSeq, s.journal, s.journalBytes = buf.Bytes(), s.lastSeq, nil, 0
-	s.compactions++
-	s.cfg.met.compactions.Inc()
-	s.cfg.met.compactSeconds.Observe(time.Since(start).Seconds())
-	return nil
-}
-
-// replay folds a standby's replication state into a fresh scheduler:
-// restore the checkpoint, seed the journal sequence it was stamped
-// with, apply the delta suffix (the load pairs go from frame to lease
-// record as pairs; nothing on this path is dense), then prove
-// conservation from first principles before the replica may serve.
-func replay(sch *sched.Scheduler, ckpt []byte, seq uint64, journal []*wire.LeaseDelta) error {
-	if err := sch.Restore(bytes.NewReader(ckpt)); err != nil {
-		return fmt.Errorf("ha: replay restore: %w", err)
-	}
-	sch.SeedJournal(seq)
-	for _, d := range journal {
-		if err := sch.ApplyEvent(eventFromDelta(d)); err != nil {
-			return fmt.Errorf("ha: replay event %d: %w", d.Seq, err)
-		}
-	}
-	if err := sch.Audit(); err != nil {
-		return fmt.Errorf("ha: replay audit: %w", err)
-	}
+	s.applied++
 	return nil
 }

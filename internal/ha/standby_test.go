@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"soar/internal/obs"
 	"soar/internal/sched"
 	"soar/internal/topology"
 	"soar/internal/wire"
@@ -36,8 +35,8 @@ func asReceived(t *testing.T, d *wire.LeaseDelta) *wire.LeaseDelta {
 	return m.(*wire.LeaseDelta)
 }
 
-// bareStandby is a standby with no network side: the state a first
-// checkpoint of base would have left, ready for absorb.
+// bareStandby is a standby with no network side: the table a first
+// checkpoint of base would have left it, ready for absorb.
 func bareStandby(t *testing.T, tree *topology.Tree, base *sched.Scheduler) *standby {
 	t.Helper()
 	var ckpt bytes.Buffer
@@ -45,19 +44,44 @@ func bareStandby(t *testing.T, tree *topology.Tree, base *sched.Scheduler) *stan
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &standby{
-		cfg:       standbyConfig{tree: tree, met: NewMetrics(obs.NewRegistry())},
-		haveState: true,
-		ckpt:      ckpt.Bytes(),
-		ckptSeq:   seq,
-		lastSeq:   seq,
+	tab, err := sched.RestoreTable(tree, &ckpt, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &standby{cfg: standbyConfig{tree: tree}, tab: tab}
+}
+
+// emptyStandby is bareStandby over a fresh table at the given capacity.
+func emptyStandby(t *testing.T, tree *topology.Tree, capacity int) *standby {
+	t.Helper()
+	base := sched.New(tree, sched.Config{Workers: 1, Capacity: capacity})
+	defer base.Close()
+	return bareStandby(t, tree, base)
+}
+
+// assertUntouched proves a table a delta was refused by is what it was
+// before: at sequence seq, holding none of ids, every slot of the ledger
+// where the reference has it — and still good for the delta that should
+// have come instead.
+func assertUntouched(t *testing.T, name string, tab *sched.Table, seq uint64, residual []int, ids ...int64) {
+	t.Helper()
+	if tab.Seq() != seq || !reflect.DeepEqual(tab.Residual(), residual) || tab.Audit() != nil {
+		t.Errorf("%s: the refused delta mutated the table (seq %d, audit %v)", name, tab.Seq(), tab.Audit())
+	}
+	for _, id := range ids {
+		if _, err := tab.Lookup(id); err == nil {
+			t.Errorf("%s: the refused delta filed lease %d", name, id)
+		}
 	}
 }
 
-// TestAbsorbRejectsCorruptDelta: the journal keeps frames as they came
-// and promotion stores their load pairs verbatim, so the range checks
-// and the canonical-pair rule run when a frame is absorbed — a bad
-// frame is a resync, never a panic or a wrong record at promotion.
+// TestAbsorbRejectsCorruptDelta: a delta's load pairs are stored as they
+// came and its blues charged against the ledger, so the range checks and
+// the canonical-pair rule run when the frame is absorbed, at the
+// table's one door — a bad frame is a resync, never a panic or a wrong
+// record at promotion. A refused frame takes the table off offer and
+// leaves it untouched; a sequence gap, which says nothing against the
+// table, keeps it electable.
 func TestAbsorbRejectsCorruptDelta(t *testing.T) {
 	tree := topology.CompleteKAry(3, 4)
 	n := uint32(tree.N()) // 40
@@ -70,44 +94,49 @@ func TestAbsorbRejectsCorruptDelta(t *testing.T) {
 		corrupt func(*wire.LeaseDelta)
 		want    string
 	}{
-		{"blue switch out of range", func(d *wire.LeaseDelta) { d.Blue[1] = n }, "blue switch 40 of 40"},
+		{"blue switch out of range", func(d *wire.LeaseDelta) { d.Blue[1] = n }, "leases switch 40 of 40"},
+		{"blue switch twice", func(d *wire.LeaseDelta) { d.Blue[1] = d.Blue[0] }, "leases switch 3 twice"},
 		{"load switch out of range", func(d *wire.LeaseDelta) { d.LoadV[0] = n + 3 }, "load switch 43 of 40"},
-		{"unknown op", func(d *wire.LeaseDelta) { d.Op = wire.DeltaMigrate + 1 }, "op 4 unknown"},
+		{"unknown op", func(d *wire.LeaseDelta) { d.Op = wire.DeltaMigrate + 1 }, "(op 4): unknown operation"},
 		{"load pairs unmatched", func(d *wire.LeaseDelta) { d.LoadN = d.LoadN[:1] }, "2 load switches for 1 counts"},
 		{"load switch twice", func(d *wire.LeaseDelta) { d.LoadV[1] = d.LoadV[0] }, "load switch 20 after 20"},
 		{"load switches descending", func(d *wire.LeaseDelta) { d.LoadV[0], d.LoadV[1] = 39, 20 }, "load switch 20 after 39"},
 		{"load count zero", func(d *wire.LeaseDelta) { d.LoadN[1] = 0 }, "load count 0 at switch 39"},
 		{"load count overflows int32", func(d *wire.LeaseDelta) { d.LoadN[0] = math.MaxInt32 + 1 }, "load count 2147483648"},
-		{"sequence gap", func(d *wire.LeaseDelta) { d.Seq = 3 }, "journal gap"},
+		{"sequence gap", func(d *wire.LeaseDelta) { d.Seq = 3 }, "sequence gap"},
 	} {
-		sb := &standby{cfg: standbyConfig{tree: tree}}
+		sb := emptyStandby(t, tree, 0)
+		tab, residual := sb.tab, sb.tab.Residual()
 		d := good()
 		tc.corrupt(d)
 		if err := sb.absorb(d); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: absorb = %v, want an error naming %q", tc.name, err, tc.want)
 		}
-		if len(sb.journal) != 0 || sb.lastSeq != 0 {
-			t.Errorf("%s: rejected frame reached the journal", tc.name)
+		assertUntouched(t, tc.name, tab, 0, residual, 7)
+		if _, ok := sb.state(); ok != (tc.name == "sequence gap") {
+			t.Errorf("%s: table on offer = %v after the refusal", tc.name, ok)
 		}
-		if err := sb.absorb(good()); err != nil || len(sb.journal) != 1 {
+		if err := tab.Apply(good()); err != nil {
 			t.Errorf("%s: clean frame after the bad one: %v", tc.name, err)
 		}
 	}
 }
 
-// TestStandbyStateBoundedByLiveLeases: 50 000 place/release deltas on a
-// 255-switch pod with at most 200 leases live, absorbed as they come
-// off the wire. What the standby holds follows the live set — no absorb
-// leaves the journal at the compaction floor, the heap stays under a
-// megabyte where the uncompacted journal was the replica's whole
-// heap — and what it holds is still the primary's state: replay
-// of the final checkpoint + journal equals, lease for lease, a
-// reference scheduler that applied every event in order.
+// TestStandbyStateBoundedByLiveLeases: 50 000 commits of a serving
+// scheduler on a 255-switch pod with at most 200 leases live, absorbed
+// as they come off the wire. What the standby holds is a table, so it
+// follows the live set by construction — the heap stays under a
+// megabyte where a journal of the frames would have been the replica's
+// whole heap — and what it holds is the primary's state: at every
+// 1000th delta its table equals the scheduler's lease for lease, slot
+// for slot, at the same sequence.
 func TestStandbyStateBoundedByLiveLeases(t *testing.T) {
 	const events, maxLive, racks = 50000, 200, 8
 	tree := topology.MustBT(256)
 	n := tree.N()
-	ref := sched.New(tree, sched.Config{Workers: 1, Capacity: 16})
+	var pending []*wire.LeaseDelta // the hook runs on ref's dispatcher, before Place/Release return
+	ref := sched.New(tree, sched.Config{Workers: 1, Capacity: 16,
+		Journal: func(d *wire.LeaseDelta) { pending = append(pending, d) }})
 	defer ref.Close()
 	sb := bareStandby(t, tree, ref)
 
@@ -116,91 +145,81 @@ func TestStandbyStateBoundedByLiveLeases(t *testing.T) {
 	runtime.ReadMemStats(&before)
 
 	rng := rand.New(rand.NewSource(22))
+	load := make([]int, n)
+	var lease sched.Lease
 	var live []int64
-	nextID := int64(1)
 	for seq := uint64(1); seq <= events; seq++ {
-		ev := sched.JournalEvent{Seq: seq}
 		if len(live) == maxLive || (len(live) > 0 && rng.Intn(4) == 0) {
 			i := rng.Intn(len(live))
-			ev.Op, ev.ID = sched.JournalRelease, live[i]
+			if err := ref.Release(live[i]); err != nil {
+				t.Fatal(err)
+			}
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		} else {
-			ev.Op, ev.ID, ev.K = sched.JournalPlace, nextID, 2
-			ev.Phi, ev.AllRed = float64(seq), 2*float64(seq)
 			base := rng.Intn(n - racks*17)
-			for r := 0; r < racks; r++ { // ascending, as a primary emits them
-				ev.Load.V = append(ev.Load.V, uint32(base+r*17))
-				ev.Load.N = append(ev.Load.N, uint32(1+r))
+			for r := 0; r < racks; r++ {
+				load[base+r*17] = 1 + r
 			}
-			ev.Blue = []int{base, base + 17}
-			live = append(live, nextID)
-			nextID++
+			if err := ref.PlaceInto(load, 2, &lease); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < racks; r++ {
+				load[base+r*17] = 0
+			}
+			live = append(live, lease.ID)
 		}
-		if err := ref.ApplyEvent(ev); err != nil {
-			t.Fatal(err)
+		if len(pending) != 1 || pending[0].Seq != seq {
+			t.Fatalf("commit %d journaled %d records", seq, len(pending))
 		}
-		d, err := deltaFromEvent(1, 1, ev)
-		if err != nil {
-			t.Fatal(err)
+		if err := sb.absorb(asReceived(t, pending[0])); err != nil {
+			t.Fatalf("absorb delta %d: %v", seq, err)
 		}
-		if err := sb.absorb(asReceived(t, d)); err != nil {
-			t.Fatalf("absorb event %d: %v", seq, err)
+		pending = pending[:0]
+		if seq%1000 != 0 {
+			continue
 		}
-		if len(sb.journal) >= compactMinEvents {
-			t.Fatalf("journal holds %d events after event %d with %d leases live", len(sb.journal), seq, len(live))
+		if got := sb.tab.Seq(); got != ref.JournalSeq() {
+			t.Fatalf("delta %d: table at sequence %d, reference %d", seq, got, ref.JournalSeq())
+		}
+		if !reflect.DeepEqual(sb.tab.Residual(), ref.Residual()) {
+			t.Fatalf("delta %d: table and reference ledgers diverge", seq)
+		}
+		for _, id := range live {
+			want, err := ref.Lookup(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := sb.tab.Lookup(id); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("delta %d, lease %d: table %+v (%v), reference %+v", seq, id, got, err, want)
+			}
 		}
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	const limit = 1 << 20
 	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	t.Logf("%d events, ≤ %d live: %d bytes retained, %d compactions, peak journal %d events, checkpoint %d bytes",
-		events, maxLive, grown, sb.compactions, sb.peakJournal, len(sb.ckpt))
-	if grown >= limit {
-		t.Fatalf("standby retains %d bytes after %d events with ≤ %d live, want < %d", grown, events, maxLive, limit)
-	}
-	if sb.peakJournal > compactMinEvents || sb.compactions < events/compactMinEvents {
-		t.Fatalf("peak journal %d events, %d compactions over %d events", sb.peakJournal, sb.compactions, events)
-	}
-
 	st, ok := sb.state()
-	if !ok || st.lastSeq != events || st.ckptSeq+uint64(len(st.journal)) != events {
-		t.Fatalf("state ok=%v: checkpoint at %d + %d journal events, last %d, want %d", ok, st.ckptSeq, len(st.journal), st.lastSeq, events)
+	t.Logf("%d deltas, ≤ %d live: %d bytes retained, %d applied, table at sequence %d", events, maxLive, grown, st.applied, st.seq)
+	if grown >= limit {
+		t.Fatalf("standby retains %d bytes after %d deltas with ≤ %d live, want < %d", grown, events, maxLive, limit)
 	}
-	got := sched.New(tree, sched.Config{Workers: 1})
-	defer got.Close()
-	if err := replay(got, st.ckpt, st.ckptSeq, st.journal); err != nil {
+	if !ok || st.seq != events || st.applied != events {
+		t.Fatalf("state ok=%v: %d deltas applied, table at sequence %d, want %d", ok, st.applied, st.seq, events)
+	}
+	if err := sb.tab.Audit(); err != nil {
 		t.Fatal(err)
-	}
-	if got.JournalSeq() != ref.JournalSeq() {
-		t.Fatalf("replayed sequence %d, reference %d", got.JournalSeq(), ref.JournalSeq())
-	}
-	if !reflect.DeepEqual(got.Residual(), ref.Residual()) {
-		t.Fatal("replayed and reference ledgers diverge")
-	}
-	if g, w := len(got.LeaseIDs()), len(live); g != w {
-		t.Fatalf("replayed state holds %d leases, reference %d", g, w)
-	}
-	for _, id := range live {
-		want, err := ref.Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lease, err := got.Lookup(id); err != nil || !reflect.DeepEqual(lease, want) {
-			t.Fatalf("lease %d: replayed %+v (%v), reference %+v", id, lease, err, want)
-		}
 	}
 }
 
-// TestCompactionRejectsLedgerViolation: a delta can pass checkDelta —
-// every switch in range, the pairs canonical — and still be impossible
-// against the ledger. Such a frame used to sit in the journal until a
-// promotion replayed it, on a shard that by then had no primary; now
-// the next compaction replays it, absorb returns the replay error (the
-// stream ends, as for a sequence gap) and the state that failed is
-// dropped rather than offered for election.
-func TestCompactionRejectsLedgerViolation(t *testing.T) {
+// TestAbsorbRejectsLedgerViolation: a delta can be well-formed — every
+// switch in range, the pairs canonical — and still be impossible against
+// the ledger. Such a frame used to wait in a journal for a replay, at
+// worst for a promotion on a shard that by then had no primary; now the
+// table refuses it at that delta: absorb returns the error (the stream
+// ends, as for a sequence gap), what was applied before stands
+// unmodified, and the table goes off offer rather than up for election.
+func TestAbsorbRejectsLedgerViolation(t *testing.T) {
 	tree := topology.CompleteKAry(3, 4)
 	place := func(id uint64, blue uint32) *wire.LeaseDelta {
 		return &wire.LeaseDelta{Op: wire.DeltaPlace, ID: id, K: 1,
@@ -208,38 +227,43 @@ func TestCompactionRejectsLedgerViolation(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		bad  []*wire.LeaseDelta
+		feed []*wire.LeaseDelta // the last one violates the ledger
 		want string
 	}{
 		{"release of an unknown lease",
-			[]*wire.LeaseDelta{{Op: wire.DeltaRelease, ID: 99}},
-			"replay event 1: sched: apply: release of unknown tenant 99"},
+			[]*wire.LeaseDelta{place(1, 3), {Op: wire.DeltaRelease, ID: 99}},
+			"tenant 99 is not live"},
 		{"place on an exhausted switch",
 			[]*wire.LeaseDelta{place(1, 3), place(2, 3)},
-			"replay event 2"},
+			"tenant 2 needs exhausted switch 3"},
+		{"migration onto an exhausted switch",
+			[]*wire.LeaseDelta{place(1, 3), place(2, 5), {Op: wire.DeltaMigrate, ID: 2, Blue: []uint32{3}}},
+			"tenant 2 needs exhausted switch 3"},
 	} {
-		base := sched.New(tree, sched.Config{Workers: 1, Capacity: 1})
-		sb := bareStandby(t, tree, base)
-		base.Close()
-		feed := tc.bad
-		for id := uint64(100); len(feed) < compactMinEvents; id++ {
-			feed = append(feed, place(id, 5), &wire.LeaseDelta{Op: wire.DeltaRelease, ID: id})
-		}
-		for i, d := range feed[:compactMinEvents] {
+		sb := emptyStandby(t, tree, 1)
+		tab := sb.tab
+		last := len(tc.feed) - 1
+		for i, d := range tc.feed[:last] {
 			d.Seq = uint64(i + 1)
-			err := sb.absorb(d)
-			if i < compactMinEvents-1 {
-				if err != nil {
-					t.Fatalf("%s: absorb %d: %v", tc.name, d.Seq, err)
-				}
-				continue
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("%s: compaction = %v, want an error naming %q", tc.name, err, tc.want)
+			if err := sb.absorb(d); err != nil {
+				t.Fatalf("%s: absorb %d: %v", tc.name, d.Seq, err)
 			}
 		}
-		if _, ok := sb.state(); ok || sb.compactions != 0 {
-			t.Fatalf("%s: the state that failed to replay is still on offer", tc.name)
+		residual := tab.Residual()
+		bad := tc.feed[last]
+		bad.Seq = uint64(last + 1)
+		if err := sb.absorb(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: absorb = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		if _, ok := sb.state(); ok {
+			t.Fatalf("%s: the table that refused a delta is still on offer", tc.name)
+		}
+		assertUntouched(t, tc.name, tab, uint64(last), residual, 99)
+		if l, err := tab.Lookup(1); err != nil || !reflect.DeepEqual(l.Blue, []int{3}) {
+			t.Fatalf("%s: lease 1 after the refusal: %+v (%v)", tc.name, l, err)
+		}
+		if err := sb.absorb(&wire.LeaseDelta{Seq: bad.Seq + 1, Op: wire.DeltaRelease, ID: 1}); err == nil {
+			t.Fatalf("%s: a standby without a table absorbed a delta", tc.name)
 		}
 	}
 }
@@ -292,20 +316,50 @@ func standbysCaughtUp(cl *Cluster, si int) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for _, sb := range sh.standbys {
-		if st, ok := sb.state(); !ok || st.lastSeq < primSeq {
+		if st, ok := sb.state(); !ok || st.seq < primSeq {
 			return false
 		}
 	}
 	return true
 }
 
-// TestFailoverAfterCompaction: promotion from a checkpoint the standby
-// folded itself, not one the primary streamed. More than three
-// compaction floors of churn go through shard 0 around a standing set
-// of leases; after the crash every acknowledged lease is there with the
-// placement its client was told, the books balance and the journal
-// sequence carries on from where the dead primary stopped.
-func TestFailoverAfterCompaction(t *testing.T) {
+// assertTableMirrors proves a running standby's table is the scheduler's
+// state: same sequence, same ledger, every one of ids the same lease —
+// read under the standby's lock, without promoting anything.
+func assertTableMirrors(t *testing.T, sb *standby, prim *sched.Scheduler, ids []int64) {
+	t.Helper()
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	if sb.tab == nil {
+		t.Fatalf("standby %d holds no table", sb.cfg.node)
+	}
+	if got, want := sb.tab.Seq(), prim.JournalSeq(); got != want {
+		t.Fatalf("standby %d at sequence %d, primary at %d", sb.cfg.node, got, want)
+	}
+	if !reflect.DeepEqual(sb.tab.Residual(), prim.Residual()) {
+		t.Fatalf("standby %d and primary ledgers diverge", sb.cfg.node)
+	}
+	for _, id := range ids {
+		_, local := SplitID(id)
+		want, werr := prim.Lookup(local)
+		got, gerr := sb.tab.Lookup(local)
+		if (werr == nil) != (gerr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("standby %d, lease %d: table %+v (%v), primary %+v (%v)", sb.cfg.node, local, got, gerr, want, werr)
+		}
+	}
+	if err := sb.tab.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailoverAfterLongChurn: promotion from a table that has followed
+// its primary through far more commits than it holds leases. More than
+// four thousand commits of churn go through shard 0 around a standing
+// set of leases, every one applied by both standbys as it arrived;
+// after the crash every acknowledged lease is there with the placement
+// its client was told, the books balance and the journal sequence
+// carries on from where the dead primary stopped.
+func TestFailoverAfterLongChurn(t *testing.T) {
 	tr := topology.CompleteKAry(3, 3)
 	opts := fastOpts()
 	opts.Sched.Capacity = 8
@@ -317,8 +371,12 @@ func TestFailoverAfterCompaction(t *testing.T) {
 	}
 	defer cl.Close()
 	p := cl.Partitioning()
+	// Both standbys hold the empty checkpoint before the first commit, so
+	// every commit below reaches them as a delta.
+	waitFor(t, 5*time.Second, "standbys attached", func() bool { return standbysCaughtUp(cl, 0) })
 
 	standing := make(map[int64]*sched.Lease)
+	var ids []int64
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 3; i++ {
 			l, err := cl.Place(podLoad(p, 0), 1+i)
@@ -326,27 +384,27 @@ func TestFailoverAfterCompaction(t *testing.T) {
 				t.Fatal(err)
 			}
 			standing[l.ID] = l
+			ids = append(ids, l.ID)
 		}
-		churnShard(t, cl, 0, compactMinEvents/2)
+		churnShard(t, cl, 0, 512)
 		// In-process commits outrun a standby's socket; a round is kept
 		// under the hub's buffer so no replica is kicked into a resync
-		// and every checkpoint below is one a standby folded itself.
+		// and every delta below is one a standby applied as it arrived.
 		waitFor(t, 10*time.Second, "replication drained", func() bool { return standbysCaughtUp(cl, 0) })
 	}
 	sh := cl.shards[0]
 	primSeq := sh.scheduler().JournalSeq()
-	sh.mu.Lock()
-	for _, sb := range sh.standbys {
-		st, _ := sb.state()
-		if sb.compactions < 3 || len(st.journal) >= compactMinEvents || st.ckptSeq == 0 {
-			t.Errorf("standby %d after %d commits: %d compactions, checkpoint at %d, %d journal events",
-				sb.cfg.node, primSeq, sb.compactions, st.ckptSeq, len(st.journal))
-		}
-	}
-	sh.mu.Unlock()
-	if primSeq <= 3*compactMinEvents {
+	if primSeq <= 4000 {
 		t.Fatalf("only %d commits went through shard 0", primSeq)
 	}
+	sh.mu.Lock()
+	for _, sb := range sh.standbys {
+		if st, _ := sb.state(); uint64(st.applied) != primSeq {
+			t.Errorf("standby %d applied %d of %d commits live", sb.cfg.node, st.applied, primSeq)
+		}
+		assertTableMirrors(t, sb, sh.scheduler(), ids)
+	}
+	sh.mu.Unlock()
 
 	if cl.CrashPrimary(0) == nil {
 		t.Fatal("no primary to crash")
@@ -384,12 +442,12 @@ func TestFailoverAfterCompaction(t *testing.T) {
 	}
 }
 
-// TestCompactionFailureResyncs drives the early rejection end to end:
-// a ledger-violating delta lands in a live standby's journal, the next
-// compaction refuses it, the stream ends with the replay error, the
-// standby re-attaches for a fresh checkpoint — and the promotion that
-// would have failed on that journal succeeds.
-func TestCompactionFailureResyncs(t *testing.T) {
+// TestRefusedDeltaResyncs drives the early rejection end to end: a
+// ledger-violating delta reaches a live standby, its table refuses it
+// there and then and goes off offer, the stream ends, the standby
+// re-attaches for a fresh checkpoint — and the promotion that would
+// have failed on that delta succeeds, a thousand commits later.
+func TestRefusedDeltaResyncs(t *testing.T) {
 	tr := topology.CompleteKAry(3, 3)
 	opts := fastOpts()
 	opts.Replicas = 1
@@ -410,19 +468,24 @@ func TestCompactionFailureResyncs(t *testing.T) {
 	waitFor(t, 5*time.Second, "first lease replicated", func() bool { return standbysCaughtUp(cl, 0) })
 	sb := sh.standbys[0]
 	st, _ := sb.state()
-	bad := &wire.LeaseDelta{Seq: st.lastSeq + 1, Op: wire.DeltaRelease, ID: 1 << 40}
-	if err := sb.absorb(bad); err != nil {
-		t.Fatalf("a release of an unknown lease is a well-formed frame: absorb = %v", err)
+	bad := &wire.LeaseDelta{Seq: st.seq + 1, Op: wire.DeltaRelease, ID: 1 << 40}
+	if err := sb.absorb(bad); err == nil || !strings.Contains(err.Error(), "is not live") {
+		t.Fatalf("a release of an unknown lease: absorb = %v", err)
+	}
+	if _, ok := sb.state(); ok {
+		t.Fatal("the table that refused a delta is still on offer")
 	}
 
-	churnShard(t, cl, 0, compactMinEvents/2)
-	waitFor(t, 10*time.Second, "compaction to refuse the journal", func() bool {
-		return log.contains("stream ended: ha: replay event")
+	// The next delta off the wire finds no table to extend: the stream
+	// ends and the standby comes back with a fresh checkpoint.
+	churnShard(t, cl, 0, 512)
+	waitFor(t, 10*time.Second, "the stream to end", func() bool {
+		return log.contains("stream ended: lease delta before a checkpoint")
 	})
 	waitFor(t, 10*time.Second, "re-attach", func() bool { return standbysCaughtUp(cl, 0) })
-	if sb.compactions != 0 {
-		t.Fatalf("the violating journal was folded %d times", sb.compactions)
-	}
+	sh.mu.Lock()
+	assertTableMirrors(t, sb, sh.scheduler(), []int64{keep.ID})
+	sh.mu.Unlock()
 
 	if cl.CrashPrimary(0) == nil {
 		t.Fatal("no primary to crash")
@@ -431,8 +494,12 @@ func TestCompactionFailureResyncs(t *testing.T) {
 		st := cl.Status()[0]
 		return st.Epoch == 2 && st.PrimaryNode >= 0
 	})
-	if _, err := cl.Lookup(keep.ID); err != nil {
+	got, err := cl.Lookup(keep.ID)
+	if err != nil {
 		t.Fatalf("lease lost across the resync and the failover: %v", err)
+	}
+	if !reflect.DeepEqual(got.Blue, keep.Blue) || math.Float64bits(got.Phi) != math.Float64bits(keep.Phi) {
+		t.Fatalf("lease across the resync and the failover: %+v, client was told %+v", got, keep)
 	}
 	if err := cl.Audit(); err != nil {
 		t.Fatal(err)
@@ -505,7 +572,7 @@ func TestPromotedEpochNeverReissuesAckedID(t *testing.T) {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		st, ok := sh.standbys[0].state()
-		return ok && st.lastSeq >= 1
+		return ok && st.seq >= 1
 	})
 
 	// From here on the standby hears nothing: the next commit is

@@ -68,38 +68,10 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/v1/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("/v1/cluster", s.handleCluster)
 	mux.HandleFunc("/v1/trace", s.handleTrace)
-	mux.HandleFunc("/v1/healthz", s.handleHealthz)
+	mux.HandleFunc("/v1/healthz", handleHealthz)
 	mux.HandleFunc("/v1/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	return mux
-}
-
-// handleHealthz is the liveness probe: answering at all is the signal,
-// so it never consults service state.
-func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReadyz is the readiness probe: 200 only when the service has
-// its state in place (restored, for a daemon with a checkpoint) and is
-// not draining toward shutdown.
-func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	switch {
-	case s.Ready():
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-	case s.Draining():
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-	default:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "not ready"})
-	}
 }
 
 func (s *Service) handleTenants(w http.ResponseWriter, r *http.Request) {
@@ -148,8 +120,7 @@ func (s *Service) handleTenantByID(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+	if !getOnly(w, r) {
 		return
 	}
 	// The cluster summary rides along as extra JSON fields; clients
@@ -161,8 +132,7 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleResidual(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+	if !getOnly(w, r) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string][]int{"residual": s.Residual()})
@@ -263,8 +233,7 @@ func (s *Service) handleCluster(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace dumps the newest spans from the service's trace ring.
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+	if !getOnly(w, r) {
 		return
 	}
 	n := 64
@@ -287,21 +256,9 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 // the service records: scheduler admission/batch/solve, repack,
 // checkpoint, and loopback cluster runs.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
+	if getOnly(w, r) {
+		serveMetrics(w, s.Registry())
 	}
-	// Render to a buffer first so a (never-expected) encoding failure
-	// cannot emit a torn scrape.
-	var buf bytes.Buffer
-	if err := s.Registry().WriteText(&buf); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", obs.TextContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(http.StatusOK)
-	buf.WriteTo(w) // best effort; the status line is already out
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"soar/internal/cluster"
 	"soar/internal/obs"
@@ -45,6 +44,7 @@ type Stats = sched.Stats
 
 // Service is a concurrency-safe allocator over one physical tree.
 type Service struct {
+	probes
 	s *sched.Scheduler
 	// save, when set, persists a checkpoint durably (POST /v1/checkpoint
 	// and the daemon's periodic/shutdown saves all funnel through it).
@@ -64,16 +64,6 @@ type Service struct {
 	// logf, when set, receives operational log lines (degraded or
 	// retried cluster runs). See SetLogf.
 	logf func(format string, args ...interface{})
-
-	// ready and draining gate GET /v1/readyz: a service reports ready
-	// once its state is in place (constructors start true; a daemon
-	// restoring a checkpoint clears it until the restore lands) and
-	// stops the moment draining begins — before the final checkpoint —
-	// so load balancers stop routing while in-flight requests still
-	// complete. GET /v1/healthz ignores both: it only proves the
-	// process answers.
-	ready    atomic.Bool
-	draining atomic.Bool
 }
 
 // NewService creates a service over tree t where every switch can serve
@@ -233,24 +223,6 @@ func (s *Service) SetLogf(fn func(format string, args ...interface{})) {
 	s.logf = fn
 	s.cmu.Unlock()
 }
-
-// SetReady flips the readiness half of GET /v1/readyz. The daemon
-// clears it before restoring a checkpoint and sets it once the restore
-// (or an empty start) completes.
-func (s *Service) SetReady(v bool) { s.ready.Store(v) }
-
-// SetDraining marks the service as shutting down: GET /v1/readyz
-// starts failing immediately so load balancers drain, while every
-// other endpoint keeps answering until the listener closes. Call it
-// before the final checkpoint save, not after.
-func (s *Service) SetDraining(v bool) { s.draining.Store(v) }
-
-// Ready reports whether the service should receive new traffic:
-// restored and not draining.
-func (s *Service) Ready() bool { return s.ready.Load() && !s.draining.Load() }
-
-// Draining reports whether shutdown has begun.
-func (s *Service) Draining() bool { return s.draining.Load() }
 
 // SetCheckpointSaver registers the durable checkpoint sink invoked by
 // POST /v1/checkpoint: fn persists a checkpoint and reports where and

@@ -1,16 +1,13 @@
 package naas
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"soar/internal/ha"
-	"soar/internal/obs"
 	"soar/internal/sched"
 )
 
@@ -29,9 +26,8 @@ import (
 // own per-incarnation registry, so merging them into one page would
 // emit duplicate family definitions.
 type Sharded struct {
-	cl       *ha.Cluster
-	ready    atomic.Bool
-	draining atomic.Bool
+	probes
+	cl *ha.Cluster
 }
 
 // NewSharded fronts an already-running cluster. The front does not own
@@ -45,13 +41,6 @@ func NewSharded(cl *ha.Cluster) *Sharded {
 
 // Cluster exposes the replicated control plane behind the front.
 func (f *Sharded) Cluster() *ha.Cluster { return f.cl }
-
-// SetDraining marks the front as shutting down: GET /v1/readyz starts
-// failing so load balancers drain while in-flight admissions finish.
-func (f *Sharded) SetDraining(v bool) { f.draining.Store(v) }
-
-// Ready reports whether the front should receive new traffic.
-func (f *Sharded) Ready() bool { return f.ready.Load() && !f.draining.Load() }
 
 // ShardInfo is the wire form of one shard's membership (GET
 // /v1/shards), mirroring ha.ShardStatus. PrimaryNode is -1 while the
@@ -73,7 +62,7 @@ func (f *Sharded) Handler() http.Handler {
 	mux.HandleFunc("/v1/tenants", f.handleTenants)
 	mux.HandleFunc("/v1/tenants/", f.handleTenantByID)
 	mux.HandleFunc("/v1/shards", f.handleShards)
-	mux.HandleFunc("/v1/healthz", f.handleHealthz)
+	mux.HandleFunc("/v1/healthz", handleHealthz)
 	mux.HandleFunc("/v1/readyz", f.handleReadyz)
 	mux.HandleFunc("/metrics", f.handleMetrics)
 	return mux
@@ -142,8 +131,7 @@ func (f *Sharded) handleTenantByID(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *Sharded) handleShards(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+	if !getOnly(w, r) {
 		return
 	}
 	status := f.cl.Status()
@@ -158,35 +146,11 @@ func (f *Sharded) handleShards(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{"shards": shards})
 }
 
-func (f *Sharded) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (f *Sharded) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	switch {
-	case f.Ready():
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-	case f.draining.Load():
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-	default:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "not ready"})
-	}
-}
-
 // handleMetrics serves the cluster's soar_ha_* families; ?shard=K
 // serves shard K's scheduler registry instead (503 mid failover, when
 // the shard has no serving incarnation to scrape).
 func (f *Sharded) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+	if !getOnly(w, r) {
 		return
 	}
 	reg := f.cl.Registry()
@@ -201,13 +165,5 @@ func (f *Sharded) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var buf bytes.Buffer
-	if err := reg.WriteText(&buf); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", obs.TextContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(http.StatusOK)
-	buf.WriteTo(w) // best effort; the status line is already out
+	serveMetrics(w, reg)
 }

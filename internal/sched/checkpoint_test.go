@@ -308,12 +308,12 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		t.Fatal("test lease holds no switches")
 	}
 	s.mu.Lock()
-	s.ledger.residual[leases[0].Blue[0]]++
+	s.tab.ledger.residual[leases[0].Blue[0]]++
 	s.mu.Unlock()
 	if err := s.Audit(); err == nil {
 		t.Fatal("audit blessed a cooked ledger")
 	}
 	s.mu.Lock()
-	s.ledger.residual[leases[0].Blue[0]]-- // restore sanity for Close
+	s.tab.ledger.residual[leases[0].Blue[0]]-- // restore sanity for Close
 	s.mu.Unlock()
 }

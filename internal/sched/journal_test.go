@@ -3,39 +3,44 @@ package sched
 import (
 	"bytes"
 	"errors"
-	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"soar/internal/load"
 	"soar/internal/topology"
+	"soar/internal/wire"
 )
 
-// journalRecorder collects the hook's events; the hook runs on the
+// journalRecorder collects the hook's records; the hook runs on the
 // dispatcher goroutine, so reads take the lock.
 type journalRecorder struct {
-	mu  sync.Mutex
-	evs []JournalEvent
+	mu   sync.Mutex
+	recs []*wire.LeaseDelta
 }
 
-func (j *journalRecorder) record(ev JournalEvent) {
+func (j *journalRecorder) record(d *wire.LeaseDelta) {
 	j.mu.Lock()
-	j.evs = append(j.evs, ev)
+	j.recs = append(j.recs, d)
 	j.mu.Unlock()
 }
 
-func (j *journalRecorder) events() []JournalEvent {
+func (j *journalRecorder) records() []*wire.LeaseDelta {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return append([]JournalEvent(nil), j.evs...)
+	return slices.Clone(j.recs)
 }
 
-// assertReplicaEqual proves two schedulers hold identical durable state:
-// same residuals, and every lease equal field-for-field.
-func assertReplicaEqual(t *testing.T, primary, replica *Scheduler, ids map[int64]bool) {
+// assertReplicaEqual proves a replica's table holds the primary's
+// durable state: same sequence and residuals, and every lease equal
+// field-for-field.
+func assertReplicaEqual(t *testing.T, primary *Scheduler, replica *Table, ids map[int64]bool) {
 	t.Helper()
+	if got, want := replica.Seq(), primary.JournalSeq(); got != want {
+		t.Fatalf("replica at seq %d, primary at %d", got, want)
+	}
 	pr, rr := primary.Residual(), replica.Residual()
 	for v := range pr {
 		if pr[v] != rr[v] {
@@ -69,8 +74,8 @@ func assertReplicaEqual(t *testing.T, primary, replica *Scheduler, ids map[int64
 }
 
 // TestJournalReplayReconstructs replays a full journal — places,
-// releases, and re-packer migrations — into a fresh scheduler and
-// proves the replica is lease-for-lease identical to the primary.
+// releases, and re-packer migrations — into a fresh table and proves
+// the replica is lease-for-lease identical to the primary.
 func TestJournalReplayReconstructs(t *testing.T) {
 	tr := topology.MustBT(64)
 	rng := rand.New(rand.NewSource(7))
@@ -89,33 +94,29 @@ func TestJournalReplayReconstructs(t *testing.T) {
 		t.Fatalf("repack moved %d (%v); the journal needs a migrate event", moved, err)
 	}
 
-	evs := rec.events()
-	ops := map[JournalOp]int{}
-	for i, ev := range evs {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("event %d has seq %d", i, ev.Seq)
+	recs := rec.records()
+	ops := map[uint8]int{}
+	for i, d := range recs {
+		if d.Seq != uint64(i+1) {
+			t.Fatalf("record %d has seq %d", i, d.Seq)
 		}
-		ops[ev.Op]++
+		ops[d.Op]++
 	}
-	if ops[JournalPlace] != 8 || ops[JournalRelease] != 4 || ops[JournalMigrate] == 0 {
+	if ops[wire.DeltaPlace] != 8 || ops[wire.DeltaRelease] != 4 || ops[wire.DeltaMigrate] == 0 {
 		t.Fatalf("journal ops %v, want 8 places, 4 releases, ≥1 migrate", ops)
 	}
 
-	replica := New(tr, Config{Capacity: 1, Workers: 1})
-	defer replica.Close()
-	for _, ev := range evs {
-		if err := replica.ApplyEvent(ev); err != nil {
-			t.Fatalf("apply %+v: %v", ev, err)
+	replica := newTable(tr, NewLedger(tr.N(), 1))
+	for _, d := range recs {
+		if err := replica.Apply(d); err != nil {
+			t.Fatalf("apply %+v: %v", d, err)
 		}
-	}
-	if got, want := replica.JournalSeq(), primary.JournalSeq(); got != want {
-		t.Fatalf("replica at seq %d, primary at %d", got, want)
 	}
 	assertReplicaEqual(t, primary, replica, ids)
 }
 
 // TestCheckpointSeqAndDeltaReplay is the standby catch-up contract: a
-// checkpoint taken mid-stream plus the journal suffix (events with
+// checkpoint taken mid-stream plus the journal suffix (records with
 // Seq > the checkpoint's sequence) reconstructs the primary exactly.
 func TestCheckpointSeqAndDeltaReplay(t *testing.T) {
 	tr := topology.MustBT(32)
@@ -157,18 +158,16 @@ func TestCheckpointSeqAndDeltaReplay(t *testing.T) {
 		break
 	}
 
-	replica := New(tr, Config{Capacity: 2, Workers: 1})
-	defer replica.Close()
-	if err := replica.Restore(&ckpt); err != nil {
+	replica, err := RestoreTable(tr, &ckpt, seq)
+	if err != nil {
 		t.Fatal(err)
 	}
-	replica.SeedJournal(seq)
-	for _, ev := range rec.events() {
-		if ev.Seq <= seq {
+	for _, d := range rec.records() {
+		if d.Seq <= seq {
 			continue // folded into the checkpoint already
 		}
-		if err := replica.ApplyEvent(ev); err != nil {
-			t.Fatalf("apply %+v: %v", ev, err)
+		if err := replica.Apply(d); err != nil {
+			t.Fatalf("apply %+v: %v", d, err)
 		}
 	}
 	assertReplicaEqual(t, primary, replica, ids)
@@ -222,71 +221,6 @@ func TestFenceRejectsMutations(t *testing.T) {
 	}
 	if _, err := s.Lookup(lease.ID); err != nil {
 		t.Fatalf("fenced scheduler lost lease %d: %v", lease.ID, err)
-	}
-}
-
-// TestApplyEventValidation drives the replay path with the corruption a
-// buggy or malicious primary could emit.
-func TestApplyEventValidation(t *testing.T) {
-	tr := topology.MustBT(8)
-	s := New(tr, Config{Capacity: 1, Workers: 1})
-	defer s.Close()
-	n := tr.N()
-
-	place := func(seq uint64, id int64, blue []int) JournalEvent {
-		return JournalEvent{Seq: seq, Op: JournalPlace, ID: id, K: len(blue), Blue: blue}
-	}
-	loaded := func(v, c []uint32) JournalEvent {
-		return JournalEvent{Seq: 2, Op: JournalPlace, ID: 1, Load: SparseLoad{V: v, N: c}}
-	}
-	if err := s.ApplyEvent(place(2, 0, nil)); err == nil || !strings.Contains(err.Error(), "gap") {
-		t.Fatalf("seq gap: %v", err)
-	}
-	if err := s.ApplyEvent(place(1, 0, []int{0})); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		ev   JournalEvent
-	}{
-		{"duplicate id", place(2, 0, []int{1})},
-		{"blue out of range", place(2, 1, []int{n})},
-		{"blue twice", place(2, 1, []int{1, 1})},
-		{"exhausted switch", place(2, 1, []int{0})},
-		{"load switch out of range", loaded([]uint32{uint32(n)}, []uint32{1})},
-		{"load switches descending", loaded([]uint32{5, 3}, []uint32{1, 1})},
-		{"load switch twice", loaded([]uint32{3, 3}, []uint32{1, 2})},
-		{"load count zero", loaded([]uint32{3}, []uint32{0})},
-		{"load count overflows int32", loaded([]uint32{3}, []uint32{math.MaxInt32 + 1})},
-		{"load pairs unmatched", loaded([]uint32{3, 4}, []uint32{1})},
-		{"release unknown", JournalEvent{Seq: 2, Op: JournalRelease, ID: 99}},
-		{"migrate unknown", JournalEvent{Seq: 2, Op: JournalMigrate, ID: 99}},
-		{"unknown op", JournalEvent{Seq: 2, Op: 77, ID: 0}},
-	}
-	for _, tc := range cases {
-		if err := s.ApplyEvent(tc.ev); err == nil {
-			t.Errorf("%s: applied, want error", tc.name)
-		}
-		if got := s.JournalSeq(); got != 1 {
-			t.Fatalf("%s: seq advanced to %d on rejected event", tc.name, got)
-		}
-		if err := s.Audit(); err != nil {
-			t.Fatalf("%s: state corrupted: %v", tc.name, err)
-		}
-	}
-	// A rejected migrate must leave the ledger exactly as it was.
-	if err := s.ApplyEvent(JournalEvent{Seq: 2, Op: JournalMigrate, ID: 0, Blue: []int{n + 3}}); err == nil {
-		t.Fatal("migrate to out-of-range switch applied")
-	}
-	if err := s.Audit(); err != nil {
-		t.Fatalf("rejected migrate corrupted state: %v", err)
-	}
-	if err := s.ApplyEvent(JournalEvent{Seq: 2, Op: JournalMigrate, ID: 0, Phi: 1.5, Blue: []int{2}}); err != nil {
-		t.Fatalf("valid migrate: %v", err)
-	}
-	l, err := s.Lookup(0)
-	if err != nil || len(l.Blue) != 1 || l.Blue[0] != 2 || l.Phi != 1.5 {
-		t.Fatalf("migrated lease %+v (%v)", l, err)
 	}
 }
 

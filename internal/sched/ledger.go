@@ -107,12 +107,6 @@ func (l *Ledger) AvailCopy() []bool {
 	return append([]bool(nil), l.avail...)
 }
 
-// Residuals appends a copy of the residual vector to dst (pass nil for
-// fresh storage).
-func (l *Ledger) Residuals(dst []int) []int {
-	return append(dst[:0], l.residual...)
-}
-
 // Charge takes one slot on switch v. It panics if v is exhausted: every
 // caller picks v from a solve restricted to Λ, so an exhausted pick is a
 // bookkeeping bug, not an input error.

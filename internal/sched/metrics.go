@@ -156,7 +156,7 @@ func (s *Scheduler) initMetrics(reg *obs.Registry, tr *obs.Trace) {
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return float64(len(s.leases))
+			return float64(len(s.tab.leases))
 		})
 	reg.GaugeFunc("soar_sched_capacity_used",
 		"Lease slots currently charged across all switches.", nil,
@@ -164,8 +164,8 @@ func (s *Scheduler) initMetrics(reg *obs.Registry, tr *obs.Trace) {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			var used int64
-			for v := 0; v < s.ledger.N(); v++ {
-				used += int64(s.ledger.Used(v))
+			for v := 0; v < s.tab.ledger.N(); v++ {
+				used += int64(s.tab.ledger.Used(v))
 			}
 			return float64(used)
 		})
@@ -175,8 +175,8 @@ func (s *Scheduler) initMetrics(reg *obs.Registry, tr *obs.Trace) {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			var total int64
-			for v := 0; v < s.ledger.N(); v++ {
-				total += int64(s.ledger.Initial(v))
+			for v := 0; v < s.tab.ledger.N(); v++ {
+				total += int64(s.tab.ledger.Initial(v))
 			}
 			return float64(total)
 		})

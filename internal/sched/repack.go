@@ -3,6 +3,8 @@ package sched
 import (
 	"sort"
 	"time"
+
+	"soar/internal/wire"
 )
 
 // The background re-packer. The online model is arrival-only in the
@@ -63,13 +65,13 @@ func (s *Scheduler) repack(maxMoves int) (moved int, recovered float64) {
 		ratio float64
 	}
 	s.mu.Lock()
-	if len(s.leases) == 0 {
+	if len(s.tab.leases) == 0 {
 		s.met.noteRepack(0, 0)
 		s.mu.Unlock()
 		return 0, 0
 	}
-	cands := make([]cand, 0, len(s.leases))
-	for id, ten := range s.leases {
+	cands := make([]cand, 0, len(s.tab.leases))
+	for id, ten := range s.tab.leases {
 		cands = append(cands, cand{id, ten.ratio()})
 	}
 	s.mu.Unlock()
@@ -96,9 +98,9 @@ func (s *Scheduler) repack(maxMoves int) (moved int, recovered float64) {
 		// Only the dispatcher mutates leases, so ten cannot be released
 		// between the unlock and the commit below.
 		s.mu.Lock()
-		ten := s.leases[c.id]
+		ten := s.tab.leases[c.id]
 		for _, v := range ten.blue {
-			s.ledger.Credit(v)
+			s.tab.ledger.Credit(v)
 		}
 		oldPhi := ten.phi
 		s.mu.Unlock()
@@ -108,7 +110,7 @@ func (s *Scheduler) repack(maxMoves int) (moved int, recovered float64) {
 		// those entries again — on every path, so the next candidate (and
 		// the next round) starts from an all-zero vector.
 		ten.load.scatter(s.bgLoad)
-		eng := s.bgSol.ensure(s.t, s.bgLoad, s.ledger.Avail(), ten.k)
+		eng := s.bgSol.ensure(s.t, s.bgLoad, s.tab.ledger.Avail(), ten.k)
 		ten.load.clear(s.bgLoad)
 		newPhi := eng.SolveInto(s.bgBlue)
 
@@ -126,15 +128,15 @@ func (s *Scheduler) repack(maxMoves int) (moved int, recovered float64) {
 			ten.blue = ten.blue[:0]
 			for v, b := range s.bgBlue {
 				if b {
-					s.ledger.Charge(v)
+					s.tab.ledger.Charge(v)
 					ten.blue = append(ten.blue, v)
 				}
 			}
-			s.journalAppend(JournalMigrate, ten.id, ten)
+			s.journalAppend(wire.DeltaMigrate, ten)
 		} else {
 			// Not worth the churn: restore the tenant's slots untouched.
 			for _, v := range ten.blue {
-				s.ledger.Charge(v)
+				s.tab.ledger.Charge(v)
 			}
 		}
 		s.mu.Unlock()

@@ -4,16 +4,16 @@
 // streams (the contention regime studied in the follow-up "Constrained
 // In-network Computing with Low Congestion in Datacenter Networks").
 //
-// A Scheduler owns one tree network plus its per-switch lease capacities
-// (a Ledger) and admits Place/Release requests from any number of
-// goroutines. Requests that queue up while the previous batch is being
-// solved are coalesced into the next one (work-conserving group commit:
-// the dispatcher never idles to let a batch grow) and dispatched to a
-// pool of reusable core.Incremental engines — one per
-// worker, patched with load and availability deltas via SetLoads /
-// SetAvails instead of re-solving from scratch — so steady-state
-// admission is allocation-free and the solves of one batch run in
-// parallel. Commits are serialized in arrival order against the ledger;
+// A Scheduler serves one tree network's lease Table — the per-switch
+// lease capacities (a Ledger) and the leases charged against them — and
+// admits Place/Release requests from any number of goroutines. Requests
+// that queue up while the previous batch is being solved are coalesced
+// into the next one (work-conserving group commit: the dispatcher never
+// idles to let a batch grow) and dispatched to a pool of reusable
+// core.Incremental engines — one per worker, patched with load and
+// availability deltas via SetLoads / SetAvails instead of re-solving
+// from scratch — so steady-state admission is allocation-free and the
+// solves of one batch run in parallel. Commits are serialized in arrival order against the ledger;
 // a batch member whose optimistically-solved placement lost a capacity
 // race to an earlier member is transparently re-solved against the
 // updated availability set, so leases never oversubscribe a switch.
@@ -42,6 +42,7 @@ import (
 
 	"soar/internal/obs"
 	"soar/internal/topology"
+	"soar/internal/wire"
 )
 
 // ErrNotFound is returned for operations on unknown tenant ids.
@@ -136,13 +137,15 @@ type Config struct {
 	QueueDepth int
 	// Repack tunes the background re-packer.
 	Repack RepackConfig
-	// Journal, when non-nil, receives one JournalEvent per committed
+	// Journal, when non-nil, receives one commit-log record per committed
 	// control-plane mutation (place, release, re-packer migration), in
-	// commit order with densely increasing sequence numbers. It runs on
-	// the dispatcher goroutine after the mutation is visible and outside
-	// the commit lock; it must hand off quickly — internal/ha fans events
-	// out to buffered per-standby streams. See journal.go.
-	Journal func(JournalEvent)
+	// commit order with densely increasing sequence numbers: the lease
+	// delta frame with Seq, Op and the lease filled in, the receiver's to
+	// keep (it stamps Shard and Epoch). It runs on the dispatcher
+	// goroutine after the mutation is visible and outside the commit
+	// lock; it must hand off quickly — internal/ha fans records out to
+	// buffered per-standby streams. See journal.go.
+	Journal func(*wire.LeaseDelta)
 	// Fence, when non-nil, is consulted under the commit lock before
 	// every admission, release and migration commits; a non-nil error
 	// aborts the mutation and is returned to the caller. internal/ha
@@ -191,7 +194,7 @@ type request struct {
 	moved     int
 	recovered float64
 	// checkpoint output
-	snap ckptSnapshot
+	snap *Table
 	// conflicted marks a placement re-solved during commit; the metric
 	// is counted under mu, the detection happens outside it.
 	conflicted bool
@@ -262,24 +265,42 @@ type Scheduler struct {
 	// engine, which copies them, and clears exactly those entries).
 	bgLoad []int
 
-	mu     sync.Mutex //soar:critical guards ledger, leases, nextID, journalSeq, met
-	ledger *Ledger
-	leases map[int64]*tenant
-	nextID int64
-	met    metrics
+	// tab is the served table: ledger, leases, next id and journal
+	// sequence (assigned under mu at each mutation). The dispatcher is
+	// its only writer, so the solve pipeline reads the ledger unlocked.
+	mu  sync.Mutex //soar:critical guards tab and met
+	tab *Table
+	met metrics
 
-	// Replication journal state (journal.go): journalSeq is assigned
-	// under mu at each mutation; jbuf is the dispatcher-owned buffer
-	// flushed to Config.Journal outside the lock.
-	journalSeq uint64
-	jbuf       []JournalEvent
+	// jbuf is the dispatcher-owned buffer of commit-log records flushed
+	// to Config.Journal outside the lock (journal.go).
+	jbuf []*wire.LeaseDelta
 
 	rejected atomic.Uint64 // requests failing validation (pre-queue)
 }
 
-// New creates a scheduler over tree t and starts its dispatcher, worker
-// pool and (if configured) re-packer. Callers must Close it.
+// New creates a scheduler over tree t — a fresh table at the configured
+// capacities, served — and starts its dispatcher, worker pool and (if
+// configured) re-packer. Callers must Close it.
 func New(t *topology.Tree, cfg Config) *Scheduler {
+	ledger := NewLedger(t.N(), cfg.Capacity)
+	if cfg.Capacities != nil {
+		if len(cfg.Capacities) != t.N() {
+			panic(fmt.Sprintf("sched: Capacities has %d entries for %d switches", len(cfg.Capacities), t.N()))
+		}
+		ledger = NewLedgerFromCaps(cfg.Capacities)
+	}
+	return Serve(newTable(t, ledger), cfg)
+}
+
+// Serve starts a scheduler on an existing table — a replica's, restored
+// from its primary's checkpoint and kept current by Table.Apply — and
+// takes the table over: the caller must not touch it again. The ledger
+// served is the table's; cfg's capacity fields are not consulted.
+// Callers audit the table first (Table.Audit) and must Close the
+// scheduler.
+func Serve(tab *Table, cfg Config) *Scheduler {
+	t := tab.t
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -289,20 +310,12 @@ func New(t *topology.Tree, cfg Config) *Scheduler {
 	if cfg.Repack.MaxMoves <= 0 {
 		cfg.Repack.MaxMoves = 8
 	}
-	ledger := NewLedger(t.N(), cfg.Capacity)
-	if cfg.Capacities != nil {
-		if len(cfg.Capacities) != t.N() {
-			panic(fmt.Sprintf("sched: Capacities has %d entries for %d switches", len(cfg.Capacities), t.N()))
-		}
-		ledger = NewLedgerFromCaps(cfg.Capacities)
-	}
 	s := &Scheduler{
 		t:      t,
 		cfg:    cfg,
 		reqs:   make(chan *request, cfg.QueueDepth),
 		stop:   make(chan struct{}),
-		ledger: ledger,
-		leases: make(map[int64]*tenant),
+		tab:    tab,
 		bgBlue: make([]bool, t.N()),
 		bgLoad: make([]int, t.N()),
 	}
@@ -468,49 +481,39 @@ func (s *Scheduler) RepackNow(maxMoves int) (moved int, recovered float64, err e
 func (s *Scheduler) Lookup(id int64) (*Lease, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ten, ok := s.leases[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return &Lease{
-		ID:     ten.id,
-		Blue:   append([]int(nil), ten.blue...),
-		K:      ten.k,
-		Phi:    ten.phi,
-		AllRed: ten.allRed,
-		Load:   ten.load.dense(s.t.N()),
-	}, nil
+	return s.tab.Lookup(id)
 }
 
 // Residual returns a copy of the per-switch residual capacities.
 func (s *Scheduler) Residual() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ledger.Residuals(nil)
+	return s.tab.Residual()
 }
 
 // Snapshot returns current scheduler statistics.
 func (s *Scheduler) Snapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Switches: s.t.N(), Tenants: len(s.leases)}
-	for v := 0; v < s.ledger.N(); v++ {
-		used := s.ledger.Used(v)
+	ledger, leases := s.tab.ledger, s.tab.leases
+	st := Stats{Switches: s.t.N(), Tenants: len(leases)}
+	for v := 0; v < ledger.N(); v++ {
+		used := ledger.Used(v)
 		if used > 0 {
 			st.SwitchesInUse++
 		}
 		st.CapacityUsed += int64(used)
-		st.CapacityTotal += int64(s.ledger.Initial(v))
+		st.CapacityTotal += int64(ledger.Initial(v))
 	}
-	if len(s.leases) == 0 {
+	if len(leases) == 0 {
 		st.MeanRatio = 1
 		return st
 	}
 	sum := 0.0
-	for _, ten := range s.leases {
+	for _, ten := range leases {
 		sum += ten.ratio()
 	}
-	st.MeanRatio = sum / float64(len(s.leases))
+	st.MeanRatio = sum / float64(len(leases))
 	return st
 }
 
@@ -642,7 +645,7 @@ func (s *Scheduler) runBatch() {
 //soar:hotpath
 func (s *Scheduler) solveOn(sol *solver, r *request) {
 	t0 := time.Now()
-	eng := sol.ensure(s.t, r.load, s.ledger.Avail(), r.k)
+	eng := sol.ensure(s.t, r.load, s.tab.ledger.Avail(), r.k)
 	if cap(r.blue) < s.t.N() {
 		r.blue = make([]bool, s.t.N()) //soar:coldpath first use of a pooled request
 	}
@@ -683,7 +686,7 @@ func (s *Scheduler) allRed(load []int) float64 {
 //soar:hotpath
 func (s *Scheduler) commit(r *request) {
 	for v, b := range r.blue {
-		if b && s.ledger.Residual(v) <= 0 {
+		if b && s.tab.ledger.Residual(v) <= 0 {
 			s.solveOn(&s.bgSol, r)
 			r.conflicted = true
 			break
@@ -694,6 +697,11 @@ func (s *Scheduler) commit(r *request) {
 	ten.phi = r.phi
 	ten.allRed = r.allRed
 	ten.blue = ten.blue[:0]
+	for v, b := range r.blue {
+		if b {
+			ten.blue = append(ten.blue, v)
+		}
+	}
 	ten.load.set(r.load)
 
 	s.mu.Lock()
@@ -708,16 +716,9 @@ func (s *Scheduler) commit(r *request) {
 			return
 		}
 	}
-	ten.id = s.nextID
-	s.nextID++
-	for v, b := range r.blue {
-		if b {
-			s.ledger.Charge(v)
-			ten.blue = append(ten.blue, v)
-		}
-	}
-	s.leases[ten.id] = ten
-	s.journalAppend(JournalPlace, ten.id, ten)
+	ten.id = s.tab.nextID
+	s.tab.file(ten)
+	s.journalAppend(wire.DeltaPlace, ten)
 	conflicted := r.conflicted
 	if conflicted {
 		s.met.conflicts.Inc()
@@ -740,7 +741,7 @@ func (s *Scheduler) commit(r *request) {
 //
 //soar:hotpath
 func (s *Scheduler) releaseLocked(id int64) error {
-	ten, ok := s.leases[id]
+	ten, ok := s.tab.leases[id]
 	if !ok {
 		return ErrNotFound
 	}
@@ -749,11 +750,8 @@ func (s *Scheduler) releaseLocked(id int64) error {
 			return err
 		}
 	}
-	for _, v := range ten.blue {
-		s.ledger.Credit(v)
-	}
-	delete(s.leases, id)
-	s.journalAppend(JournalRelease, id, nil)
+	s.tab.drop(ten)
+	s.journalAppend(wire.DeltaRelease, ten)
 	s.tenPool.Put(ten)
 	return nil
 }
