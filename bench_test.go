@@ -366,7 +366,11 @@ func (fromScratch) Place(t *topology.Tree, loads []int, avail []bool, k int) []b
 // ~n/h — about two orders of magnitude at n=2048. The online sub-benches
 // run one full Fig. 7-style allocation sequence through an allocator
 // that re-solves from scratch (fromScratch) and through the incremental
-// engine workload.NewAllocator uses for core.Strategy.
+// engine workload.NewAllocator uses for core.Strategy. dense-repoint is
+// the other end of the range, and what internal/sched does per dense
+// admission: a warm engine re-pointed (SetLoads) at another tenant that
+// loads every rack, so every switch is dirty and SolveInto is one full
+// sweep over recycled tables — which must allocate nothing.
 func BenchmarkIncremental(b *testing.B) {
 	for _, n := range []int{256, 512, 1024, 2048} {
 		for _, k := range []int{4, 16, 64} {
@@ -390,6 +394,33 @@ func BenchmarkIncremental(b *testing.B) {
 			})
 		}
 	}
+	b.Run("dense-repoint/n=2048/k=32", func(b *testing.B) {
+		tr, _ := fig9Instance(b, 2048)
+		rng := rand.New(rand.NewSource(11))
+		var tenants [2][]int
+		for i := range tenants {
+			tenants[i] = make([]int, tr.N())
+			for _, v := range tr.Leaves() {
+				tenants[i][v] = 1 + rng.Intn(9)
+			}
+		}
+		inc := core.NewIncremental(tr, tenants[0], nil, 32)
+		blue := make([]bool, tr.N())
+		next := 0
+		repoint := func() {
+			next ^= 1
+			inc.SetLoads(tenants[next])
+			inc.SolveInto(blue)
+		}
+		if allocs := testing.AllocsPerRun(4, repoint); allocs != 0 {
+			b.Fatalf("dense re-point allocates %v objects/op, want 0", allocs)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			repoint()
+		}
+	})
 	tr, _ := fig9Instance(b, 256)
 	rng := rand.New(rand.NewSource(2))
 	seq := workload.NewSequence(tr, rng)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"strconv"
 	"time"
 
 	"soar/internal/naas"
@@ -21,7 +22,9 @@ import (
 // degraded cluster runs and re-packer Φ recovered. It is a scrape
 // consumer like any other — it reads GET /metrics and computes rates
 // from successive snapshots, so what it shows is exactly what a
-// Prometheus dashboard would.
+// Prometheus dashboard would. The one exception is recomp, the switches
+// the newest solve recomputed: a per-solve fact, so it comes from the
+// newest sched.solve span of GET /v1/trace.
 func runTop(args []string) error {
 	fs := newFlagSet("top")
 	addr := fs.String("addr", "http://127.0.0.1:7070", "daemon base URL")
@@ -47,6 +50,7 @@ type topSnapshot struct {
 	tenants, capUsed, capTotal                float64
 	p50, p95, p99, queueWait                  float64
 	ckptPause                                 float64 // median hold of the commit lock by a checkpoint
+	recomp                                    string  // switches the newest solve recomputed; "-": no span
 }
 
 func scrapeTop(ctx context.Context, c *naas.Client) (*topSnapshot, error) {
@@ -118,6 +122,17 @@ func scrapeTop(ctx context.Context, c *naas.Client) (*topSnapshot, error) {
 		return nil, err
 	}
 	snap.p50, snap.p95, snap.p99, snap.queueWait, snap.ckptPause = place[0], place[1], place[2], wait[0], pause[0]
+	snap.recomp = "-"
+	// A front without a span ring (the sharded one) answers 404: the
+	// column then stays "-", like a histogram the daemon does not export.
+	if spans, err := c.Trace(ctx, 64); err == nil {
+		for _, sp := range spans { // newest first
+			if sp.Op == "sched.solve" {
+				snap.recomp = strconv.FormatInt(sp.V2, 10)
+				break
+			}
+		}
+	}
 	return snap, nil
 }
 
@@ -129,8 +144,8 @@ func topLoop(w io.Writer, addr string, every time.Duration, polls int) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	fmt.Fprintf(w, "%-8s %9s %8s %8s %8s %8s %8s %8s %8s %7s %9s %9s\n",
-		"time", "adm/s", "p50", "p95", "p99", "qwait50", "cksnap50", "tenants", "cap%", "batch", "degraded", "Φrec")
+	fmt.Fprintf(w, "%-8s %9s %8s %8s %8s %8s %8s %8s %8s %7s %9s %9s %7s\n",
+		"time", "adm/s", "p50", "p95", "p99", "qwait50", "cksnap50", "tenants", "cap%", "batch", "degraded", "Φrec", "recomp")
 	var prev *topSnapshot
 	prevAt := time.Now()
 	for i := 0; polls <= 0 || i < polls; i++ {
@@ -160,10 +175,10 @@ func topLoop(w io.Writer, addr string, every time.Duration, polls int) error {
 		if snap.batches > 0 {
 			meanBatch = snap.batchSizeSum / snap.batches
 		}
-		fmt.Fprintf(w, "%-8s %9.1f %8s %8s %8s %8s %8s %8.0f %7.1f%% %7.2f %9.0f %9.3f\n",
+		fmt.Fprintf(w, "%-8s %9.1f %8s %8s %8s %8s %8s %8.0f %7.1f%% %7.2f %9.0f %9.3f %7s\n",
 			now.Format("15:04:05"), rate,
 			fmtSeconds(snap.p50), fmtSeconds(snap.p95), fmtSeconds(snap.p99), fmtSeconds(snap.queueWait),
-			fmtSeconds(snap.ckptPause), snap.tenants, capPct, meanBatch, snap.degraded, snap.phiRecovered)
+			fmtSeconds(snap.ckptPause), snap.tenants, capPct, meanBatch, snap.degraded, snap.phiRecovered, snap.recomp)
 		prev, prevAt = snap, now
 	}
 	return nil

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -41,11 +42,16 @@ func TestTopLoopAgainstLiveService(t *testing.T) {
 		t.Fatalf("want header + 2 poll lines, got %d:\n%s", len(lines), out)
 	}
 	// One tenant is active; the tenants column must say so on each line,
-	// its admission gave the queue-wait column (6th) a reading and the
-	// checkpoint gave the lock-hold column (7th) one.
+	// its admission gave the queue-wait column (6th) a reading, the
+	// checkpoint gave the lock-hold column (7th) one, and its solve built
+	// the engine, so the last column (recomp) counts every switch.
 	for _, ln := range lines[1:] {
-		if f := strings.Fields(ln); len(f) < 7 || f[5] == "-" || f[6] == "-" {
+		f := strings.Fields(ln)
+		if len(f) < 7 || f[5] == "-" || f[6] == "-" {
 			t.Fatalf("poll line shows no queue wait or no checkpoint pause: %q", ln)
+		}
+		if f[len(f)-1] != strconv.Itoa(tr.N()) {
+			t.Fatalf("poll line's recomp column is not the %d switches the solve computed: %q", tr.N(), ln)
 		}
 		if !strings.Contains(ln, " 1 ") {
 			t.Fatalf("poll line does not show the active tenant: %q", ln)

@@ -126,9 +126,8 @@ func newArena(t *topology.Tree, caps []int) *arena {
 // incremental engine under SetAvail) reallocates instead of bleeding
 // into a neighbor's window.
 func (a *arena) node(t *topology.Tree, v int) nodeTables {
-	rows := t.Depth(v) + 1
-	w := a.caps[v] + 1
-	lo, hi := a.xOff[v], a.xOff[v]+rows*w
+	sz := tableCells(t.Depth(v), a.caps[v])
+	lo, hi := a.xOff[v], a.xOff[v]+sz
 	nt := nodeTables{
 		cap:    a.caps[v],
 		x:      a.x[lo:hi:hi],
@@ -136,11 +135,10 @@ func (a *arena) node(t *topology.Tree, v int) nodeTables {
 	}
 	if merges := t.NumChildren(v) - 1; merges > 0 {
 		nt.splits = a.hdr[a.hdOff[v] : a.hdOff[v]+merges : a.hdOff[v]+merges]
-		rowLen := 2 * rows * w
 		off := a.spOff[v]
 		for m := range nt.splits {
-			nt.splits[m] = a.splits[off : off+rowLen : off+rowLen]
-			off += rowLen
+			nt.splits[m] = a.splits[off : off+sz : off+sz]
+			off += sz
 		}
 	}
 	return nt
@@ -149,8 +147,7 @@ func (a *arena) node(t *topology.Tree, v int) nodeTables {
 // newNodeStorage allocates standalone tables for one switch, for engines
 // that build nodes in isolation (the message-passing protocol engine).
 func newNodeStorage(depth, capv, numChildren int) nodeTables {
-	w := capv + 1
-	sz := (depth + 1) * w
+	sz := tableCells(depth, capv)
 	nt := nodeTables{
 		cap:    capv,
 		x:      make([]float64, sz),
@@ -158,9 +155,8 @@ func newNodeStorage(depth, capv, numChildren int) nodeTables {
 	}
 	if numChildren > 1 {
 		nt.splits = make([][]int32, numChildren-1)
-		rowLen := 2 * sz
 		for m := range nt.splits {
-			nt.splits[m] = make([]int32, rowLen)
+			nt.splits[m] = make([]int32, sz)
 		}
 	}
 	return nt
@@ -175,8 +171,7 @@ func newNodeStorage(depth, capv, numChildren int) nodeTables {
 //
 //soar:hotpath
 func ensureNodeStorage(nt *nodeTables, depth, capv, numChildren int) {
-	w := capv + 1
-	sz := (depth + 1) * w
+	sz := tableCells(depth, capv)
 	nt.cap = capv
 	if cap(nt.x) >= sz {
 		nt.x = nt.x[:sz]
@@ -195,34 +190,33 @@ func ensureNodeStorage(nt *nodeTables, depth, capv, numChildren int) {
 	if nt.splits == nil {
 		nt.splits = make([][]int32, numChildren-1) //soar:coldpath first use
 	}
-	rowLen := 2 * sz
 	for m := range nt.splits {
-		if cap(nt.splits[m]) >= rowLen {
-			nt.splits[m] = nt.splits[m][:rowLen]
+		if cap(nt.splits[m]) >= sz {
+			nt.splits[m] = nt.splits[m][:sz]
 		} else {
-			nt.splits[m] = make([]int32, rowLen) //soar:coldpath cap grew
+			nt.splits[m] = make([]int32, sz) //soar:coldpath cap grew
 		}
 	}
 }
 
-// scratch holds the four Y merge rows computeNode ping-pongs between.
-// One scratch serves a whole serial run (or one stateful engine); it is
-// sized once at the widest row any node can need and re-sliced per
-// node. maxCap is the root's effective cap: cap(v) ≤
+// scratch holds the merge rows of computeNode: the two Y rows the red
+// fold ping-pongs between and the kept red row 0 every blue value is
+// derived from. One scratch serves a whole serial run (or one stateful
+// engine); it is sized once at the widest row any node can need and
+// re-sliced per node. maxCap is the root's effective cap: cap(v) ≤
 // cap(root) for every v, so width maxCap+1 covers the whole tree. A
 // budget of k=1<<30 with three available switches costs rows of width
-// 4, not four gigarows.
+// 4, not three gigarows.
 type scratch struct {
-	yr, yb, newYR, newYB []float64
+	yr, newYR, r0 []float64
 }
 
 func newScratch(maxCap int) *scratch {
-	buf := make([]float64, 4*(maxCap+1))
+	buf := make([]float64, 3*(maxCap+1))
 	w := maxCap + 1
 	return &scratch{
 		yr:    buf[0*w : 1*w],
-		yb:    buf[1*w : 2*w],
-		newYR: buf[2*w : 3*w],
-		newYB: buf[3*w : 4*w],
+		newYR: buf[1*w : 2*w],
+		r0:    buf[2*w : 3*w],
 	}
 }

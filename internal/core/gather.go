@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"soar/internal/topology"
-)
+import "soar/internal/topology"
 
 // nodeTables holds the DP state of one switch. All rows are stored at
 // the effective width cap+1 (see EffectiveCaps): X_v(ℓ, i) is constant
@@ -28,9 +24,11 @@ type nodeTables struct {
 	// Alg. 4 line 6).
 	isBlue []bool
 	// splits[m-2] records, for the merge of child m (m = 2..C(v)), the
-	// optimal number of blue switches assigned to that child's subtree.
-	// Layout: color (0 red, 1 blue) major, then l, then i:
-	// splits[m-2][(color*(depth+1)+l)*(cap+1)+i].
+	// optimal number of blue switches assigned to that child's subtree
+	// under a RED v: splits[m-2][l*(cap+1)+i], tableCells per merge. A
+	// blue v stores nothing — its children see ℓ = 1 whatever v's own ℓ,
+	// exactly as below a red v at ℓ = 0, so splitAt answers a blue query
+	// from row 0 (see computeNode).
 	splits [][]int32
 }
 
@@ -55,18 +53,32 @@ func (nt *nodeTables) blueAt(l, i int) bool {
 	return nt.isBlue[l*(nt.cap+1)+i]
 }
 
-// splitAt returns the recorded argmin split of merge m (m = 2..C(v)) at
-// (color, l, i), clamping i to the effective cap: for i ≥ cap the
-// unbounded DP records the same split at every column (the merge costs
-// no longer depend on i), so the cap column stands in for the tail.
+// splitAt returns the argmin split of merge m1+2 (m1 = 0..C(v)-2) for a
+// v of the given color at (l, i), clamping i to the effective cap: for
+// i ≥ cap the unbounded DP records the same split at every column (the
+// merge costs no longer depend on i), so the cap column stands in for
+// the tail. A blue v spends c(v) and folds its children at ℓ = 1 — the
+// red fold of row 0 on the remaining budget — so a blue query reads the
+// red breadcrumb at (0, i − c(v)); it is defined for i ≥ c(v) only, the
+// columns where blue is affordable.
 //
 //soar:hotpath
-func (nt *nodeTables) splitAt(m1, colorIdx, depth, l, i int) int {
+func (nt *nodeTables) splitAt(m1 int, blue bool, l, i int) int {
 	if i > nt.cap {
 		i = nt.cap
 	}
-	return int(nt.splits[m1][(colorIdx*(depth+1)+l)*(nt.cap+1)+i])
+	if blue {
+		l, i = 0, i-nt.capw
+	}
+	return int(nt.splits[m1][l*(nt.cap+1)+i])
 }
+
+// tableCells is the number of (ℓ, i) cells of a switch's table: the size
+// of x, of isBlue and of each merge's breadcrumb window (red track only).
+// Every engine sizes its node storage through it.
+//
+//soar:hotpath
+func tableCells(depth, capv int) int { return (depth + 1) * (capv + 1) }
 
 // Gather runs SOAR-Gather (paper Alg. 3) serially in post-order and
 // returns the full DP state. avail == nil means every switch may be blue.
@@ -200,18 +212,24 @@ func computeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *node
 		return
 	}
 
-	yr := sc.yr[:w]
-	yb := sc.yb[:w]
-	newYR := sc.newYR[:w]
-	newYB := sc.newYB[:w]
+	// One fold per ℓ, for a red v. A blue v needs none of its own: its
+	// children see ℓ = 1 whatever v's ℓ is — what a red v's children see
+	// at ℓ = 0, where v's own term ρ(v, A⁰)·L(v) vanishes — so
+	//
+	//	Y_blue(ℓ, i) = Y_red(0, i − c(v)) + ρ(v, Aℓ)·min(1, L(T_v)),
+	//
+	// values and argmin splits alike (splitAt). r0 keeps the red row 0.
+	// The paper's two-track form adds the ρ term before the fold, this one
+	// after: the same bits when the sums are exact (unit, dyadic ρ), a
+	// last-ulp difference otherwise (DESIGN.md).
+	yr, newYR, r0 := sc.yr[:w], sc.newYR[:w], sc.r0[:w]
 	for l := 0; l <= depth; l++ {
 		rho := t.RhoUp(v, l)
-		// m = 1 (paper Alg. 3 lines 14-19): fold in the first child.
-		// capR / capB track the effective cap of the running Y rows:
-		// min(capv, Σ caps of the merged children [+ capw for a blue v]).
+		// m = 1 (paper Alg. 3 lines 14-19): fold in the first child. capR
+		// tracks the effective cap of the running Y row: min(capv, Σ caps
+		// of the merged children).
 		c1 := children[0]
-		w1 := c1.cap + 1
-		redRow := c1.x[(l+1)*w1:]
+		redRow := c1.x[(l+1)*(c1.cap+1):]
 		redBase := rho * float64(load)
 		capR := min(capv, c1.cap)
 		for i := 0; i <= capR; i++ {
@@ -219,25 +237,6 @@ func computeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *node
 		}
 		for i := capR + 1; i <= capv; i++ {
 			yr[i] = yr[capR]
-		}
-		capB := 0
-		if blueOK {
-			blueRow := c1.x[1*w1:]
-			blueBase := rho * bsend
-			capB = min(capv, c1.cap+capw)
-			for i := 0; i < capw; i++ {
-				yb[i] = math.Inf(1) // budget below c(v): blue unaffordable
-			}
-			for i := capw; i <= capB; i++ {
-				yb[i] = blueRow[i-capw] + blueBase
-			}
-			for i := capB + 1; i <= capv; i++ {
-				yb[i] = yb[capB]
-			}
-		} else {
-			for i := 0; i <= capv; i++ {
-				yb[i] = math.Inf(1)
-			}
 		}
 		// m ≥ 2 (paper Alg. 3 lines 20-25): min-plus merge per child via
 		// the SoA kernel (kernel.go), recording the argmin split for the
@@ -249,11 +248,8 @@ func computeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *node
 		for m := 1; m < len(children); m++ {
 			cm := children[m]
 			wcm := cm.cap + 1
-			xBlue := cm.x[1*wcm : 1*wcm+wcm]        // child sees ℓ = 1 below a blue v
 			xRed := cm.x[(l+1)*wcm : (l+1)*wcm+wcm] // child sees ℓ+1 below a red v
-			sp := nt.splits[m-1]
-			spRed := sp[(0*(depth+1)+l)*w:]
-			spBlue := sp[(1*(depth+1)+l)*w:]
+			spRed := nt.splits[m-1][l*w:]
 			newCapR := min(capv, capR+cm.cap)
 			mergeMinPlus(newYR, spRed, yr, xRed, newCapR, cm.cap)
 			for i := newCapR + 1; i <= capv; i++ {
@@ -262,34 +258,22 @@ func computeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *node
 			}
 			yr, newYR = newYR, yr
 			capR = newCapR
-			if blueOK {
-				newCapB := min(capv, capB+cm.cap)
-				mergeMinPlus(newYB, spBlue, yb, xBlue, newCapB, cm.cap)
-				for i := newCapB + 1; i <= capv; i++ {
-					newYB[i] = newYB[newCapB]
-					spBlue[i] = spBlue[newCapB]
-				}
-				yb, newYB = newYB, yb
-				capB = newCapB
-			} else {
-				// The unbounded DP records argmin 0 on the all-infinite
-				// blue track of a switch that can never afford blue
-				// (unavailable, or c(v) > k); keep recycled storage
-				// identical.
-				for i := 0; i <= capv; i++ {
-					spBlue[i] = 0
-				}
-			}
 		}
-		// X_v(ℓ, i) = min over v's color (paper Alg. 3 line 28).
-		for i := 0; i <= capv; i++ {
-			idx := l*w + i
-			if yb[i] < yr[i] {
-				nt.x[idx] = yb[i]
-				nt.isBlue[idx] = true
-			} else {
-				nt.x[idx] = yr[i]
-				nt.isBlue[idx] = false
+		if l == 0 {
+			copy(r0, yr)
+		}
+		// X_v(ℓ, i) = min over v's color (paper Alg. 3 line 28): red, unless
+		// v can pay for blue (i ≥ c(v)) and blue is strictly cheaper.
+		row, rowBlue := nt.x[l*w:(l+1)*w], nt.isBlue[l*w:(l+1)*w]
+		copy(row, yr)
+		clear(rowBlue) // recycled storage: every cell is rewritten
+		if blueOK {
+			blueBase := rho * bsend
+			for i := capw; i <= capv; i++ {
+				if yb := r0[i-capw] + blueBase; yb < yr[i] {
+					row[i] = yb
+					rowBlue[i] = true
+				}
 			}
 		}
 	}

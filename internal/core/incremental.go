@@ -50,6 +50,7 @@ type Incremental struct {
 	scCap   int           // the root effective cap sc is sized for
 	cbuf    []*nodeTables // reusable child-table buffer for flushes
 	cs      colorState    // reusable SOAR-Color scratch for SolveInto
+	flushed int           // switches the last non-empty flush (or the constructing Gather) recomputed
 }
 
 // NewIncremental runs one full SOAR-Gather and returns an engine holding
@@ -124,6 +125,7 @@ func newIncremental(t *topology.Tree, load []int, caps []int, k int) *Incrementa
 	inc.scCap = inc.cap(t.Root())
 	inc.sc = newScratch(inc.scCap)
 	inc.tb = gatherSerial(t, inc.load, nil, inc.caps, k)
+	inc.flushed = n
 	return inc
 }
 
@@ -161,6 +163,13 @@ func (inc *Incremental) Capacities() []int { return append([]int(nil), inc.caps.
 // Pending returns the number of switches whose tables are stale; it is
 // zero right after a flush (Flush, Solve, Cost or Tables).
 func (inc *Incremental) Pending() int { return len(inc.queue) } //soar:hotpath
+
+// Recomputed returns how many switches' tables the engine's most recent
+// recomputation covered: the dirty-path length of a flushed sparse
+// update, N for a dense re-point and for the constructing Gather. A
+// flush with nothing pending leaves it alone. It is what the Gather half
+// of a solve's cost is proportional to.
+func (inc *Incremental) Recomputed() int { return inc.flushed } //soar:hotpath
 
 // UpdateLoad adds delta to the load of switch v and marks the v→root
 // path dirty. It panics if the load would become negative. The
@@ -311,6 +320,7 @@ func (inc *Incremental) Flush() {
 	if len(inc.queue) == 0 {
 		return
 	}
+	inc.flushed = len(inc.queue)
 	inc.orderQueue()
 	if rootCap := inc.cap(inc.t.Root()); rootCap > inc.scCap {
 		// SetCap raised the root's capacity sum past the width the merge

@@ -14,8 +14,10 @@ import "math"
 // whole repo:
 //
 //   - min over a fixed candidate set of float64s is order-independent
-//     (no NaNs can arise: all table values are ≥ 0 or +Inf, and the
-//     kernel only adds), so any evaluation order yields the same value;
+//     (no NaNs can arise: all table values are ≥ 0 and the kernel only
+//     adds; computeNode folds the red track alone, whose rows are finite,
+//     but the variants stay exact on +Inf cells too), so any evaluation
+//     order yields the same value;
 //   - the recorded argmin must be the LOWEST j attaining that value,
 //     which every variant preserves by scanning j ascending and
 //     replacing only on strict <.

@@ -8,11 +8,32 @@ import (
 	"soar/internal/topology"
 )
 
-// scalarComputeNode is the pre-kernel merge loop kept as an executable
-// reference: computeNode with every (min,+) merge done by the naive
-// i-outer, branch-per-candidate scan (mergeScalar). The kernel variants
-// must reproduce it bitwise — values, color flags and split breadcrumbs.
-func scalarComputeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *nodeTables, children []*nodeTables, sc *scratch) {
+// scalarScratch is the four-row merge scratch of the two-track reference:
+// a running and a next Y row per color of v.
+type scalarScratch struct {
+	yr, yb, newYR, newYB []float64
+}
+
+func newScalarScratch(maxCap int) *scalarScratch {
+	w := maxCap + 1
+	return &scalarScratch{
+		yr:    make([]float64, w),
+		yb:    make([]float64, w),
+		newYR: make([]float64, w),
+		newYB: make([]float64, w),
+	}
+}
+
+// scalarComputeNode is the paper-form SOAR-Gather step kept verbatim as
+// an executable reference: both color tracks of v are folded per ℓ (paper
+// Alg. 3 runs the child merges once for a red v and once for a blue v),
+// every (min,+) merge by the naive i-outer, branch-per-candidate scan
+// (mergeScalar). Its breadcrumbs use the two-track layout — color (0 red,
+// 1 blue) major, then ℓ, then i — read back through scalarSplit.
+// computeNode, which folds the red track only and derives the blue one
+// from red row 0, must reproduce it bitwise: values, color flags and the
+// split answer at every (color, ℓ, i) a traceback can ask for.
+func scalarComputeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *nodeTables, children []*nodeTables, sc *scalarScratch) {
 	depth := t.Depth(v)
 	capv := nt.cap
 	nt.capw = capw
@@ -130,7 +151,8 @@ func scalarComputeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt
 }
 
 // gatherScalar is gatherSerial with scalarComputeNode: the whole-DP
-// reference the kernel-backed Gather must match bitwise.
+// reference Gather must match bitwise. Its split windows hold both color
+// tracks, twice the engines' red-only tableCells.
 func gatherScalar(t *topology.Tree, load []int, avail []bool, caps []int, k int) *Tables {
 	if k < 0 {
 		k = 0
@@ -138,10 +160,13 @@ func gatherScalar(t *topology.Tree, load []int, avail []bool, caps []int, k int)
 	ecaps := effectiveCaps(t, avail, caps, k)
 	tb := &Tables{t: t, load: load, k: k, nodes: make([]nodeTables, t.N())}
 	subLoad := t.SubtreeLoads(load)
-	sc := newScratch(ecaps[t.Root()])
+	sc := newScalarScratch(ecaps[t.Root()])
 	var cbuf []*nodeTables
 	for _, v := range t.PostOrder() {
 		nt := newNodeStorage(t.Depth(v), ecaps[v], t.NumChildren(v))
+		for m := range nt.splits {
+			nt.splits[m] = make([]int32, 2*len(nt.x))
+		}
 		cbuf = appendChildTables(cbuf[:0], tb, v)
 		scalarComputeNode(t, v, load[v], subLoad[v] > 0, capAt(avail, caps, v), &nt, cbuf, sc)
 		tb.nodes[v] = nt
@@ -149,8 +174,65 @@ func gatherScalar(t *topology.Tree, load []int, avail []bool, caps []int, k int)
 	return tb
 }
 
-// requireTablesBitwise fails unless got and want agree bitwise on every
-// value, color flag and split breadcrumb of every switch.
+// scalarSplit reads the reference's two-track breadcrumb of merge m1+2 at
+// (color, l, i), clamping i to the effective cap like splitAt.
+func scalarSplit(nt *nodeTables, m1 int, blue bool, depth, l, i int) int {
+	colorIdx := 0
+	if blue {
+		colorIdx = 1
+	}
+	return int(nt.splits[m1][(colorIdx*(depth+1)+l)*(nt.cap+1)+min(i, nt.cap)])
+}
+
+// scalarDecide is decide over the reference tables: one SOAR-Color step
+// with every split read from the two-track layout the reference wrote,
+// so the reference traceback owes nothing to splitAt's blue-from-red-
+// row-0 rule.
+func scalarDecide(t *topology.Tree, nt *nodeTables, v, budget, l int) (isBlue bool, childBudget []int, childL int) {
+	isBlue = nt.blueAt(l, budget)
+	children := t.Children(v)
+	if len(children) == 0 {
+		return isBlue, nil, 0
+	}
+	childL = l + 1
+	if isBlue {
+		childL = 1
+	}
+	childBudget = make([]int, len(children))
+	remaining := budget
+	for m := len(children) - 1; m >= 1; m-- {
+		childBudget[m] = scalarSplit(nt, m-1, isBlue, t.Depth(v), l, remaining)
+		remaining -= childBudget[m]
+	}
+	if isBlue {
+		remaining -= nt.capw
+	}
+	childBudget[0] = remaining
+	return isBlue, childBudget, childL
+}
+
+// scalarColorPhase is SOAR-Color over the reference tables via scalarDecide.
+func scalarColorPhase(tb *Tables) ([]bool, float64) {
+	t := tb.t
+	blue := make([]bool, t.N())
+	stack := []colorFrame{{t.Root(), tb.k, 1}}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		isBlue, budgets, childL := scalarDecide(t, &tb.nodes[f.v], f.v, f.i, f.l)
+		blue[f.v] = isBlue
+		for m, c := range t.Children(f.v) {
+			stack = append(stack, colorFrame{c, budgets[m], childL})
+		}
+	}
+	return blue, tb.Optimum()
+}
+
+// requireKernelTables fails unless got (an engine's tables) and want (the
+// two-track reference) agree bitwise on every value and color flag of
+// every switch, and splitAt answers every query a traceback can make —
+// a red v at every (ℓ, i), a blue v at every (ℓ, i ≥ c(v)) when v can
+// afford blue at all — with the breadcrumb the reference recorded.
 func requireKernelTables(t *testing.T, seed int64, name string, tr *topology.Tree, got, want *Tables) {
 	t.Helper()
 	for v := 0; v < tr.N(); v++ {
@@ -167,11 +249,27 @@ func requireKernelTables(t *testing.T, seed int64, name string, tr *topology.Tre
 		if len(g.splits) != len(w.splits) {
 			t.Fatalf("seed %d: %s switch %d has %d split tables, want %d", seed, name, v, len(g.splits), len(w.splits))
 		}
+		depth := tr.Depth(v)
 		for m := range w.splits {
-			for i := range w.splits[m] {
-				if g.splits[m][i] != w.splits[m][i] {
-					t.Fatalf("seed %d: %s switch %d merge %d split %d: %d want %d",
-						seed, name, v, m, i, g.splits[m][i], w.splits[m][i])
+			if len(g.splits[m]) != tableCells(depth, g.cap) {
+				t.Fatalf("seed %d: %s switch %d merge %d stores %d breadcrumbs, want the red-only %d",
+					seed, name, v, m, len(g.splits[m]), tableCells(depth, g.cap))
+			}
+			for _, blue := range []bool{false, true} {
+				lo := 0
+				if blue {
+					if w.capw < 1 || w.capw > w.cap {
+						continue // blue never affordable: no traceback asks
+					}
+					lo = w.capw
+				}
+				for l := 0; l <= depth; l++ {
+					for i := lo; i <= g.cap+1; i++ { // cap+1: the clamped tail
+						if gs, ws := g.splitAt(m, blue, l, i), scalarSplit(w, m, blue, depth, l, i); gs != ws {
+							t.Fatalf("seed %d: %s switch %d merge %d split(blue=%v, ℓ=%d, i=%d) = %d, want %d",
+								seed, name, v, m, blue, l, i, gs, ws)
+						}
+					}
 				}
 			}
 		}
@@ -179,8 +277,8 @@ func requireKernelTables(t *testing.T, seed int64, name string, tr *topology.Tre
 }
 
 // randomMergeRows builds one random kernel invocation: row widths, a Y
-// row and a child row with occasional +Inf cells (the infeasible-blue
-// prefix of real merges).
+// row and a child row with occasional +Inf cells (the unaffordable-blue
+// prefix of the two-track reference's merges).
 func randomMergeRows(rng *rand.Rand) (y, x []float64, hi, cw int) {
 	hi = rng.Intn(41)
 	cw = rng.Intn(13)
@@ -229,8 +327,9 @@ func TestMergeKernelMatchesScalar(t *testing.T) {
 }
 
 // TestMergeKernelAllInfinite pins the all-infinite row convention: the
-// merge of an unaffordable blue track keeps value +Inf and argmin 0 in
-// every variant (the recycled-storage contract of computeNode).
+// merge of an unaffordable blue track (the two-track reference's; the
+// engines fold no blue track) keeps value +Inf and argmin 0 in every
+// variant.
 func TestMergeKernelAllInfinite(t *testing.T) {
 	for _, cw := range []int{0, 2, 5, 11} {
 		hi := 20
@@ -288,7 +387,7 @@ func FuzzKernelMatchesGather(f *testing.F) {
 		tr, loads, avail, k := randomInstance(seed, 25, 6)
 		requireKernelTables(t, seed, "uniform", tr, Gather(tr, loads, avail, k), gatherScalar(tr, loads, avail, nil, k))
 		res := Solve(tr, loads, avail, k)
-		wantBlue, wantCost := ColorPhase(gatherScalar(tr, loads, avail, nil, k))
+		wantBlue, wantCost := scalarColorPhase(gatherScalar(tr, loads, avail, nil, k))
 		if res.Cost != wantCost {
 			t.Fatalf("seed %d: kernel φ=%v, scalar φ=%v", seed, res.Cost, wantCost)
 		}

@@ -335,13 +335,13 @@ func (m *Memo) ensureScratch(maxCap int) {
 		m.sc = newScratch(maxCap) //soar:coldpath first use or cap raise
 		m.scCap = maxCap
 	}
-	sz := (m.t.Height() + 2) * (maxCap + 1) // rows ≤ height+2, width ≤ maxCap+1
+	sz := tableCells(m.t.Height()+1, maxCap) // depth ≤ height+1, cap ≤ maxCap
 	if len(m.zeroX) < sz {
 		m.zeroX = make([]float64, sz)   //soar:coldpath first use or cap raise
 		m.zeroIsBlue = make([]bool, sz) //soar:coldpath first use or cap raise
 	}
-	if len(m.zeroSplits) < 2*sz {
-		m.zeroSplits = make([]int32, 2*sz) //soar:coldpath first use or cap raise
+	if len(m.zeroSplits) < sz {
+		m.zeroSplits = make([]int32, sz) //soar:coldpath first use or cap raise
 	}
 }
 
@@ -350,9 +350,7 @@ func (m *Memo) ensureScratch(maxCap int) {
 // when no message ever leaves the subtree. All zero classes slice the
 // same shared slabs, so the fast path allocates only the split headers.
 func (m *Memo) zeroTable(depth, capw, ecap, numChildren int) (nodeTables, int64) {
-	rows, w := depth+1, ecap+1
-	sz := rows * w
-	rowLen := 2 * sz
+	sz := tableCells(depth, ecap)
 	nt := nodeTables{
 		cap:    ecap,
 		capw:   capw,
@@ -363,7 +361,7 @@ func (m *Memo) zeroTable(depth, capw, ecap, numChildren int) (nodeTables, int64)
 	if merges := numChildren - 1; merges > 0 {
 		nt.splits = make([][]int32, merges)
 		for i := range nt.splits {
-			nt.splits[i] = m.zeroSplits[:rowLen:rowLen]
+			nt.splits[i] = m.zeroSplits[:sz:sz]
 		}
 		bytes += int64(merges) * sliceHeaderBytes
 	}

@@ -27,19 +27,17 @@ func decide(t *topology.Tree, nt *nodeTables, v, budget, l int, dst []int) (isBl
 	if len(children) == 0 {
 		return isBlue, dst, 0 // dst untouched, so a looping caller keeps its capacity
 	}
-	colorIdx := 0
 	childL = l + 1
 	if isBlue {
-		colorIdx, childL = 1, 1
+		childL = 1
 	}
-	depth := t.Depth(v)
 	childBudget = dst
 	for range children {
 		childBudget = append(childBudget, 0)
 	}
 	remaining := budget
 	for m := len(children) - 1; m >= 1; m-- {
-		j := nt.splitAt(m-1, colorIdx, depth, l, remaining)
+		j := nt.splitAt(m-1, isBlue, l, remaining)
 		childBudget[m] = j
 		remaining -= j
 	}

@@ -41,14 +41,13 @@ func levelOrderOffsets(t *topology.Tree, caps []int) (xOff, spOff, hdOff []int) 
 	// window starts where the previous BFS switch's window ended.
 	x, sp, hd := 0, 0, 0
 	for _, v := range t.BFSOrder() {
-		rows := t.Depth(v) + 1
-		w := caps[v] + 1
+		sz := tableCells(t.Depth(v), caps[v])
 		xOff[v] = x
-		x += rows * w
+		x += sz
 		merges := max(t.NumChildren(v)-1, 0)
 		spOff[v] = sp
 		hdOff[v] = hd
-		sp += merges * 2 * rows * w
+		sp += merges * sz
 		hd += merges
 	}
 	xOff[n], spOff[n], hdOff[n] = x, sp, hd
@@ -112,8 +111,7 @@ func (s *slabAlloc) int32s(n int) []int32 {
 // the memo's class tables are written once (computeNode overwrites
 // every cell) and immutable afterwards, so they can share chunks.
 func newNodeStorageSlab(s *slabAlloc, depth, capv, numChildren int) nodeTables {
-	w := capv + 1
-	sz := (depth + 1) * w
+	sz := tableCells(depth, capv)
 	nt := nodeTables{
 		cap:    capv,
 		x:      s.floats(sz),
@@ -121,9 +119,8 @@ func newNodeStorageSlab(s *slabAlloc, depth, capv, numChildren int) nodeTables {
 	}
 	if numChildren > 1 {
 		nt.splits = make([][]int32, numChildren-1)
-		rowLen := 2 * sz
 		for m := range nt.splits {
-			nt.splits[m] = s.int32s(rowLen)
+			nt.splits[m] = s.int32s(sz)
 		}
 	}
 	return nt

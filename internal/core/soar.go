@@ -20,7 +20,12 @@
 //     subtree T_v when i blue switches are placed inside it and the
 //     nearest blue ancestor (or the destination d) is ℓ hops above v. The
 //     potential (paper Eq. 4) charges T_v's internal edges plus the cost
-//     its outgoing message(s) will incur on the ℓ links above.
+//     its outgoing message(s) will incur on the ℓ links above. Alg. 3
+//     folds v's children once for a red v and once for a blue v; this
+//     implementation folds the red track only, because a blue v's
+//     children see ℓ = 1 — what a red v's children see at ℓ = 0 — so the
+//     blue track is red row 0 shifted by c(v) plus ρ(v, Aℓ)·min(1, L(T_v))
+//     (see computeNode; exact for dyadic ρ, within an ulp otherwise).
 //   - SOAR-Color (paper Alg. 4) walks top-down along the recorded argmin
 //     "breadcrumbs" and assigns the colors.
 //

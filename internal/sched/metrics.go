@@ -243,11 +243,13 @@ func (m *metrics) noteBatchSpan(t0 time.Time, size, places int) {
 	m.tr.Record(m.opBatch, t0, time.Since(t0), int64(size), int64(places))
 }
 
-// noteSolve records one engine solve's span: v1 is the budget k.
+// noteSolve records one engine solve's span: v1 is the budget k, v2 the
+// number of switches whose tables the solve recomputed (the dirty-path
+// length for a sparse tenant, every switch for a dense one).
 //
 //soar:hotpath
-func (m *metrics) noteSolve(t0 time.Time, k int64) {
-	m.tr.Record(m.opSolve, t0, time.Since(t0), k, 0)
+func (m *metrics) noteSolve(t0 time.Time, k, recomputed int64) {
+	m.tr.Record(m.opSolve, t0, time.Since(t0), k, recomputed)
 }
 
 //soar:hotpath

@@ -652,7 +652,7 @@ func (s *Scheduler) solveOn(sol *solver, r *request) {
 	r.blue = r.blue[:s.t.N()]
 	r.phi = eng.SolveInto(r.blue)
 	r.allRed = s.allRed(r.load)
-	s.met.noteSolve(t0, int64(r.k))
+	s.met.noteSolve(t0, int64(r.k), int64(eng.Recomputed()))
 }
 
 // allRed returns φ with no aggregation at all: every server's messages

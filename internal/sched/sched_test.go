@@ -11,6 +11,7 @@ import (
 
 	"soar/internal/core"
 	"soar/internal/load"
+	"soar/internal/obs"
 	"soar/internal/paper"
 	"soar/internal/reduce"
 	"soar/internal/topology"
@@ -577,6 +578,61 @@ func TestMixedBudgetsRebuildEngines(t *testing.T) {
 		want := base.place(loads, k)
 		if got.Phi != want.Phi || !reflect.DeepEqual(got.Blue, want.Blue) {
 			t.Fatalf("step %d (k=%d): lease diverged", i, k)
+		}
+	}
+}
+
+// TestSolveSpanReportsRecomputedSwitches pins what the sched.solve span
+// says about a solve's cost: v1 is the budget, v2 the number of switches
+// whose tables the engine recomputed — every switch when the engine is
+// built or re-pointed at a dense tenant, the union of the changed racks'
+// root paths between two sparse tenants.
+func TestSolveSpanReportsRecomputedSwitches(t *testing.T) {
+	tr := topology.MustBT(64)
+	s := New(tr, Config{Capacity: 8, Workers: 1})
+	defer s.Close()
+	leaves := tr.Leaves()
+	sparse := func(racks ...int) []int {
+		loads := make([]int, tr.N())
+		for _, r := range racks {
+			loads[leaves[r]] = 3
+		}
+		return loads
+	}
+	dense := make([]int, tr.N())
+	for _, v := range leaves {
+		dense[v] = 2
+	}
+	onPaths := map[int]bool{}
+	for _, r := range []int{5, 9} { // racks that differ between the two sparse tenants
+		for v := leaves[r]; ; v = tr.Parent(v) {
+			onPaths[v] = true
+			if v == tr.Root() {
+				break
+			}
+		}
+	}
+	for _, step := range []struct {
+		name  string
+		loads []int
+		want  int
+	}{
+		{"engine built", sparse(1, 5), tr.N()},
+		{"sparse to sparse", sparse(1, 9), len(onPaths)},
+		{"sparse to dense", dense, tr.N()},
+	} {
+		if _, err := s.Place(step.loads, 4); err != nil {
+			t.Fatal(err)
+		}
+		var got *obs.SpanEvent
+		for _, sp := range s.Trace().Dump(16) { // newest first
+			if sp.Op == "sched.solve" {
+				got = &sp
+				break
+			}
+		}
+		if got == nil || got.V1 != 4 || got.V2 != int64(step.want) {
+			t.Fatalf("%s: newest sched.solve span %+v, want v1=4 v2=%d", step.name, got, step.want)
 		}
 	}
 }
