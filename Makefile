@@ -19,7 +19,7 @@ race:
 
 # The robustness acceptance test: churning tenants under checkpoint/
 # kill/restore cycles plus the cluster protocol under injected
-# transport faults, all under the race detector (CI's chaos-soak job).
+# transport faults, all under the race detector (CI's race job runs them).
 soak:
 	$(GO) test -race -count=1 -run '^TestChaosSoak$$' -v ./internal/sched
 	$(GO) test -race -count=1 -run 'Chaos|Fallback|Retry|FrameTimeout' ./internal/cluster

@@ -44,21 +44,32 @@
 // during drain), and -debug-addr starts a second listener serving
 // net/http/pprof.
 //
+// Both modes serve one API (naas.Front); they differ only in which
+// scheduler a per-scheduler route reads. ?shard=K names shard K (a
+// single node is shard 0). Without it a single node answers from its
+// scheduler, while a sharded daemon answers /metrics with its
+// soar_ha_* families and the other per-scheduler routes with 400.
+// Tenant ids are global in both modes.
+//
 // API (JSON):
 //
 //	POST   /v1/tenants    {"load": [...], "k": 4} → lease
 //	GET    /v1/tenants/{id}
 //	DELETE /v1/tenants/{id}
-//	GET    /v1/stats
-//	GET    /v1/residual
+//	GET    /v1/stats       (per scheduler: ?shard=K)
+//	GET    /v1/residual    (per scheduler; shard-local switch ids)
 //	GET    /v1/healthz     (liveness)
 //	GET    /v1/readyz      (readiness: restored + not draining)
-//	GET    /v1/shards      (sharded and join modes: membership)
-//	GET    /v1/checkpoint  (octet-stream snapshot)
-//	POST   /v1/checkpoint  (persist to -checkpoint path)
+//	GET    /v1/shards      (sharded and -join only: membership)
+//	GET    /v1/checkpoint  (per scheduler; octet-stream snapshot)
+//	POST   /v1/checkpoint  (persist to -checkpoint path; 503 without one)
 //	POST   /v1/cluster     {"id": 7} → loopback cluster replay of a lease
-//	GET    /v1/trace?n=64  (newest spans, JSON)
-//	GET    /metrics        (Prometheus text; sharded mode: ?shard=K)
+//	GET    /v1/trace?n=64  (per scheduler; newest spans, JSON)
+//	GET    /metrics        (per scheduler; Prometheus text)
+//
+// Errors are JSON: 404 for an unknown tenant, 503 when the daemon
+// cannot answer now (shutting down, a shard mid-failover), 400 for the
+// client's own fault.
 package main
 
 import (
@@ -140,20 +151,48 @@ func main() {
 		}()
 	}
 
-	switch {
-	case *joinAddr != "":
+	if *joinAddr != "" {
 		if *shardLevel < 0 {
 			log.Fatal("soar-naasd: -join requires -shard (the pod level the primary's cluster was built at)")
 		}
 		runJoin(ctx, tr, schedCfg, *addr, *joinAddr, *shardLevel, *joinShard, *haHeartbeat, *haMiss)
-	case *shardLevel >= 0:
+		return
+	}
+	var (
+		front  *naas.Front
+		sch    *sched.Scheduler // nil when sharded: shards replicate instead of checkpointing
+		banner string
+	)
+	if *shardLevel < 0 {
+		sch = sched.New(tr, schedCfg)
+		defer sch.Close()
+		front = naas.FromScheduler(sch)
+		banner = fmt.Sprintf("%d switches (%s), listening on %s (metrics at /metrics)", tr.N(), *topo, *addr)
+	} else {
 		if *ckptPath != "" {
 			log.Fatal("soar-naasd: -checkpoint is incompatible with -shard: shards replicate to standbys instead of a file")
 		}
-		runSharded(ctx, tr, schedCfg, *addr, *shardLevel, *replicas, *haHeartbeat, *haMiss)
-	default:
-		runSingle(ctx, tr, schedCfg, *addr, *topo, *ckptPath, *ckptEvery, *ckptTimeout)
+		cl, err := ha.NewCluster(tr, ha.Options{
+			Level:      *shardLevel,
+			Replicas:   *replicas,
+			Heartbeat:  *haHeartbeat,
+			MissBudget: *haMiss,
+			Sched:      schedCfg,
+			Logf:       log.Printf,
+		})
+		if err != nil {
+			log.Fatalf("soar-naasd: %v", err)
+		}
+		defer cl.Close()
+		front = naas.NewSharded(cl)
+		banner = fmt.Sprintf("%d switches, %d shards × (1 primary + %d standbys), listening on %s",
+			tr.N(), cl.Shards(), *replicas, *addr)
+		for _, st := range cl.Status() {
+			log.Printf("soar-naasd: shard %d: pod root %d, primary node %d at %s",
+				st.Index, st.Root, st.PrimaryNode, st.PrimaryAddr)
+		}
 	}
+	serve(ctx, front, sch, *addr, banner, *ckptPath, *ckptEvery, *ckptTimeout)
 }
 
 // buildTree resolves the topology flags to the network: -topo-file when
@@ -181,13 +220,11 @@ func buildTree(topoFile, topo string, n int, seed int64) (*topology.Tree, error)
 	}
 }
 
-// runSingle is the original one-process control plane, now with probe
-// wiring (drain flips readiness before the final checkpoint) and
-// deadline-bounded checkpoint saves.
-func runSingle(ctx context.Context, tr *topology.Tree, cfg sched.Config, addr, topo, ckptPath string, ckptEvery, ckptTimeout time.Duration) {
-	svc := naas.NewServiceWith(tr, cfg)
-	defer svc.Close()
-	svc.SetLogf(log.Printf) // surface degraded cluster runs in the daemon log
+// serve is the one serve path of both modes: it restores sch from
+// ckptPath if set, serves front on addr until ctx ends, drains
+// (readiness flips before the final checkpoint) and saves at shutdown.
+func serve(ctx context.Context, front *naas.Front, sch *sched.Scheduler, addr, banner, ckptPath string, ckptEvery, ckptTimeout time.Duration) {
+	front.SetLogf(log.Printf) // surface degraded cluster runs in the daemon log
 
 	bounded := func() (int64, error) {
 		sctx := context.Background()
@@ -196,21 +233,21 @@ func runSingle(ctx context.Context, tr *topology.Tree, cfg sched.Config, addr, t
 			sctx, cancel = context.WithTimeout(sctx, ckptTimeout)
 			defer cancel()
 		}
-		return saveCheckpointBounded(sctx, svc, ckptPath, writeCkptFile)
+		return saveCheckpointBounded(sctx, sch, ckptPath, writeCkptFile)
 	}
 
 	// Crash recovery: restore the control plane from the last checkpoint
 	// before any traffic is served (Restore requires a quiescent
 	// scheduler), then keep the file fresh — periodically, on demand via
-	// POST /v1/checkpoint, and on shutdown. The service is not ready
-	// until the restore lands.
+	// POST /v1/checkpoint, and on shutdown. The front is not ready until
+	// the restore lands.
 	if ckptPath != "" {
-		svc.SetReady(false)
-		if err := restoreCheckpoint(svc, ckptPath); err != nil {
+		front.SetReady(false)
+		if err := restoreCheckpoint(sch, ckptPath); err != nil {
 			log.Fatalf("soar-naasd: restore %s: %v", ckptPath, err)
 		}
-		svc.SetReady(true)
-		svc.SetCheckpointSaver(func() (string, int64, error) {
+		front.SetReady(true)
+		front.SetCheckpointSaver(func() (string, int64, error) {
 			size, err := bounded()
 			return ckptPath, size, err
 		})
@@ -218,7 +255,7 @@ func runSingle(ctx context.Context, tr *topology.Tree, cfg sched.Config, addr, t
 
 	srv := &http.Server{
 		Addr:              addr,
-		Handler:           svc.Handler(),
+		Handler:           front.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	go func() {
@@ -226,7 +263,7 @@ func runSingle(ctx context.Context, tr *topology.Tree, cfg sched.Config, addr, t
 		// Flip readiness first so supervisors stop routing, then drain
 		// in-flight requests; the final checkpoint happens after the
 		// listener closes, while /v1/readyz has long answered 503.
-		svc.SetDraining(true)
+		front.SetDraining(true)
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		srv.Shutdown(shutdownCtx)
@@ -248,8 +285,7 @@ func runSingle(ctx context.Context, tr *topology.Tree, cfg sched.Config, addr, t
 		}()
 	}
 
-	fmt.Printf("soar-naasd: %d switches (%s), listening on %s (metrics at /metrics)\n",
-		tr.N(), topo, addr)
+	fmt.Println("soar-naasd:", banner)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
@@ -261,48 +297,6 @@ func runSingle(ctx context.Context, tr *topology.Tree, cfg sched.Config, addr, t
 		} else {
 			log.Printf("soar-naasd: checkpointed %d bytes to %s", size, ckptPath)
 		}
-	}
-}
-
-// runSharded serves the fabric as a replicated, sharded control plane:
-// per-pod primaries with warm standbys, epoch-fenced failover, and a
-// shard-aware routing front on one address.
-func runSharded(ctx context.Context, tr *topology.Tree, cfg sched.Config, addr string, level, replicas int, heartbeat time.Duration, miss int) {
-	cl, err := ha.NewCluster(tr, ha.Options{
-		Level:      level,
-		Replicas:   replicas,
-		Heartbeat:  heartbeat,
-		MissBudget: miss,
-		Sched:      cfg,
-		Logf:       log.Printf,
-	})
-	if err != nil {
-		log.Fatalf("soar-naasd: %v", err)
-	}
-	defer cl.Close()
-	front := naas.NewSharded(cl)
-
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           front.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	go func() {
-		<-ctx.Done()
-		front.SetDraining(true)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(shutdownCtx)
-	}()
-
-	fmt.Printf("soar-naasd: %d switches, %d shards × (1 primary + %d standbys), listening on %s\n",
-		tr.N(), cl.Shards(), replicas, addr)
-	for _, st := range cl.Status() {
-		log.Printf("soar-naasd: shard %d: pod root %d, primary node %d at %s",
-			st.Index, st.Root, st.PrimaryNode, st.PrimaryAddr)
-	}
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
 	}
 }
 
@@ -331,10 +325,10 @@ func runJoin(ctx context.Context, tr *topology.Tree, cfg sched.Config, addr, pri
 			// serve and a supervisor should restart us to re-join.
 			log.Fatalf("soar-naasd: promotion failed: %v", err)
 		}
-		svc := naas.FromScheduler(sch)
-		svc.SetLogf(log.Printf)
-		handler.Store(svc.Handler())
-		log.Printf("soar-naasd: serving shard %d as promoted primary (%d tenants)", shard, svc.Snapshot().Tenants)
+		front := naas.FromScheduler(sch)
+		front.SetLogf(log.Printf)
+		handler.Store(front.Handler())
+		log.Printf("soar-naasd: serving shard %d as promoted primary (%d tenants)", shard, sch.Snapshot().Tenants)
 	}
 
 	m, err := ha.NewMirror(tr, level, primary, ha.MirrorConfig{
@@ -385,9 +379,9 @@ func debugMux() *http.ServeMux {
 	return mux
 }
 
-// restoreCheckpoint replays path into svc; a missing file is a fresh
+// restoreCheckpoint replays path into sch; a missing file is a fresh
 // start, not an error.
-func restoreCheckpoint(svc *naas.Service, path string) error {
+func restoreCheckpoint(sch *sched.Scheduler, path string) error {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
@@ -396,10 +390,10 @@ func restoreCheckpoint(svc *naas.Service, path string) error {
 		return err
 	}
 	defer f.Close()
-	if err := svc.Restore(f); err != nil {
+	if err := sch.Restore(f); err != nil {
 		return err
 	}
-	log.Printf("soar-naasd: restored %d tenants from %s", svc.Snapshot().Tenants, path)
+	log.Printf("soar-naasd: restored %d tenants from %s", sch.Snapshot().Tenants, path)
 	return nil
 }
 
@@ -418,22 +412,22 @@ type ckptSink func(path string, data []byte) (int64, error)
 
 // saveCheckpoint writes a checkpoint to path with no deadline, for
 // callers that own their own timeout.
-func saveCheckpoint(svc *naas.Service, path string) (int64, error) {
-	return saveCheckpointBounded(context.Background(), svc, path, writeCkptFile)
+func saveCheckpoint(sch *sched.Scheduler, path string) (int64, error) {
+	return saveCheckpointBounded(context.Background(), sch, path, writeCkptFile)
 }
 
-// saveCheckpointBounded snapshots svc in memory (fast, in-process) and
+// saveCheckpointBounded snapshots sch in memory (fast, in-process) and
 // hands the bytes to sink with ctx as the deadline. A sink that
 // outlives ctx is abandoned: it keeps ckptMu until it returns — so no
 // second writer can race it for the temp file and no goroutines pile
 // up behind it — while the caller (the periodic ticker, the SIGTERM
 // path) gets its error and moves on.
-func saveCheckpointBounded(ctx context.Context, svc *naas.Service, path string, sink ckptSink) (int64, error) {
+func saveCheckpointBounded(ctx context.Context, sch *sched.Scheduler, path string, sink ckptSink) (int64, error) {
 	if !ckptMu.TryLock() {
 		return 0, errCkptBusy
 	}
 	var buf bytes.Buffer
-	if err := svc.Checkpoint(&buf); err != nil {
+	if err := sch.Checkpoint(&buf); err != nil {
 		ckptMu.Unlock()
 		return 0, err
 	}

@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"soar/internal/naas"
 	"soar/internal/paper"
+	"soar/internal/sched"
 )
 
 // TestDebugMuxServesPprof pins the -debug-addr surface: the explicit
@@ -41,7 +41,7 @@ func TestDebugMuxServesPprof(t *testing.T) {
 
 func TestSaveAndRestoreCheckpointFile(t *testing.T) {
 	tr, loads := paper.Figure2()
-	svc := naas.NewService(tr, 2)
+	svc := sched.New(tr, sched.Config{Capacity: 2})
 	lease, err := svc.Place(loads, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestSaveAndRestoreCheckpointFile(t *testing.T) {
 	}
 	svc.Close()
 
-	fresh := naas.NewService(tr, 2)
+	fresh := sched.New(tr, sched.Config{Capacity: 2})
 	t.Cleanup(fresh.Close)
 	if err := restoreCheckpoint(fresh, path); err != nil {
 		t.Fatalf("restore: %v", err)
@@ -77,7 +77,7 @@ func TestSaveAndRestoreCheckpointFile(t *testing.T) {
 // and once the disk recovers the saver works again.
 func TestSaveCheckpointBoundedHungDisk(t *testing.T) {
 	tr, loads := paper.Figure2()
-	svc := naas.NewService(tr, 2)
+	svc := sched.New(tr, sched.Config{Capacity: 2})
 	t.Cleanup(svc.Close)
 	if _, err := svc.Place(loads, 2); err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestSaveCheckpointBoundedHungDisk(t *testing.T) {
 
 func TestRestoreMissingFileIsFreshStart(t *testing.T) {
 	tr, _ := paper.Figure2()
-	svc := naas.NewService(tr, 2)
+	svc := sched.New(tr, sched.Config{Capacity: 2})
 	t.Cleanup(svc.Close)
 	if err := restoreCheckpoint(svc, filepath.Join(t.TempDir(), "absent.ckpt")); err != nil {
 		t.Fatalf("missing checkpoint treated as error: %v", err)

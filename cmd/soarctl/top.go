@@ -123,8 +123,9 @@ func scrapeTop(ctx context.Context, c *naas.Client) (*topSnapshot, error) {
 	}
 	snap.p50, snap.p95, snap.p99, snap.queueWait, snap.ckptPause = place[0], place[1], place[2], wait[0], pause[0]
 	snap.recomp = "-"
-	// A front without a span ring (the sharded one) answers 404: the
-	// column then stays "-", like a histogram the daemon does not export.
+	// A sharded front answers a bare /v1/trace with 400 (it needs
+	// ?shard=K): the column then stays "-", like a histogram the daemon
+	// does not export.
 	if spans, err := c.Trace(ctx, 64); err == nil {
 		for _, sp := range spans { // newest first
 			if sp.Op == "sched.solve" {

@@ -10,6 +10,7 @@ import (
 
 	"soar/internal/naas"
 	"soar/internal/paper"
+	"soar/internal/sched"
 )
 
 // TestTopLoopAgainstLiveService boots a real naas control plane,
@@ -18,14 +19,14 @@ import (
 // the rendered table must reflect the admission and the checkpoint.
 func TestTopLoopAgainstLiveService(t *testing.T) {
 	tr, loads := paper.Figure2()
-	svc := naas.NewService(tr, 2)
-	t.Cleanup(svc.Close)
-	srv := httptest.NewServer(svc.Handler())
+	sch := sched.New(tr, sched.Config{Capacity: 2})
+	t.Cleanup(sch.Close)
+	srv := httptest.NewServer(naas.FromScheduler(sch).Handler())
 	t.Cleanup(srv.Close)
-	if _, err := svc.Place(loads, 2); err != nil {
+	if _, err := sch.Place(loads, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Checkpoint(io.Discard); err != nil {
+	if err := sch.Checkpoint(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,9 +63,9 @@ func TestTopLoopAgainstLiveService(t *testing.T) {
 // TestTopOnceFlag pins the -once shorthand against a live service.
 func TestTopOnceFlag(t *testing.T) {
 	tr, _ := paper.Figure2()
-	svc := naas.NewService(tr, 2)
-	t.Cleanup(svc.Close)
-	srv := httptest.NewServer(svc.Handler())
+	sch := sched.New(tr, sched.Config{Capacity: 2})
+	t.Cleanup(sch.Close)
+	srv := httptest.NewServer(naas.FromScheduler(sch).Handler())
 	t.Cleanup(srv.Close)
 	if err := runTop([]string{"-addr", srv.URL, "-once"}); err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 
 	"soar/internal/load"
 	"soar/internal/naas"
+	"soar/internal/sched"
 	"soar/internal/topology"
 )
 
@@ -26,14 +27,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	svc := naas.NewService(tr, 2) // every switch serves ≤ 2 tenants
-	defer svc.Close()
+	sch := sched.New(tr, sched.Config{Capacity: 2}) // every switch serves ≤ 2 tenants
+	defer sch.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: naas.FromScheduler(sch).Handler(), ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln)
 	defer srv.Close()
 

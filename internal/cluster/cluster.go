@@ -23,7 +23,7 @@
 // the run; transient dial failures are retried with exponential backoff
 // and jitter (Options.Retry); and RunOrFallback (retry.go) degrades
 // gracefully — when whole-run retries are exhausted it answers from a
-// local core.SolveMemo solve, flagged Degraded, instead of erroring.
+// local core.SolveCaps solve, flagged Degraded, instead of erroring.
 // Faults can be injected deterministically through Options.Dial and
 // Options.WrapListener (see internal/chaos).
 package cluster

@@ -16,7 +16,7 @@ func rngInt63n(n int64) int64 { return rand.Int63n(n) }
 // RunOrFallback is the graceful-degradation entry point: it attempts the
 // distributed run up to Retry.Attempts times, backing off exponentially
 // with jitter between attempts, and — when every attempt fails on a
-// transport fault — falls back to a local core.SolveMemo solve instead
+// transport fault — falls back to a local core.SolveCaps solve instead
 // of returning an error. The fallback result is exact (the local solver
 // is the very DP the cluster distributes; every engine is
 // equivalence-tested) but carries Degraded = true and the last transport

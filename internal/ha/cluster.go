@@ -48,7 +48,7 @@ type Options struct {
 	Sched sched.Config
 	// Obs is the cluster metrics registry (soar_ha_*); nil gets a
 	// private one. Per-shard scheduler families live in per-incarnation
-	// registries, see ShardRegistry.
+	// registries, see ShardScheduler.
 	Obs *obs.Registry
 	// Dial opens a connection from the given replica node; nil uses a
 	// plain TCP dialer. chaos.Injector.Dial plugs in here.
@@ -146,40 +146,54 @@ func (c *Cluster) Metrics() *Metrics { return c.met }
 // Registry returns the cluster metrics registry.
 func (c *Cluster) Registry() *obs.Registry { return c.reg }
 
-// ShardRegistry returns shard s's serving scheduler registry
-// (soar_sched_*, soar_ckpt_*, …), or nil mid failover.
-func (c *Cluster) ShardRegistry(s int) *obs.Registry {
-	if s < 0 || s >= len(c.shards) {
-		return nil
-	}
-	return c.shards[s].registry()
-}
-
 // ShardScheduler returns shard s's serving scheduler, or nil mid
-// failover. Commits issued directly on a returned handle after a
-// subsequent failover are fenced — tests use exactly that to prove a
+// failover: from CrashPrimary until a standby is promoted. Its
+// Registry holds the shard's scheduler families (soar_sched_*,
+// soar_ckpt_*, …). Commits issued directly on a returned handle after
+// a subsequent failover are fenced — tests use exactly that to prove a
 // stale primary cannot diverge the cluster.
 func (c *Cluster) ShardScheduler(s int) *sched.Scheduler {
 	if s < 0 || s >= len(c.shards) {
 		return nil
 	}
-	return c.shards[s].scheduler()
+	if inc := c.shards[s].cur.Load(); inc != nil && !inc.crashed.Load() {
+		return inc.sch
+	}
+	return nil
 }
 
-// Place routes one admission: the global dense load vector resolves to
-// a shard (ErrCrossShard if it spans pods or touches spine), the shard
-// solves it over its pod tree, and the lease comes back re-mapped to
-// global switch ids with a cluster-wide lease id.
+// Place routes one admission and returns its lease; see PlaceInto.
 func (c *Cluster) Place(load []int, k int) (*sched.Lease, error) {
+	lease := new(sched.Lease)
+	if err := c.PlaceInto(load, k, lease); err != nil {
+		return nil, err
+	}
+	return lease, nil
+}
+
+// PlaceInto routes one admission into the caller-owned lease: the
+// global dense load vector resolves to a shard (ErrCrossShard if it
+// spans pods or touches spine), the shard solves it over its pod tree,
+// and the lease is rewritten in place to global switch ids with a
+// cluster-wide lease id. Blue and Load are reused if they have
+// capacity, as with sched.Scheduler.PlaceInto.
+func (c *Cluster) PlaceInto(load []int, k int, lease *sched.Lease) error {
 	si, err := c.part.ShardOf(load)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	lease, err := c.shards[si].place(c.part.Localize(si, load), k)
-	if err != nil {
-		return nil, err
+	if err := c.shards[si].place(c.part.Localize(si, load), k, lease); err != nil {
+		return err
 	}
-	return c.globalize(si, lease), nil
+	c.globalize(si, lease)
+	// Every positive entry of load lies in the shard's pod (ShardOf),
+	// so the global load is load itself with Localize's zeroing of
+	// non-positive entries.
+	lease.Load = lease.Load[:0]
+	for _, n := range load {
+		lease.Load = append(lease.Load, max(n, 0))
+	}
+	return nil
 }
 
 // Release frees a lease by its global id. sched.ErrNotFound means the
@@ -204,32 +218,29 @@ func (c *Cluster) Lookup(id int64) (*sched.Lease, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.globalize(si, lease), nil
-}
-
-// globalize re-maps a shard-local lease to the global view: cluster
-// lease id, global switch ids, global-length load vector.
-func (c *Cluster) globalize(si int, lease *sched.Lease) *sched.Lease {
-	pod := c.part.Shards[si].Pod
-	out := &sched.Lease{
-		ID:     GlobalID(si, lease.ID),
-		K:      lease.K,
-		Phi:    lease.Phi,
-		AllRed: lease.AllRed,
-		Blue:   make([]int, len(lease.Blue)),
-	}
-	for i, lv := range lease.Blue {
-		out.Blue[i] = pod.Global[lv]
-	}
+	c.globalize(si, lease)
 	if lease.Load != nil {
-		out.Load = make([]int, c.part.Tree.N())
+		pod := c.part.Shards[si].Pod
+		global := make([]int, c.part.Tree.N())
 		for lv, n := range lease.Load {
 			if n > 0 {
-				out.Load[pod.Global[lv]] = n
+				global[pod.Global[lv]] = n
 			}
 		}
+		lease.Load = global
 	}
-	return out
+	return lease, nil
+}
+
+// globalize re-maps a shard-local lease's id and switch ids, in place,
+// to the cluster-wide view. The load vector is the caller's: its
+// global form needs a vector of the fabric's length.
+func (c *Cluster) globalize(si int, lease *sched.Lease) {
+	pod := c.part.Shards[si].Pod
+	lease.ID = GlobalID(si, lease.ID)
+	for i, lv := range lease.Blue {
+		lease.Blue[i] = pod.Global[lv]
+	}
 }
 
 // LeaseIDs inventories every live lease across serving shards as

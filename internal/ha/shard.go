@@ -33,7 +33,6 @@ const schedUnlimited = 1 << 30
 // scheduler stays alive but every commit it attempts fences.
 type incarnation struct {
 	sch   *sched.Scheduler
-	reg   *obs.Registry // the scheduler's private metrics registry
 	epoch uint64
 	node  int
 	// applied is the number of deltas the incarnation's table had applied
@@ -182,7 +181,7 @@ func (s *shard) spawnPrimary(node int, epoch uint64, tab *sched.Table) (*incarna
 		met:       s.met,
 		logf:      s.logf,
 	})
-	return &incarnation{sch: sch, reg: cfg.Obs, epoch: epoch, node: node, crashed: crashed, prim: prim}, nil
+	return &incarnation{sch: sch, epoch: epoch, node: node, crashed: crashed, prim: prim}, nil
 }
 
 func (s *shard) spawnStandby(node int, primaryAddr string) *standby {
@@ -321,17 +320,17 @@ func retriable(err error) bool {
 // absorbing failovers: a fenced or closed scheduler means the commit
 // did not happen, so the request retries against the next incarnation
 // until the route timeout.
-func (s *shard) place(load []int, k int) (*sched.Lease, error) {
+func (s *shard) place(load []int, k int, lease *sched.Lease) error {
 	deadline := time.Now().Add(s.opts.RouteTimeout)
 	for {
 		if inc := s.cur.Load(); inc != nil && !inc.crashed.Load() {
-			lease, err := inc.sch.Place(load, k)
+			err := inc.sch.PlaceInto(load, k, lease)
 			if err == nil || !retriable(err) {
-				return lease, err
+				return err
 			}
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("ha: shard %d: %w", s.idx, ErrNoPrimary)
+			return fmt.Errorf("ha: shard %d: %w", s.idx, ErrNoPrimary)
 		}
 		time.Sleep(s.opts.Heartbeat)
 	}
@@ -375,15 +374,6 @@ func (s *shard) standbyCount() int {
 func (s *shard) scheduler() *sched.Scheduler {
 	if inc := s.cur.Load(); inc != nil {
 		return inc.sch
-	}
-	return nil
-}
-
-// registry returns the serving incarnation's private scheduler
-// registry (nil mid failover).
-func (s *shard) registry() *obs.Registry {
-	if inc := s.cur.Load(); inc != nil {
-		return inc.reg
 	}
 	return nil
 }

@@ -4,17 +4,21 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"soar/internal/paper"
+	"soar/internal/sched"
 )
 
+// TestServiceCheckpointRestore walks the daemon's restart path: a
+// checkpoint taken behind a live front, restored into a fresh scheduler
+// before it is fronted, serves the same lease.
 func TestServiceCheckpointRestore(t *testing.T) {
 	tr, loads := paper.Figure2()
-	s := NewService(tr, 2)
-	lease, err := s.Place(loads, 2)
+	s := sched.New(tr, sched.Config{Capacity: 2})
+	ts := httptest.NewServer(FromScheduler(s).Handler())
+	lease, err := NewClient(ts.URL, nil).Place(context.Background(), loads, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,14 +26,17 @@ func TestServiceCheckpointRestore(t *testing.T) {
 	if err := s.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
+	ts.Close()
 	s.Close()
 
-	fresh := NewService(tr, 2)
+	fresh := sched.New(tr, sched.Config{Capacity: 2})
 	t.Cleanup(fresh.Close)
 	if err := fresh.Restore(&buf); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	got, err := fresh.Lookup(lease.ID)
+	ts = httptest.NewServer(FromScheduler(fresh).Handler())
+	t.Cleanup(ts.Close)
+	got, err := NewClient(ts.URL, nil).Lookup(context.Background(), lease.ID)
 	if err != nil {
 		t.Fatalf("lease lost across restart: %v", err)
 	}
@@ -40,14 +47,11 @@ func TestServiceCheckpointRestore(t *testing.T) {
 
 func TestHTTPCheckpointStreamIsRestorable(t *testing.T) {
 	tr, loads := paper.Figure2()
-	svc := NewService(tr, 2)
-	t.Cleanup(svc.Close)
-	lease, err := svc.Place(loads, 2)
+	sch, ts := serveScheduler(t, tr, 2)
+	lease, err := sch.Place(loads, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(svc.Handler())
-	t.Cleanup(ts.Close)
 
 	var buf bytes.Buffer
 	c := NewClient(ts.URL, nil)
@@ -59,7 +63,7 @@ func TestHTTPCheckpointStreamIsRestorable(t *testing.T) {
 		t.Fatalf("checkpoint size %d, buffered %d", size, buf.Len())
 	}
 
-	fresh := NewService(tr, 2)
+	fresh := sched.New(tr, sched.Config{Capacity: 2})
 	t.Cleanup(fresh.Close)
 	if err := fresh.Restore(&buf); err != nil {
 		t.Fatalf("restore of HTTP checkpoint: %v", err)
@@ -69,32 +73,22 @@ func TestHTTPCheckpointStreamIsRestorable(t *testing.T) {
 	}
 }
 
+// TestHTTPCheckpointSave drives POST /v1/checkpoint through a registered
+// saver; without one it is a 503 (a case of the route-surface table).
 func TestHTTPCheckpointSave(t *testing.T) {
 	tr, _ := paper.Figure2()
-	svc := NewService(tr, 2)
-	t.Cleanup(svc.Close)
-
-	// Without a configured saver, POST must refuse, not pretend.
-	ts := httptest.NewServer(svc.Handler())
-	resp, err := http.Post(ts.URL+"/v1/checkpoint", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("POST without saver: HTTP %d, want 503", resp.StatusCode)
-	}
-	ts.Close()
-
+	sch := sched.New(tr, sched.Config{Capacity: 2})
+	t.Cleanup(sch.Close)
+	front := FromScheduler(sch)
 	saved := 0
-	svc.SetCheckpointSaver(func() (string, int64, error) {
+	front.SetCheckpointSaver(func() (string, int64, error) {
 		saved++
 		if saved > 1 {
 			return "", 0, errors.New("disk full")
 		}
 		return "/tmp/ckpt", 123, nil
 	})
-	ts = httptest.NewServer(svc.Handler())
+	ts := httptest.NewServer(front.Handler())
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL, nil)
 	path, size, err := c.SaveCheckpoint(context.Background())

@@ -78,7 +78,8 @@ func (c *Client) Release(ctx context.Context, id int64) error {
 	return c.do(req, http.StatusNoContent, nil)
 }
 
-// Stats fetches the service summary.
+// Stats fetches a single node's summary (a sharded front answers 400:
+// it needs ?shard=K).
 func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/stats", nil)
 	if err != nil {
@@ -107,8 +108,8 @@ func (c *Client) Residual(ctx context.Context) ([]int, error) {
 }
 
 // Checkpoint streams a consistent checkpoint of the service's control
-// plane into w (the bytes a fresh Service.Restore accepts) and returns
-// the size.
+// plane into w (the bytes a fresh sched.Scheduler.Restore accepts) and
+// returns the size.
 func (c *Client) Checkpoint(ctx context.Context, w io.Writer) (int64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/checkpoint", nil)
 	if err != nil {

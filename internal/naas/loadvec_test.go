@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"soar/internal/load"
+	"soar/internal/sched"
 	"soar/internal/topology"
 )
 
@@ -95,8 +96,9 @@ func (nopCloser) Close() error { return nil }
 // TestHandlerRejectsOversizedBody pins the real limit the fuzz target
 // scales down: one byte past maxPlaceBody is a 400, not an admission.
 func TestHandlerRejectsOversizedBody(t *testing.T) {
-	svc := NewService(topology.MustBT(8), 2)
-	defer svc.Close()
+	sch := sched.New(topology.MustBT(8), sched.Config{Capacity: 2})
+	defer sch.Close()
+	h := FromScheduler(sch).Handler()
 	body := `{"load":[0,0,0,1,2,3,4],"k":2}`
 	pad := strings.Repeat(" ", maxPlaceBody+1-len(body))
 	for _, tc := range []struct {
@@ -104,7 +106,7 @@ func TestHandlerRejectsOversizedBody(t *testing.T) {
 		want int
 	}{{body, http.StatusCreated}, {pad + body, http.StatusBadRequest}} {
 		rec := httptest.NewRecorder()
-		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenants", strings.NewReader(tc.body)))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenants", strings.NewReader(tc.body)))
 		if rec.Code != tc.want {
 			t.Fatalf("%d-byte body: status %d, want %d: %s", len(tc.body), rec.Code, tc.want, rec.Body)
 		}
@@ -128,9 +130,9 @@ func TestDecodeErrorNamesTheField(t *testing.T) {
 // from zero), a few microseconds against the handler's hundreds.
 func BenchmarkHandlePlace(b *testing.B) {
 	tr := topology.MustBT(2048)
-	svc := NewService(tr, 16)
-	defer svc.Close()
-	h := svc.Handler()
+	sch := sched.New(tr, sched.Config{Capacity: 16})
+	defer sch.Close()
+	h := FromScheduler(sch).Handler()
 	rng := rand.New(rand.NewSource(1))
 	bodies := make([][]byte, 64)
 	for i := range bodies {
@@ -149,7 +151,7 @@ func BenchmarkHandlePlace(b *testing.B) {
 		if rec.Code != http.StatusCreated {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
-		if err := svc.Release(int64(i)); err != nil {
+		if err := sch.Release(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

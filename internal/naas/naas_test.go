@@ -3,7 +3,6 @@ package naas
 import (
 	"context"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -13,14 +12,27 @@ import (
 	"soar/internal/load"
 	"soar/internal/paper"
 	"soar/internal/reduce"
+	"soar/internal/sched"
 	"soar/internal/topology"
 )
 
+// serveScheduler fronts a fresh scheduler over tr, every switch serving
+// at most capacity tenants, on a test server.
+func serveScheduler(t testing.TB, tr *topology.Tree, capacity int) (*sched.Scheduler, *httptest.Server) {
+	t.Helper()
+	sch := sched.New(tr, sched.Config{Capacity: capacity})
+	t.Cleanup(sch.Close)
+	ts := httptest.NewServer(FromScheduler(sch).Handler())
+	t.Cleanup(ts.Close)
+	return sch, ts
+}
+
 func TestPlaceAndRelease(t *testing.T) {
 	tr, loads := paper.Figure2()
-	s := NewService(tr, 1)
-	t.Cleanup(s.Close)
-	lease, err := s.Place(loads, 2)
+	_, ts := serveScheduler(t, tr, 1)
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+	lease, err := c.Place(ctx, loads, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +43,7 @@ func TestPlaceAndRelease(t *testing.T) {
 		t.Fatalf("leased %d switches, want 2", len(lease.Blue))
 	}
 	// Capacity 1: the second identical tenant cannot reuse switches 2, 4.
-	lease2, err := s.Place(loads, 2)
+	lease2, err := c.Place(ctx, loads, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +51,10 @@ func TestPlaceAndRelease(t *testing.T) {
 		t.Fatalf("second tenant φ=%v should be worse than first %v", lease2.Phi, lease.Phi)
 	}
 	// Release the first tenant; a third tenant recovers the optimum.
-	if err := s.Release(lease.ID); err != nil {
+	if err := c.Release(ctx, lease.ID); err != nil {
 		t.Fatal(err)
 	}
-	lease3, err := s.Place(loads, 2)
+	lease3, err := c.Place(ctx, loads, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,42 +65,54 @@ func TestPlaceAndRelease(t *testing.T) {
 
 func TestReleaseUnknown(t *testing.T) {
 	tr, _ := paper.Figure2()
-	s := NewService(tr, 1)
-	t.Cleanup(s.Close)
-	if err := s.Release(42); err != ErrNotFound {
-		t.Fatalf("err = %v, want ErrNotFound", err)
+	_, ts := serveScheduler(t, tr, 1)
+	if err := NewClient(ts.URL, nil).Release(context.Background(), 42); err == nil || !strings.Contains(err.Error(), "HTTP 404") {
+		t.Fatalf("err = %v, want HTTP 404", err)
 	}
 }
 
 func TestPlaceValidation(t *testing.T) {
 	tr, loads := paper.Figure2()
-	s := NewService(tr, 1)
-	t.Cleanup(s.Close)
-	if _, err := s.Place([]int{1}, 2); err == nil {
-		t.Fatal("short load accepted")
-	}
-	if _, err := s.Place([]int{-1, 0, 0, 0, 0, 0, 0}, 2); err == nil {
-		t.Fatal("negative load accepted")
-	}
-	if _, err := s.Place(loads, -1); err == nil {
-		t.Fatal("negative k accepted")
+	_, ts := serveScheduler(t, tr, 1)
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+	for _, bad := range []struct {
+		load []int
+		k    int
+	}{
+		{[]int{1}, 2},                    // short load
+		{[]int{-1, 0, 0, 0, 0, 0, 0}, 2}, // negative load
+		{loads, -1},                      // negative k
+	} {
+		if _, err := c.Place(ctx, bad.load, bad.k); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+			t.Fatalf("Place(%v, %d): err = %v, want HTTP 400", bad.load, bad.k, err)
+		}
 	}
 }
 
 func TestSnapshot(t *testing.T) {
 	tr, loads := paper.Figure2()
-	s := NewService(tr, 2)
-	t.Cleanup(s.Close)
-	st := s.Snapshot()
+	_, ts := serveScheduler(t, tr, 2)
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Tenants != 0 || st.CapacityUsed != 0 || st.MeanRatio != 1 {
 		t.Fatalf("fresh stats %+v", st)
 	}
-	lease, _ := s.Place(loads, 2)
-	st = s.Snapshot()
+	lease, err := c.Place(ctx, loads, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if st.Tenants != 1 || st.CapacityUsed != 2 || st.SwitchesInUse != 2 {
 		t.Fatalf("stats %+v", st)
 	}
-	if got, want := st.MeanRatio, lease.Ratio(); got != want {
+	if got, want := st.MeanRatio, lease.Ratio; got != want {
 		t.Fatalf("mean ratio %v, want %v", got, want)
 	}
 	if st.CapacityTotal != int64(2*tr.N()) {
@@ -98,8 +122,9 @@ func TestSnapshot(t *testing.T) {
 
 func TestConcurrentTenantsNeverOversubscribe(t *testing.T) {
 	tr := topology.MustBT(64)
-	s := NewService(tr, 2)
-	t.Cleanup(s.Close)
+	_, ts := serveScheduler(t, tr, 2)
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -108,13 +133,13 @@ func TestConcurrentTenantsNeverOversubscribe(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 10; i++ {
 				loads := load.Generate(tr, load.PaperUniform(), load.LeavesOnly, rng)
-				lease, err := s.Place(loads, 4)
+				lease, err := c.Place(ctx, loads, 4)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if rng.Intn(2) == 0 {
-					if err := s.Release(lease.ID); err != nil {
+					if err := c.Release(ctx, lease.ID); err != nil {
 						t.Error(err)
 						return
 					}
@@ -123,23 +148,45 @@ func TestConcurrentTenantsNeverOversubscribe(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	for v, c := range s.Residual() {
-		if c < 0 {
-			t.Fatalf("switch %d oversubscribed: residual %d", v, c)
+	res, err := c.Residual(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, r := range res {
+		if r < 0 {
+			t.Fatalf("switch %d oversubscribed: residual %d", v, r)
 		}
+	}
+}
+
+// TestClosedSchedulerAnswers503: a scheduler that has shut down under a
+// live front is the server going away, not a bad request or a lost
+// tenant — place and release both answer 503.
+func TestClosedSchedulerAnswers503(t *testing.T) {
+	tr, loads := paper.Figure2()
+	sch, ts := serveScheduler(t, tr, 2)
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+	lease, err := c.Place(ctx, loads, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch.Close()
+	if _, err := c.Place(ctx, loads, 2); err == nil || !strings.Contains(err.Error(), "HTTP 503") {
+		t.Fatalf("place after close: err = %v, want HTTP 503", err)
+	}
+	if err := c.Release(ctx, lease.ID); err == nil || !strings.Contains(err.Error(), "HTTP 503") {
+		t.Fatalf("release after close: err = %v, want HTTP 503", err)
 	}
 }
 
 // --- HTTP round trips -------------------------------------------------
 
-func newTestServer(t *testing.T) (*Service, *Client) {
+func newTestServer(t *testing.T) (*sched.Scheduler, *Client) {
 	t.Helper()
 	tr, _ := paper.Figure2()
-	svc := NewService(tr, 2)
-	t.Cleanup(svc.Close)
-	ts := httptest.NewServer(svc.Handler())
-	t.Cleanup(ts.Close)
-	return svc, NewClient(ts.URL, ts.Client())
+	sch, ts := serveScheduler(t, tr, 2)
+	return sch, NewClient(ts.URL, ts.Client())
 }
 
 func TestHTTPLifecycle(t *testing.T) {
@@ -189,84 +236,22 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 }
 
-func TestHTTPErrors(t *testing.T) {
-	_, c := newTestServer(t)
-	ctx := context.Background()
-	if _, err := c.Place(ctx, []int{1, 2}, 1); err == nil || !strings.Contains(err.Error(), "naas:") {
-		t.Fatalf("short load over HTTP: err=%v", err)
-	}
-	if err := c.Release(ctx, 999); err == nil {
-		t.Fatal("release of unknown tenant succeeded")
-	}
-	if _, err := c.Lookup(ctx, 999); err == nil {
-		t.Fatal("lookup of unknown tenant succeeded")
-	}
-}
-
-func TestHTTPMethodGuards(t *testing.T) {
-	tr, _ := paper.Figure2()
-	svc := NewService(tr, 1)
-	t.Cleanup(svc.Close)
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	cases := []struct {
-		method, path string
-		wantStatus   int
-	}{
-		{http.MethodGet, "/v1/tenants", http.StatusMethodNotAllowed},
-		{http.MethodPost, "/v1/stats", http.StatusMethodNotAllowed},
-		{http.MethodPost, "/v1/residual", http.StatusMethodNotAllowed},
-		{http.MethodPut, "/v1/tenants/1", http.StatusMethodNotAllowed},
-		{http.MethodGet, "/v1/tenants/abc", http.StatusBadRequest},
-	}
-	for _, tc := range cases {
-		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.wantStatus {
-			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.wantStatus)
-		}
-	}
-}
-
-func TestHTTPRejectsUnknownFields(t *testing.T) {
-	tr, _ := paper.Figure2()
-	svc := NewService(tr, 1)
-	t.Cleanup(svc.Close)
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	resp, err := ts.Client().Post(ts.URL+"/v1/tenants", "application/json",
-		strings.NewReader(`{"load":[0,0,0,1,1,1,1],"k":1,"surprise":true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field accepted: status %d", resp.StatusCode)
-	}
-}
-
 func TestCapacityExhaustionDegradesGracefully(t *testing.T) {
 	// When every switch is leased out, new tenants still get (all-red)
 	// placements rather than errors — mirroring the paper's online model.
 	tr, loads := paper.Figure2()
-	s := NewService(tr, 1)
-	t.Cleanup(s.Close)
-	if _, err := s.Place(loads, 7); err != nil { // takes everything useful
+	_, ts := serveScheduler(t, tr, 1)
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+	if _, err := c.Place(ctx, loads, 7); err != nil { // takes everything useful
 		t.Fatal(err)
 	}
-	lease, err := s.Place(loads, 7)
+	lease, err := c.Place(ctx, loads, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lease.Ratio() != 1 || len(lease.Blue) != 0 {
-		t.Fatalf("exhausted service gave ratio %v with %d switches", lease.Ratio(), len(lease.Blue))
+	if lease.Ratio != 1 || len(lease.Blue) != 0 {
+		t.Fatalf("exhausted service gave ratio %v with %d switches", lease.Ratio, len(lease.Blue))
 	}
 	if lease.Phi != reduce.Utilization(tr, loads, make([]bool, tr.N())) {
 		t.Fatalf("exhausted lease φ=%v, want the all-red cost", lease.Phi)
@@ -276,13 +261,15 @@ func TestCapacityExhaustionDegradesGracefully(t *testing.T) {
 // --- Aliasing audit (regression) --------------------------------------
 
 // TestNoAliasedState is the aliasing regression test: every slice the
-// service hands out (Lease.Blue, Lease.Load, the residual vector) must
-// be a defensive copy, so a caller mutating — or racing on — a returned
-// value can never corrupt the service's bookkeeping.
+// scheduler behind a front hands out (Lease.Blue, Lease.Load, the
+// residual vector) must be a defensive copy, so a caller mutating — or
+// racing on — a returned value can never corrupt the bookkeeping the
+// front serves.
 func TestNoAliasedState(t *testing.T) {
 	tr, loads := paper.Figure2()
-	s := NewService(tr, 2)
-	t.Cleanup(s.Close)
+	s, ts := serveScheduler(t, tr, 2)
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
 
 	lease, err := s.Place(loads, 2)
 	if err != nil {
@@ -303,10 +290,11 @@ func TestNoAliasedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Blue, wantBlue) || !reflect.DeepEqual(got.Load, wantLoad) {
-		t.Fatalf("caller mutation reached the service: %+v", got)
+		t.Fatalf("caller mutation reached the scheduler: %+v", got)
 	}
 
-	// Vandalize everything Lookup returned; a fresh Lookup is pristine.
+	// Vandalize everything Lookup returned; the front still serves the
+	// pristine lease.
 	for i := range got.Blue {
 		got.Blue[i] = -2
 	}
@@ -318,7 +306,10 @@ func TestNoAliasedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again.Blue, wantBlue) || !reflect.DeepEqual(again.Load, wantLoad) {
-		t.Fatal("Lookup result aliases service state")
+		t.Fatal("Lookup result aliases scheduler state")
+	}
+	if served, err := c.Lookup(ctx, lease.ID); err != nil || !reflect.DeepEqual(served.Blue, wantBlue) {
+		t.Fatalf("front serves %+v (%v), want blue %v", served, err, wantBlue)
 	}
 
 	// Vandalize the residual vector; release must still reclaim cleanly.
@@ -326,12 +317,16 @@ func TestNoAliasedState(t *testing.T) {
 	for i := range res {
 		res[i] = -3
 	}
-	if err := s.Release(lease.ID); err != nil {
+	if err := c.Release(ctx, lease.ID); err != nil {
 		t.Fatal(err)
 	}
-	for v, c := range s.Residual() {
-		if c != 2 {
-			t.Fatalf("switch %d residual %d after full release, want 2", v, c)
+	served, err := c.Residual(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, r := range served {
+		if r != 2 {
+			t.Fatalf("switch %d residual %d after full release, want 2", v, r)
 		}
 	}
 }
@@ -344,10 +339,7 @@ func TestNoAliasedState(t *testing.T) {
 // and the advertised residuals must conserve capacity exactly.
 func TestHTTPConcurrentClients(t *testing.T) {
 	tr := topology.MustBT(64)
-	svc := NewService(tr, 1)
-	t.Cleanup(svc.Close)
-	ts := httptest.NewServer(svc.Handler())
-	t.Cleanup(ts.Close)
+	_, ts := serveScheduler(t, tr, 1)
 
 	const clients = 8
 	ctx := context.Background()

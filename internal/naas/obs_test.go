@@ -6,13 +6,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"soar/internal/obs"
 	"soar/internal/paper"
-	"soar/internal/sched"
 )
 
 // TestObservabilityEndpoints drives the full HTTP surface the way a
@@ -23,10 +21,7 @@ import (
 // cluster-run summary.
 func TestObservabilityEndpoints(t *testing.T) {
 	tr, loads := paper.Figure2()
-	s := NewServiceWith(tr, sched.Config{Capacity: 2})
-	t.Cleanup(s.Close)
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
+	_, srv := serveScheduler(t, tr, 2)
 	c := NewClient(srv.URL, nil)
 	ctx := context.Background()
 

@@ -11,8 +11,8 @@ import (
 	"soar/internal/obs"
 )
 
-// probes is the supervisor-facing state of a serving front — Service and
-// Sharded embed it — with the handler that reads it. GET /v1/readyz
+// probes is the supervisor-facing state of a serving front — Front
+// embeds it — with the handler that reads it. GET /v1/readyz
 // reports ready once the front's state is in place (constructors start
 // true; a daemon restoring a checkpoint clears it until the restore
 // lands) and stops the moment draining begins — before the final

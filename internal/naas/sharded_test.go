@@ -45,9 +45,9 @@ func podLocalLoad(cl *ha.Cluster, shard int) []int {
 
 // TestShardedFront drives the shard-aware HTTP front end to end:
 // admissions route to the pod their load lives in, leases come back
-// with cluster-wide ids, /v1/shards mirrors membership, cross-pod
-// loads are the client's error, and draining flips readiness while
-// liveness stays green.
+// with cluster-wide ids, /v1/shards mirrors membership, and draining
+// flips readiness while liveness stays green. (Cross-pod loads are a
+// row of TestProbeSurfaceOfEveryFront.)
 func TestShardedFront(t *testing.T) {
 	cl := newTestCluster(t)
 	front := NewSharded(cl)
@@ -93,15 +93,6 @@ func TestShardedFront(t *testing.T) {
 		if si.PrimaryNode < 0 || si.Epoch == 0 || si.PrimaryAddr == "" {
 			t.Fatalf("shard %d not serving: %+v", si.Index, si)
 		}
-	}
-
-	// A load spanning two pods cannot be served by any single shard.
-	cross := podLocalLoad(cl, 0)
-	for v, n := range podLocalLoad(cl, 2) {
-		cross[v] += n
-	}
-	if _, err := c.Place(ctx, cross, 2); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
-		t.Fatalf("cross-pod place: %v, want HTTP 400", err)
 	}
 
 	if err := c.Release(ctx, lease.ID); err != nil {
@@ -192,15 +183,6 @@ func TestShardedMetricsSplit(t *testing.T) {
 		t.Fatal("shard page leaks cluster families")
 	}
 
-	resp, err := http.Get(srv.URL + "/metrics?shard=99")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad shard = %d, want 400", resp.StatusCode)
-	}
-
 	// Crash shard 0's primary; the standby promotes and both pages
 	// reflect it: a counted failover, and a shard registry that is the
 	// new incarnation's (fresh counters, same families).
@@ -236,7 +218,7 @@ func TestShardedMetricsSplit(t *testing.T) {
 // an attempt.
 func TestRestoreCountersOverMetrics(t *testing.T) {
 	tr, loads := paper.Figure2()
-	src := NewServiceWith(tr, sched.Config{Capacity: 2})
+	src := sched.New(tr, sched.Config{Capacity: 2})
 	t.Cleanup(src.Close)
 	if _, err := src.Place(loads, 2); err != nil {
 		t.Fatal(err)
@@ -246,10 +228,7 @@ func TestRestoreCountersOverMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst := NewServiceWith(tr, sched.Config{Capacity: 2})
-	t.Cleanup(dst.Close)
-	srv := httptest.NewServer(dst.Handler())
-	t.Cleanup(srv.Close)
+	dst, srv := serveScheduler(t, tr, 2)
 
 	// Flip a bit of the footer's FNV sum (the stream's last byte): the
 	// footer still decodes, so the rejection is the checksum mismatch
@@ -259,7 +238,7 @@ func TestRestoreCountersOverMetrics(t *testing.T) {
 	if err := dst.Restore(bytes.NewReader(flipped)); err == nil {
 		t.Fatal("corrupt checkpoint restored")
 	}
-	other := NewServiceWith(topology.MustBT(32), sched.Config{Capacity: 2})
+	other := sched.New(topology.MustBT(32), sched.Config{Capacity: 2})
 	t.Cleanup(other.Close)
 	var wrongTopo bytes.Buffer
 	if err := other.Checkpoint(&wrongTopo); err != nil {
@@ -283,13 +262,13 @@ func TestRestoreCountersOverMetrics(t *testing.T) {
 	}
 }
 
-// TestServiceProbes covers the plain (non-sharded) service's health
-// surface: liveness always answers, readiness tracks restored-and-not-
-// draining.
+// TestServiceProbes covers the single-node front's health surface:
+// liveness always answers, readiness tracks restored-and-not-draining.
 func TestServiceProbes(t *testing.T) {
 	tr, _ := paper.Figure2()
-	s := NewServiceWith(tr, sched.Config{Capacity: 2})
-	t.Cleanup(s.Close)
+	sch := sched.New(tr, sched.Config{Capacity: 2})
+	t.Cleanup(sch.Close)
+	s := FromScheduler(sch)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	c := NewClient(srv.URL, nil)

@@ -28,7 +28,7 @@ import (
 // errors the recovery contract allows (ErrClosed during a restart,
 // ErrNotFound for a lease admitted after the snapshot), and every
 // cluster answer — degraded or not — must match the serial solver
-// exactly. Run it under -race; CI's chaos-soak job does.
+// exactly. Run it under -race; CI's race job does.
 func TestChaosSoak(t *testing.T) {
 	rounds, churners := 10, 4
 	if testing.Short() {
