@@ -48,7 +48,10 @@
 // scheduler a per-scheduler route reads. ?shard=K names shard K (a
 // single node is shard 0). Without it a single node answers from its
 // scheduler, while a sharded daemon answers /metrics with its
-// soar_ha_* families and the other per-scheduler routes with 400.
+// soar_ha_* and soar_cluster_* families and the other per-scheduler
+// routes with 400. The registry is the only record of what the control
+// plane did: /v1/stats is the scheduler's snapshot alone, and the cause
+// of a degraded cluster run goes to the log.
 // Tenant ids are global in both modes.
 //
 // API (JSON):
@@ -56,7 +59,7 @@
 //	POST   /v1/tenants    {"load": [...], "k": 4} → lease
 //	GET    /v1/tenants/{id}
 //	DELETE /v1/tenants/{id}
-//	GET    /v1/stats       (per scheduler: ?shard=K)
+//	GET    /v1/stats       (per scheduler: ?shard=K; sched.Stats)
 //	GET    /v1/residual    (per scheduler; shard-local switch ids)
 //	GET    /v1/healthz     (liveness)
 //	GET    /v1/readyz      (readiness: restored + not draining)

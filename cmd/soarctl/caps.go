@@ -9,8 +9,7 @@ import (
 	"soar/internal/topology"
 )
 
-// capsProfileHelp documents the -caps flag's profile grammar, shared by
-// the place and sched subcommands.
+// capsProfileHelp documents the profile grammar of place's -caps flag.
 const capsProfileHelp = "per-switch capacity profile: uniform:C | tiered:C0,C1,... (root level first, last extends) | tor:P,C (fraction P of leaves, capacity C) | powerlaw:MAX,ALPHA (empty = classic uniform-1 model)"
 
 // parseCapsProfile resolves a -caps profile spec against a concrete
@@ -76,8 +75,8 @@ func parseCapsProfile(spec string, t *topology.Tree, rng *rand.Rand) ([]int, err
 	}
 }
 
-// capsSummary is a one-line description of a resolved profile for the
-// command banners: total units, available switches, weight range.
+// capsSummary is a one-line description of a resolved profile for
+// place's banner: total units, available switches, weight range.
 func capsSummary(caps []int) string {
 	if caps == nil {
 		return "uniform (every switch, weight 1)"

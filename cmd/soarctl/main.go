@@ -12,10 +12,6 @@
 //	soarctl exp     <fig6|fig7|fig8|fig9|fig10|fig11|ext-*|all> [-quick]
 //	                [-csv dir] [-reps N] [-caps uniform|tiered|tor|powerlaw]
 //	soarctl cluster [-n 64] [-k 8] [-seed 1]
-//	soarctl sched   [-n 1024] [-k 8] [-capacity 16] [-caps profile]
-//	                [-tenants 2000] [-clients 8] [-workers 0]
-//	                [-racks 8] [-churn 0.5] [-repack-every 25ms]
-//	                [-repack-moves 16] [-seed 1] [-baseline]
 //	soarctl top     [-addr http://127.0.0.1:7070] [-every 1s] [-n 0] [-once]
 //	soarctl shards  [-addr http://127.0.0.1:7070] [-timeout 5s]
 package main
@@ -42,8 +38,6 @@ func main() {
 		err = runExp(os.Args[2:])
 	case "cluster":
 		err = runCluster(os.Args[2:])
-	case "sched":
-		err = runSched(os.Args[2:])
 	case "verify":
 		err = runVerify(os.Args[2:])
 	case "top":
@@ -74,7 +68,6 @@ Commands:
   place      compute placements for one instance, all strategies
   exp        regenerate a paper figure (fig6..fig11, ext-*, or all)
   cluster    run SOAR + Reduce over a loopback TCP mesh
-  sched      load-test the concurrent multi-tenant placement scheduler
   verify     certify the solver against brute force on random instances
   top        poll a running soar-naasd's /metrics and render a live summary
   shards     show a sharded soar-naasd's membership: primaries, epochs, standbys

@@ -89,11 +89,10 @@ func TestRunExpIncrementalEngine(t *testing.T) {
 
 func TestRunPlaceEngines(t *testing.T) {
 	// Every engine returned the same placement, so place lost its -engine
-	// flag with the engines; sched lost -memo with the memoized scheduler.
+	// flag with the engines.
 	for _, engine := range []string{"full", "compact", "parallel", "distributed", "incremental", "memo"} {
 		requireUnknownFlag(t, "place -engine "+engine, runPlace([]string{"-topo", "bt", "-n", "32", "-k", "4", "-engine", engine}))
 	}
-	requireUnknownFlag(t, "sched -memo", runSched([]string{"-n", "32", "-tenants", "1", "-memo"}))
 }
 
 func TestRunExpFlagOrder(t *testing.T) {
@@ -169,19 +168,6 @@ func TestRunPlaceRejectsBadCapsProfiles(t *testing.T) {
 	}
 }
 
-func TestRunSchedCapsProfile(t *testing.T) {
-	err := runSched([]string{
-		"-n", "32", "-k", "2", "-caps", "tor:1,2", "-tenants", "30",
-		"-clients", "2", "-racks", "4", "-baseline",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runSched([]string{"-n", "32", "-caps", "bogus:1", "-tenants", "1"}); err == nil {
-		t.Fatal("bad sched -caps accepted")
-	}
-}
-
 func TestRunExpHeteroQuick(t *testing.T) {
 	if err := runExp([]string{"ext-hetero", "-quick", "-reps", "1"}); err != nil {
 		t.Fatal(err)
@@ -191,22 +177,5 @@ func TestRunExpHeteroQuick(t *testing.T) {
 	}
 	if err := runExp([]string{"ext-hetero", "-quick", "-caps", "warp"}); err == nil {
 		t.Fatal("unknown exp -caps accepted")
-	}
-}
-
-func TestRunSchedQuick(t *testing.T) {
-	err := runSched([]string{
-		"-n", "64", "-k", "4", "-capacity", "2", "-tenants", "60",
-		"-clients", "4", "-racks", "4",
-		"-repack-every", "2ms", "-repack-moves", "4", "-baseline",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunSchedRejectsBadTopology(t *testing.T) {
-	if err := runSched([]string{"-n", "63"}); err == nil {
-		t.Fatal("non-power-of-two BT accepted")
 	}
 }

@@ -45,7 +45,7 @@ func runTop(args []string) error {
 type topSnapshot struct {
 	admissions, releases, rejected, conflicts float64
 	batches, batchSizeSum                     float64
-	degraded, clusterRuns                     float64
+	degraded                                  float64
 	phiRecovered                              float64
 	tenants, capUsed, capTotal                float64
 	p50, p95, p99, queueWait                  float64
@@ -76,7 +76,6 @@ func scrapeTop(ctx context.Context, c *naas.Client) (*topSnapshot, error) {
 		conflicts:    val("soar_sched_conflicts_total"),
 		batches:      val("soar_sched_batches_total"),
 		degraded:     val("soar_cluster_degraded_total"),
-		clusterRuns:  val("soar_cluster_runs_total"),
 		phiRecovered: val("soar_sched_repack_phi_recovered"),
 		tenants:      val("soar_sched_tenants"),
 		capUsed:      val("soar_sched_capacity_used"),

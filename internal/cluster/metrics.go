@@ -73,15 +73,6 @@ func (m *Metrics) Trace() *obs.Trace {
 	return m.tr
 }
 
-// Degraded returns how many RunOrFallback calls fell back to the
-// local solve.
-func (m *Metrics) Degraded() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.degraded.Value()
-}
-
 // noteRun records one whole run's outcome. Span v1 is the switch
 // count, v2 flags failure.
 func (m *Metrics) noteRun(t0 time.Time, n int, err error) {

@@ -201,7 +201,7 @@ func computeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *node
 				nt.x[idx] = red
 				nt.isBlue[idx] = false // recycled storage: every cell is rewritten
 			}
-			if blueOK {
+			if blueOK && l > 0 { // at ℓ = 0 both colors cost 0 and red wins the tie
 				idx := l*w + capw
 				if blue := rho * bsend; blue < red {
 					nt.x[idx] = blue
@@ -263,11 +263,13 @@ func computeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *node
 			copy(r0, yr)
 		}
 		// X_v(ℓ, i) = min over v's color (paper Alg. 3 line 28): red, unless
-		// v can pay for blue (i ≥ c(v)) and blue is strictly cheaper.
+		// v can pay for blue (i ≥ c(v)) and blue is strictly cheaper. At
+		// ℓ = 0 it never is: the candidate r0[i−c(v)] + 0 is ≥ r0[i] = yr[i]
+		// because the red row is non-increasing in i (DESIGN.md).
 		row, rowBlue := nt.x[l*w:(l+1)*w], nt.isBlue[l*w:(l+1)*w]
 		copy(row, yr)
 		clear(rowBlue) // recycled storage: every cell is rewritten
-		if blueOK {
+		if blueOK && l > 0 {
 			blueBase := rho * bsend
 			for i := capw; i <= capv; i++ {
 				if yb := r0[i-capw] + blueBase; yb < yr[i] {

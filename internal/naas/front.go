@@ -28,7 +28,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
 	"soar/internal/cluster"
 	"soar/internal/ha"
@@ -51,7 +50,7 @@ type Stats = sched.Stats
 //	POST   /v1/tenants        {"load": [...], "k": 4}      → Lease JSON
 //	GET    /v1/tenants/{id}                                 → Lease JSON
 //	DELETE /v1/tenants/{id}                                 → 204
-//	GET    /v1/stats                                        → Stats JSON (+ cluster-run summary)
+//	GET    /v1/stats                                        → Stats JSON
 //	GET    /v1/residual                                     → {"residual": [...]}
 //	GET    /v1/checkpoint                                   → checkpoint stream (octet-stream)
 //	POST   /v1/checkpoint                                   → {"path": ..., "bytes": n} (durable save)
@@ -65,10 +64,10 @@ type Stats = sched.Stats
 // Stats, residual, checkpoint GET, trace and metrics read one scheduler:
 // ?shard=K names shard K (a single node is shard 0; out of range is 400,
 // a shard mid-failover 503). Without ?shard a single node answers from
-// its scheduler, while a cluster serves its soar_ha_* families on
-// /metrics and answers 400 on the others, since no one shard speaks for
-// it. Residual ids under ?shard=K are shard-local. Tenant ids are
-// global on both fronts.
+// its scheduler, while a cluster serves its soar_ha_* and soar_cluster_*
+// families on /metrics and answers 400 on the others, since no one shard
+// speaks for it. Residual ids under ?shard=K are shard-local. Tenant ids
+// are global on both fronts.
 //
 // All bodies are JSON — except /metrics, which speaks the Prometheus
 // text format (obs.TextContentType), and GET /v1/checkpoint, which
@@ -144,21 +143,16 @@ type Front struct {
 	// and the daemon's periodic/shutdown saves all funnel through it).
 	save func() (path string, size int64, err error)
 
-	// cmet records the loopback cluster runs of POST /v1/cluster.
+	// cmet records the loopback cluster runs of POST /v1/cluster in reg.
 	cmet *cluster.Metrics
-	// cmu guards the last-run summary and logf.
-	cmu          sync.Mutex
-	clusterRuns  int64
-	lastAttempts int
-	lastCause    string
-	logf         func(format string, args ...interface{})
+	logf func(format string, args ...interface{})
 }
 
 // FromScheduler fronts one running scheduler. Its metrics registry and
 // trace ring also record the loopback cluster runs, so one scrape covers
 // scheduler, checkpoint and cluster families alike.
 func FromScheduler(sc *sched.Scheduler) *Front {
-	return newFront(sc, sc.Tree(), sc.Registry(), cluster.NewMetrics(sc.Registry(), sc.Trace()), resolver{
+	return newFront(sc, sc.Tree(), sc.Registry(), sc.Trace(), resolver{
 		shards: 1,
 		shard:  func(int) *sched.Scheduler { return sc },
 		home:   sc,
@@ -168,30 +162,33 @@ func FromScheduler(sc *sched.Scheduler) *Front {
 // NewSharded fronts a running replicated cluster: admissions resolve to
 // the pod shard their load lives in and ride out failovers behind the
 // cluster's routing retries. Bare GET /metrics serves the cluster's
-// soar_ha_* families and ?shard=K shard K's scheduler families: every
-// shard registers the same families in its own registry, so one merged
-// page would define them twice. Cluster runs count in /v1/stats only.
+// registry — its soar_ha_* families and the front's loopback cluster
+// runs — and ?shard=K shard K's scheduler families: every shard
+// registers the same families in its own registry, so one merged page
+// would define them twice. Like a scheduler, a cluster takes one front:
+// a second would register the cluster-run families again and panic.
 func NewSharded(cl *ha.Cluster) *Front {
-	return newFront(cl, cl.Partitioning().Tree, cl.Registry(), cluster.NewMetrics(obs.NewRegistry(), nil), resolver{
+	return newFront(cl, cl.Partitioning().Tree, cl.Registry(), nil, resolver{
 		shards:  cl.Shards(),
 		shard:   cl.ShardScheduler,
 		members: cl.Status,
 	})
 }
 
-func newFront(adm admission, t *topology.Tree, reg *obs.Registry, cmet *cluster.Metrics, pick resolver) *Front {
-	f := &Front{adm: adm, tree: t, pick: pick, reg: reg, cmet: cmet}
+// newFront registers the cluster-run families in reg, the registry bare
+// GET /metrics serves, and their spans in tr (nil: a private ring).
+func newFront(adm admission, t *topology.Tree, reg *obs.Registry, tr *obs.Trace, pick resolver) *Front {
+	f := &Front{adm: adm, tree: t, pick: pick, reg: reg, cmet: cluster.NewMetrics(reg, tr)}
 	f.ready.Store(true)
 	return f
 }
 
 // SetLogf routes the front's operational log lines — degraded or
 // retried cluster runs — to fn (e.g. log.Printf); nil (the default)
-// silences them.
+// silences them. Like SetCheckpointSaver it must be called before the
+// front starts serving HTTP traffic.
 func (f *Front) SetLogf(fn func(format string, args ...interface{})) {
-	f.cmu.Lock()
 	f.logf = fn
-	f.cmu.Unlock()
 }
 
 // SetCheckpointSaver registers the durable checkpoint sink invoked by
@@ -300,38 +297,13 @@ func (f *Front) handleTenantByID(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// clusterStats summarizes the front's loopback cluster runs for
-// /v1/stats. Degraded counts runs answered by the local fallback solve
-// after transport retries were exhausted.
-type clusterStats struct {
-	ClusterRuns     int64  `json:"cluster_runs"`
-	ClusterDegraded int64  `json:"cluster_degraded"`
-	LastRunAttempts int    `json:"last_run_attempts"`
-	LastCause       string `json:"last_degraded_cause,omitempty"`
-}
-
 func (f *Front) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !getOnly(w, r) {
 		return
 	}
-	sch := f.scheduler(w, r)
-	if sch == nil {
-		return
+	if sch := f.scheduler(w, r); sch != nil {
+		writeJSON(w, http.StatusOK, sch.Snapshot())
 	}
-	f.cmu.Lock()
-	cs := clusterStats{
-		ClusterRuns:     f.clusterRuns,
-		ClusterDegraded: int64(f.cmet.Degraded()),
-		LastRunAttempts: f.lastAttempts,
-		LastCause:       f.lastCause,
-	}
-	f.cmu.Unlock()
-	// The cluster summary rides along as extra JSON fields; clients
-	// decoding into the bare Stats struct silently ignore them.
-	writeJSON(w, http.StatusOK, struct {
-		Stats
-		clusterStats
-	}{sch.Snapshot(), cs})
 }
 
 func (f *Front) handleResidual(w http.ResponseWriter, r *http.Request) {
@@ -448,27 +420,20 @@ func (f *Front) handleCluster(w http.ResponseWriter, r *http.Request) {
 // (cluster.RunOrFallback). The run solves the tenant's problem on the
 // bare tree — residual capacities from other tenants are not charged —
 // so it verifies the wire protocol against the tenant's own optimum,
-// not the admission-time placement.
+// not the admission-time placement. Its counts land in the
+// soar_cluster_* families; the cause of a degraded run goes to the log.
 func (f *Front) clusterRun(ctx context.Context, lease *Lease) (*cluster.Result, error) {
 	res, err := cluster.RunOrFallback(ctx, f.tree, lease.Load, nil, lease.K,
 		&cluster.Options{Metrics: f.cmet})
 	if err != nil {
 		return nil, err
 	}
-	f.cmu.Lock()
-	f.clusterRuns++
-	f.lastAttempts = res.Attempts
-	if res.Degraded {
-		f.lastCause = fmt.Sprint(res.Cause)
-	}
-	logf := f.logf
-	f.cmu.Unlock()
-	if logf != nil {
+	if f.logf != nil {
 		switch {
 		case res.Degraded:
-			logf("naas: cluster run for lease %d DEGRADED after %d attempts: %v", lease.ID, res.Attempts, res.Cause)
+			f.logf("naas: cluster run for lease %d DEGRADED after %d attempts: %v", lease.ID, res.Attempts, res.Cause)
 		case res.Attempts > 1:
-			logf("naas: cluster run for lease %d recovered on attempt %d", lease.ID, res.Attempts)
+			f.logf("naas: cluster run for lease %d recovered on attempt %d", lease.ID, res.Attempts)
 		}
 	}
 	return res, nil

@@ -39,9 +39,9 @@ func j(status int) reply { return reply{status, jsonType} }
 // differ only in how ?shard resolves: a single node is shard 0 and
 // answers without ?shard; a cluster needs ?shard=K on every
 // per-scheduler route except /metrics, whose bare page is the cluster's
-// own. Every JSON error carries an "error" field. A crashed shard then
-// answers 503 on its tenant and per-scheduler routes while the others
-// keep serving.
+// own and counts the front's cluster runs. Every JSON error carries an
+// "error" field. A crashed shard then answers 503 on its tenant and
+// per-scheduler routes while the others keep serving.
 func TestProbeSurfaceOfEveryFront(t *testing.T) {
 	tr := topology.CompleteKAry(3, 4)
 	// A failover that never comes: the standbys' silence budget outlasts
@@ -192,6 +192,12 @@ func TestProbeSurfaceOfEveryFront(t *testing.T) {
 	if err := json.Unmarshal([]byte(text), &res); err != nil || len(res.Residual) != cl.Partitioning().Shards[1].Pod.Tree.N() {
 		t.Errorf("GET /v1/residual?shard=1: %d entries (%v), want the pod's %d",
 			len(res.Residual), err, cl.Partitioning().Shards[1].Pod.Tree.N())
+	}
+
+	// The table's one POST /v1/cluster on the sharded front is counted on
+	// the cluster's bare page, beside its soar_ha_* families.
+	if _, sums := scrape(t, srv.URL+"/metrics"); sums["soar_cluster_runs_total"] != 1 {
+		t.Errorf("sharded bare /metrics: soar_cluster_runs_total = %v, want 1", sums["soar_cluster_runs_total"])
 	}
 
 	// Mid failover: shard 0's primary is gone and no standby takes over.

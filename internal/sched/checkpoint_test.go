@@ -283,7 +283,7 @@ func TestCheckpointDuringRepackRestores(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		check(i)
 	}
-	if s.Metrics().RepackRounds == 0 {
+	if s.met.repackRounds.Value() == 0 {
 		t.Fatal("no re-packing round ran: the test raced nothing")
 	}
 	close(stop)

@@ -1,55 +1,25 @@
 package sched
 
 import (
-	"sort"
 	"time"
 
 	"soar/internal/obs"
-	"soar/internal/stats"
 )
 
-// This file is the scheduler's observability surface. Since PR 8 the
-// counters live in an obs.Registry instead of a private struct: every
-// count, histogram and gauge the scheduler keeps is a registered
-// family, scrapeable as Prometheus text through Registry().WriteText
-// (naas serves it as GET /metrics), while the exported Metrics()
-// summary keeps its exact sliding-window quantiles via latRing. The
-// note* recording methods stay //soar:hotpath — obs record ops are
-// atomic slot updates, so instrumentation does not cost the admission
-// path its 0 allocs/op contract (bench-smoke holds the line in CI).
-
-// latWindow is the size of the sliding latency window the quantiles are
-// computed over. A power of two keeps the ring index cheap; 4096
-// requests is a few seconds of traffic at the throughputs the scheduler
-// sustains, which is the horizon tail-latency numbers are useful at.
-const latWindow = 4096
-
-// latRing is a fixed-size sliding window of request latencies, in
-// seconds. Recording is a store and an increment — no allocation, so
-// the admission fast path can afford it unconditionally. It exists
-// next to the obs histograms because quantiles from fixed buckets are
-// estimates; Metrics() promises exact ones over the recent window.
-type latRing struct {
-	buf [latWindow]float64
-	n   uint64 // total recorded; buf holds the last min(n, latWindow)
-}
-
-//soar:hotpath
-func (r *latRing) record(d time.Duration) {
-	r.buf[r.n%latWindow] = d.Seconds()
-	r.n++
-}
-
-// snapshot appends the window's values to dst and returns it.
-func (r *latRing) snapshot(dst []float64) []float64 {
-	n := min(r.n, latWindow)
-	return append(dst, r.buf[:n]...)
-}
+// This file is the scheduler's observability surface. Every count,
+// histogram and gauge the scheduler keeps is a family in one
+// obs.Registry, scrapeable as Prometheus text through
+// Registry().WriteText (naas serves it as GET /metrics); the registry
+// is the only record of what the scheduler did, and quantiles are read
+// off its histograms (obs.HistogramQuantile). The note* recording
+// methods stay //soar:hotpath — obs record ops are atomic slot updates,
+// so instrumentation does not cost the admission path its 0 allocs/op
+// contract (bench-smoke holds the line in CI).
 
 // metrics holds the scheduler's recording handles, all registered in
-// New. The handles themselves are lock-free; the latRings and
-// batchMaxN are guarded by Scheduler.mu (every note* call happens
-// under it, except the span records which are seqlock-safe anywhere).
+// New. The handles themselves are lock-free; batchMaxN is guarded by
+// Scheduler.mu (every note* call happens under it, except the span
+// records which are seqlock-safe anywhere).
 type metrics struct {
 	reg *obs.Registry
 	tr  *obs.Trace
@@ -82,9 +52,7 @@ type metrics struct {
 	opPlace, opRelease, opBatch, opSolve, opRepack obs.OpID
 	opCkptEncode, opCkptValidate, opCkptInstall    obs.OpID
 
-	placeLat   latRing
-	releaseLat latRing
-	batchMaxN  int
+	batchMaxN int
 
 	started time.Time
 }
@@ -199,7 +167,6 @@ func (m *metrics) notePlace(t0 time.Time, blues int64, conflicted bool) {
 	d := time.Since(t0)
 	m.placed.Inc()
 	m.placeSeconds.Observe(d.Seconds())
-	m.placeLat.record(d)
 	v2 := int64(0)
 	if conflicted {
 		v2 = 1
@@ -221,7 +188,6 @@ func (m *metrics) noteRelease(ok bool, t0 time.Time) {
 		m.notFound.Inc()
 	}
 	m.releaseSeconds.Observe(d.Seconds())
-	m.releaseLat.record(d)
 	m.tr.Record(m.opRelease, t0, d, v1, 0)
 }
 
@@ -259,69 +225,6 @@ func (m *metrics) noteRepack(moved int, recovered float64) {
 	m.phiRecovered.Add(recovered)
 }
 
-// Metrics is a point-in-time summary of the scheduler's request stream.
-// Latency quantiles are computed over a sliding window of the most
-// recent latWindow requests of each kind.
-type Metrics struct {
-	// Placed and Released count successful admissions and releases;
-	// NotFound counts releases of unknown tenants and Rejected counts
-	// requests that failed validation before reaching the queue.
-	Placed, Released, NotFound, Rejected uint64
-	// Conflicts counts batch placements that lost a capacity race to an
-	// earlier member of their own batch and were re-solved at commit.
-	Conflicts uint64
-	// Batches, MeanBatch and MaxBatch describe how well the dispatcher
-	// coalesces the request stream.
-	Batches   uint64
-	MeanBatch float64
-	MaxBatch  int
-	// PlaceP50/P95/P99 are admission latency quantiles (submission to
-	// commit); ReleaseP50 is the release median.
-	PlaceP50, PlaceP95, PlaceP99 time.Duration
-	ReleaseP50                   time.Duration
-	// PlacePerSec is the lifetime admission throughput.
-	PlacePerSec float64
-	// RepackRounds/RepackMoves/PhiRecovered summarize the background
-	// re-packer: rounds run, tenants migrated, and the aggregate Φ
-	// (network utilization cost) those migrations recovered.
-	RepackRounds uint64
-	RepackMoves  uint64
-	PhiRecovered float64
-}
-
-// Metrics returns current request-stream statistics.
-func (s *Scheduler) Metrics() Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := Metrics{
-		Placed:       s.met.placed.Value(),
-		Released:     s.met.released.Value(),
-		NotFound:     s.met.notFound.Value(),
-		Rejected:     s.rejected.Load(),
-		Conflicts:    s.met.conflicts.Value(),
-		Batches:      s.met.batches.Value(),
-		MaxBatch:     s.met.batchMaxN,
-		RepackRounds: s.met.repackRounds.Value(),
-		RepackMoves:  s.met.repackMoves.Value(),
-		PhiRecovered: s.met.phiRecovered.Value(),
-	}
-	if m.Batches > 0 {
-		m.MeanBatch = s.met.batchSize.Sum() / float64(m.Batches)
-	}
-	if elapsed := time.Since(s.met.started).Seconds(); elapsed > 0 {
-		m.PlacePerSec = float64(m.Placed) / elapsed
-	}
-	lat := s.met.placeLat.snapshot(nil)
-	sort.Float64s(lat)
-	m.PlaceP50 = secondsToDuration(stats.QuantileSorted(lat, 0.50))
-	m.PlaceP95 = secondsToDuration(stats.QuantileSorted(lat, 0.95))
-	m.PlaceP99 = secondsToDuration(stats.QuantileSorted(lat, 0.99))
-	rel := s.met.releaseLat.snapshot(nil)
-	sort.Float64s(rel)
-	m.ReleaseP50 = secondsToDuration(stats.QuantileSorted(rel, 0.50))
-	return m
-}
-
 // Registry returns the scheduler's metrics registry — the one Config.Obs
 // supplied, or the private registry New created. Scrape it with
 // WriteText; naas serves it as GET /metrics.
@@ -331,7 +234,3 @@ func (s *Scheduler) Registry() *obs.Registry { return s.met.reg }
 // most recent operations (sched.place, sched.batch, sched.solve,
 // sched.release, sched.repack, ckpt.*).
 func (s *Scheduler) Trace() *obs.Trace { return s.met.tr }
-
-func secondsToDuration(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
-}

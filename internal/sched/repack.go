@@ -121,7 +121,7 @@ func (s *Scheduler) repack(maxMoves int) (moved int, recovered float64) {
 			// end the round (every further candidate would fence too).
 			fenced = true
 		}
-		if !fenced && newPhi < oldPhi*(1-s.cfg.Repack.MinGain) && newPhi < oldPhi {
+		if !fenced && newPhi < oldPhi {
 			moved++
 			recovered += oldPhi - newPhi
 			ten.phi = newPhi

@@ -87,9 +87,8 @@ func TestRepackRecoversPhi(t *testing.T) {
 			t.Fatalf("switch %d: residual %d with %d slots held", v, res, used[v])
 		}
 	}
-	m := s.Metrics()
-	if m.RepackRounds != 1 || m.RepackMoves != uint64(moved) || m.PhiRecovered != recovered {
-		t.Fatalf("repack metrics %+v", m)
+	if rounds, moves, phi := s.met.repackRounds.Value(), s.met.repackMoves.Value(), s.met.phiRecovered.Value(); rounds != 1 || moves != uint64(moved) || phi != recovered {
+		t.Fatalf("repack metrics: %d rounds, %d moves, Φ recovered %v", rounds, moves, phi)
 	}
 }
 
@@ -145,12 +144,12 @@ func TestRepackBackgroundLoop(t *testing.T) {
 
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		m := s.Metrics()
-		if m.RepackRounds > 0 && m.PhiRecovered > 0 {
+		rounds, phi := s.met.repackRounds.Value(), s.met.phiRecovered.Value()
+		if rounds > 0 && phi > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("background re-packer never recovered Φ: %+v", m)
+			t.Fatalf("background re-packer never recovered Φ: %d rounds, Φ recovered %v", rounds, phi)
 		}
 		time.Sleep(time.Millisecond)
 	}

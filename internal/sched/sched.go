@@ -22,8 +22,8 @@
 // fragmentation that tenant departures leave behind: it re-solves the
 // worst-ratio tenants against the freed capacity under a bounded
 // migration budget (at most m tenants moved per round) and reports the
-// aggregate Φ recovered. Per-request latency and throughput metrics
-// (metrics.go) are built on internal/stats.
+// aggregate Φ recovered. Every count and latency the scheduler keeps is
+// a family in its obs registry (metrics.go), served as GET /metrics.
 //
 // Driven single-threaded, the scheduler is observably identical to the
 // sequential online model: one request per batch, solved against the
@@ -105,10 +105,6 @@ type RepackConfig struct {
 	// moved per round (default 8). Bounding m keeps the data-plane churn
 	// of a round predictable.
 	MaxMoves int
-	// MinGain is the relative Φ improvement required to migrate a
-	// tenant: a move happens only if newΦ < oldΦ·(1−MinGain). Zero means
-	// any strict improvement.
-	MinGain float64
 }
 
 // Config tunes a Scheduler. The zero value is usable: unlimited

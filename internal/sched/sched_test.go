@@ -336,15 +336,15 @@ func TestConcurrentPlaceRelease(t *testing.T) {
 	if st.Tenants != len(live) {
 		t.Fatalf("snapshot has %d tenants, want %d", st.Tenants, len(live))
 	}
-	m := s.Metrics()
-	if m.Placed != goroutines*25 {
-		t.Fatalf("placed %d, want %d", m.Placed, goroutines*25)
+	if got := s.met.placed.Value(); got != goroutines*25 {
+		t.Fatalf("placed %d, want %d", got, goroutines*25)
 	}
-	if m.Batches == 0 || m.MeanBatch < 1 {
-		t.Fatalf("batch metrics %+v", m)
+	batches := s.met.batches.Value()
+	if batches == 0 || s.met.batchSize.Sum() < float64(batches) {
+		t.Fatalf("batch metrics: %d batches coalescing %v requests", batches, s.met.batchSize.Sum())
 	}
-	if m.PlaceP99 < m.PlaceP50 || m.PlaceP50 <= 0 {
-		t.Fatalf("latency quantiles inconsistent: %+v", m)
+	if n, sum := s.met.placeSeconds.Count(), s.met.placeSeconds.Sum(); n != goroutines*25 || sum <= 0 {
+		t.Fatalf("place latency histogram: %d observations summing %vs, want %d > 0s", n, sum, goroutines*25)
 	}
 }
 
@@ -427,8 +427,8 @@ func TestSchedulerBatchSolveInvariants(t *testing.T) {
 			t.Fatalf("switch %d: residual %d with %d slots held", v, res, used[v])
 		}
 	}
-	if m := s.Metrics(); m.Placed != goroutines*25 {
-		t.Fatalf("placed %d, want %d", m.Placed, goroutines*25)
+	if got := s.met.placed.Value(); got != goroutines*25 {
+		t.Fatalf("placed %d, want %d", got, goroutines*25)
 	}
 }
 
@@ -448,8 +448,8 @@ func TestPlaceValidation(t *testing.T) {
 	if err := s.Release(99); err != ErrNotFound {
 		t.Fatalf("release unknown: %v, want ErrNotFound", err)
 	}
-	if m := s.Metrics(); m.Rejected != 3 || m.NotFound != 1 {
-		t.Fatalf("metrics %+v", m)
+	if rej, nf := s.rejected.Load(), s.met.notFound.Value(); rej != 3 || nf != 1 {
+		t.Fatalf("rejected %d, not found %d; want 3 and 1", rej, nf)
 	}
 }
 

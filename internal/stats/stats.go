@@ -4,10 +4,7 @@
 // with error bars where variance is significant".
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
@@ -43,58 +40,6 @@ func StdErr(xs []float64) float64 {
 	}
 	return Std(xs) / math.Sqrt(float64(len(xs)))
 }
-
-// Quantile returns the q-quantile of xs (q in [0, 1]) using linear
-// interpolation between closest ranks (the "R-7" estimator, the default
-// of most statistics packages): for a sorted sample x_0..x_{n-1} it
-// evaluates x at rank q·(n−1), interpolating between the two neighbours.
-// It returns 0 for an empty sample, the single value for n = 1, and
-// clamps q into [0, 1]. xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-// QuantileSorted is Quantile over an already ascending-sorted sample,
-// avoiding the copy — the scheduler's metrics path calls it repeatedly
-// on one sorted latency snapshot.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return quantileSorted(sorted, q)
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
-	if q < 0 || math.IsNaN(q) {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// P50 returns the median of xs.
-func P50(xs []float64) float64 { return Quantile(xs, 0.50) }
-
-// P95 returns the 95th percentile of xs.
-func P95(xs []float64) float64 { return Quantile(xs, 0.95) }
-
-// P99 returns the 99th percentile of xs — the tail-latency figure the
-// scheduler's per-request metrics report.
-func P99(xs []float64) float64 { return Quantile(xs, 0.99) }
 
 // MinMax returns the smallest and largest values of xs.
 func MinMax(xs []float64) (min, max float64) {

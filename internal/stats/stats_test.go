@@ -79,75 +79,6 @@ func TestAccumulatorLengthMismatchPanics(t *testing.T) {
 	a.Add([]float64{1})
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2} // sorted: 1 2 3 4
-	cases := []struct {
-		q, want float64
-	}{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75}, {1.0 / 3, 2},
-		{-0.5, 1}, {1.5, 4}, // clamped
-	}
-	for _, tc := range cases {
-		if got := Quantile(xs, tc.q); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("Quantile(q=%v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-	if got := Quantile(xs, 0.5); xs[0] != 4 || got != 2.5 {
-		t.Fatal("Quantile must not reorder its input")
-	}
-}
-
-func TestQuantileEdgeCases(t *testing.T) {
-	if Quantile(nil, 0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
-	}
-	if Quantile([]float64{7}, 0.99) != 7 {
-		t.Fatal("singleton quantile should be the value")
-	}
-	sorted := []float64{1, 2, 3}
-	if QuantileSorted(sorted, 0.5) != 2 {
-		t.Fatal("QuantileSorted median")
-	}
-}
-
-func TestPercentileHelpers(t *testing.T) {
-	xs := make([]float64, 101) // 0..100: P-th percentile is P exactly
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	if P50(xs) != 50 || P95(xs) != 95 || P99(xs) != 99 {
-		t.Fatalf("P50/P95/P99 = %v/%v/%v, want 50/95/99", P50(xs), P95(xs), P99(xs))
-	}
-}
-
-func TestQuickQuantileBounds(t *testing.T) {
-	// Any quantile lies within [min, max] and is monotone in q.
-	f := func(xs []float64, q1, q2 float64) bool {
-		clean := xs[:0:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e12 {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		if math.IsNaN(q1) || math.IsInf(q1, 0) || math.IsNaN(q2) || math.IsInf(q2, 0) {
-			return true
-		}
-		q1, q2 = math.Abs(math.Mod(q1, 1)), math.Abs(math.Mod(q2, 1))
-		if q1 > q2 {
-			q1, q2 = q2, q1
-		}
-		min, max := MinMax(clean)
-		v1, v2 := Quantile(clean, q1), Quantile(clean, q2)
-		return v1 >= min && v2 <= max && v1 <= v2
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickMeanBounds(t *testing.T) {
 	// Mean lies within [min, max] for any non-empty input.
 	f := func(xs []float64) bool {
