@@ -48,10 +48,9 @@
 // scheduler a per-scheduler route reads. ?shard=K names shard K (a
 // single node is shard 0). Without it a single node answers from its
 // scheduler, while a sharded daemon answers /metrics with its
-// soar_ha_* and soar_cluster_* families and the other per-scheduler
-// routes with 400. The registry is the only record of what the control
-// plane did: /v1/stats is the scheduler's snapshot alone, and the cause
-// of a degraded cluster run goes to the log.
+// soar_ha_* families and the other per-scheduler routes with 400. The
+// registry is the only record of what the control plane did: /v1/stats
+// is the scheduler's snapshot alone.
 // Tenant ids are global in both modes.
 //
 // API (JSON):
@@ -66,7 +65,6 @@
 //	GET    /v1/shards      (sharded and -join only: membership)
 //	GET    /v1/checkpoint  (per scheduler; octet-stream snapshot)
 //	POST   /v1/checkpoint  (persist to -checkpoint path; 503 without one)
-//	POST   /v1/cluster     {"id": 7} → loopback cluster replay of a lease
 //	GET    /v1/trace?n=64  (per scheduler; newest spans, JSON)
 //	GET    /metrics        (per scheduler; Prometheus text)
 //
@@ -227,8 +225,6 @@ func buildTree(topoFile, topo string, n int, seed int64) (*topology.Tree, error)
 // ckptPath if set, serves front on addr until ctx ends, drains
 // (readiness flips before the final checkpoint) and saves at shutdown.
 func serve(ctx context.Context, front *naas.Front, sch *sched.Scheduler, addr, banner, ckptPath string, ckptEvery, ckptTimeout time.Duration) {
-	front.SetLogf(log.Printf) // surface degraded cluster runs in the daemon log
-
 	bounded := func() (int64, error) {
 		sctx := context.Background()
 		if ckptTimeout > 0 {
@@ -328,9 +324,7 @@ func runJoin(ctx context.Context, tr *topology.Tree, cfg sched.Config, addr, pri
 			// serve and a supervisor should restart us to re-join.
 			log.Fatalf("soar-naasd: promotion failed: %v", err)
 		}
-		front := naas.FromScheduler(sch)
-		front.SetLogf(log.Printf)
-		handler.Store(front.Handler())
+		handler.Store(naas.FromScheduler(sch).Handler())
 		log.Printf("soar-naasd: serving shard %d as promoted primary (%d tenants)", shard, sch.Snapshot().Tenants)
 	}
 

@@ -18,13 +18,12 @@ import (
 // the numbers an operator watches: admission rate and latency
 // quantiles (from the soar_sched_place_seconds histogram), the median
 // queue wait (soar_sched_queue_wait_seconds: submission to the start of
-// the request's batch), batch coalescing, conflicts,
-// degraded cluster runs and re-packer Φ recovered. It is a scrape
-// consumer like any other — it reads GET /metrics and computes rates
-// from successive snapshots, so what it shows is exactly what a
-// Prometheus dashboard would. The one exception is recomp, the switches
-// the newest solve recomputed: a per-solve fact, so it comes from the
-// newest sched.solve span of GET /v1/trace.
+// the request's batch), batch coalescing, conflicts and re-packer Φ
+// recovered. It is a scrape consumer like any other — it reads GET
+// /metrics and computes rates from successive snapshots, so what it
+// shows is exactly what a Prometheus dashboard would. The one exception
+// is recomp, the switches the newest solve recomputed: a per-solve
+// fact, so it comes from the newest sched.solve span of GET /v1/trace.
 func runTop(args []string) error {
 	fs := newFlagSet("top")
 	addr := fs.String("addr", "http://127.0.0.1:7070", "daemon base URL")
@@ -45,7 +44,6 @@ func runTop(args []string) error {
 type topSnapshot struct {
 	admissions, releases, rejected, conflicts float64
 	batches, batchSizeSum                     float64
-	degraded                                  float64
 	phiRecovered                              float64
 	tenants, capUsed, capTotal                float64
 	p50, p95, p99, queueWait                  float64
@@ -75,7 +73,6 @@ func scrapeTop(ctx context.Context, c *naas.Client) (*topSnapshot, error) {
 		rejected:     val("soar_sched_rejected_total"),
 		conflicts:    val("soar_sched_conflicts_total"),
 		batches:      val("soar_sched_batches_total"),
-		degraded:     val("soar_cluster_degraded_total"),
 		phiRecovered: val("soar_sched_repack_phi_recovered"),
 		tenants:      val("soar_sched_tenants"),
 		capUsed:      val("soar_sched_capacity_used"),
@@ -144,8 +141,8 @@ func topLoop(w io.Writer, addr string, every time.Duration, polls int) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	fmt.Fprintf(w, "%-8s %9s %8s %8s %8s %8s %8s %8s %8s %7s %9s %9s %7s\n",
-		"time", "adm/s", "p50", "p95", "p99", "qwait50", "cksnap50", "tenants", "cap%", "batch", "degraded", "Φrec", "recomp")
+	fmt.Fprintf(w, "%-8s %9s %8s %8s %8s %8s %8s %8s %8s %7s %9s %7s\n",
+		"time", "adm/s", "p50", "p95", "p99", "qwait50", "cksnap50", "tenants", "cap%", "batch", "Φrec", "recomp")
 	var prev *topSnapshot
 	prevAt := time.Now()
 	for i := 0; polls <= 0 || i < polls; i++ {
@@ -175,10 +172,10 @@ func topLoop(w io.Writer, addr string, every time.Duration, polls int) error {
 		if snap.batches > 0 {
 			meanBatch = snap.batchSizeSum / snap.batches
 		}
-		fmt.Fprintf(w, "%-8s %9.1f %8s %8s %8s %8s %8s %8.0f %7.1f%% %7.2f %9.0f %9.3f %7s\n",
+		fmt.Fprintf(w, "%-8s %9.1f %8s %8s %8s %8s %8s %8.0f %7.1f%% %7.2f %9.3f %7s\n",
 			now.Format("15:04:05"), rate,
 			fmtSeconds(snap.p50), fmtSeconds(snap.p95), fmtSeconds(snap.p99), fmtSeconds(snap.queueWait),
-			fmtSeconds(snap.ckptPause), snap.tenants, capPct, meanBatch, snap.degraded, snap.phiRecovered, snap.recomp)
+			fmtSeconds(snap.ckptPause), snap.tenants, capPct, meanBatch, snap.phiRecovered, snap.recomp)
 		prev, prevAt = snap, now
 	}
 	return nil

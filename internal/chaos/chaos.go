@@ -36,8 +36,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"soar/internal/obs"
 )
 
 // ErrInjected is the error returned by operations on a connection the
@@ -150,7 +148,7 @@ func New(cfg Config) *Injector {
 // Concurrency: Stats is safe to call from any goroutine at any time,
 // including while connections are being wrapped, severed and stalled —
 // every counter is an atomic the fault paths update individually. The
-// snapshot is not a consistent cut across counters (a scrape may
+// snapshot is not a consistent cut across counters (a reader may
 // observe a connection counted in Conns before its cut lands in Cuts),
 // but each field is a valid point-in-time read and all are monotone.
 // TestStatsConcurrentWithFaults drives this under the race detector.
@@ -164,36 +162,6 @@ func (in *Injector) Stats() Stats {
 		Delays:      in.delays.Load(),
 		Crashes:     in.crashes.Load(),
 		Kills:       in.kills.Load(),
-	}
-}
-
-// RegisterMetrics exposes the injector's counters in reg as the
-// soar_chaos_* families: dial attempts, wrapped connections, and one
-// soar_chaos_faults_total series per fault kind (dial_failure, cut,
-// reset, delay, crash). The samples read the same atomics Stats does,
-// at scrape time — registering costs the fault paths nothing.
-func (in *Injector) RegisterMetrics(reg *obs.Registry) {
-	reg.CounterFunc("soar_chaos_dials_total",
-		"Dial attempts seen by the fault injector.", nil,
-		func() float64 { return float64(in.dials.Load()) })
-	reg.CounterFunc("soar_chaos_conns_total",
-		"Connections wrapped by the fault injector.", nil,
-		func() float64 { return float64(in.conns.Load()) })
-	for _, f := range []struct {
-		kind string
-		c    *atomic.Int64
-	}{
-		{"dial_failure", &in.dialsFailed},
-		{"cut", &in.cuts},
-		{"reset", &in.resets},
-		{"delay", &in.delays},
-		{"crash", &in.crashes},
-		{"kill", &in.kills},
-	} {
-		c := f.c
-		reg.CounterFunc("soar_chaos_faults_total",
-			"Faults delivered by the injector, by kind.", obs.Labels{"kind": f.kind},
-			func() float64 { return float64(c.Load()) })
 	}
 }
 

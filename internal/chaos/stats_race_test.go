@@ -3,24 +3,18 @@ package chaos
 import (
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"soar/internal/obs"
 )
 
 // TestStatsConcurrentWithFaults is the documented concurrency contract
-// of Injector.Stats made executable: read stats (directly and through
-// a registered metrics registry) while other goroutines wrap
-// connections and absorb injected faults. Run under -race in the race
+// of Injector.Stats made executable: read stats while other goroutines
+// wrap connections and absorb injected faults. Run under -race in the race
 // CI job, it proves the counters are atomics, not "usually fine"
 // plain fields.
 func TestStatsConcurrentWithFaults(t *testing.T) {
 	in := New(Config{Seed: 7, Cut: 0.6, Reset: 0.3, Delay: 0.4, CutBytes: 32, MaxDelay: 50 * time.Microsecond})
-	reg := obs.NewRegistry()
-	in.RegisterMetrics(reg)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -51,7 +45,7 @@ func TestStatsConcurrentWithFaults(t *testing.T) {
 		}(g)
 	}
 
-	// Keep scraping until the workers have wrapped a healthy number of
+	// Keep reading until the workers have wrapped a healthy number of
 	// connections, so readers and fault paths genuinely overlap.
 	deadline := time.Now().Add(10 * time.Second)
 	for i := 0; in.Stats().Conns < 100 || i < 100; i++ {
@@ -62,13 +56,6 @@ func TestStatsConcurrentWithFaults(t *testing.T) {
 		// At most one of cut/reset severs any one connection.
 		if st.Cuts+st.Resets > st.Conns {
 			t.Fatalf("severed %d+%d connections out of %d wrapped", st.Cuts, st.Resets, st.Conns)
-		}
-		var sb strings.Builder
-		if err := reg.WriteText(&sb); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(sb.String(), `soar_chaos_faults_total{kind="cut"}`) {
-			t.Fatalf("registered chaos families missing from scrape:\n%s", sb.String())
 		}
 	}
 	close(stop)

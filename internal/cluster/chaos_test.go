@@ -228,6 +228,15 @@ func TestFrameTimeoutUnblocksSilentPeer(t *testing.T) {
 	}
 }
 
+func TestNegativeFrameTimeoutStaysDisabled(t *testing.T) {
+	// RunOrFallback defaults its options and RunWithOptions defaults them
+	// again: a disabled frame timeout must survive both, not turn into
+	// DefaultFrameTimeout on the second pass.
+	if got := (&Options{FrameTimeout: -1}).withDefaults().withDefaults().FrameTimeout; got > 0 {
+		t.Fatalf("FrameTimeout -1 became %v after defaulting twice", got)
+	}
+}
+
 func TestRunOrFallbackRejectsBadInput(t *testing.T) {
 	// Validation errors are permanent: no retry, no degraded answer.
 	tr := topology.MustBT(8)

@@ -26,6 +26,10 @@
 // local core.SolveCaps solve, flagged Degraded, instead of erroring.
 // Faults can be injected deterministically through Options.Dial and
 // Options.WrapListener (see internal/chaos).
+//
+// The package shows the protocol; it does not serve admissions.
+// soarctl cluster and examples/cluster run it, and the NaaS daemon
+// does not: its scheduler solves in process (internal/sched).
 package cluster
 
 import (
@@ -117,11 +121,6 @@ type Options struct {
 	// Retry bounds transient-failure retries: per-node dial attempts in
 	// Run, whole-run attempts in RunOrFallback.
 	Retry RetryPolicy
-	// Metrics, when non-nil, receives the run's observability events:
-	// run/frame/dial counters, run-duration observations, and
-	// per-frame spans in the Metrics' trace ring (see NewMetrics).
-	// nil records nothing.
-	Metrics *Metrics
 }
 
 func (o *Options) withDefaults() *Options {
@@ -138,11 +137,10 @@ func (o *Options) withDefaults() *Options {
 	if out.WrapListener == nil {
 		out.WrapListener = func(_ int, ln net.Listener) net.Listener { return ln }
 	}
-	switch {
-	case out.FrameTimeout == 0:
+	// A negative timeout stays negative, so defaulting twice (as
+	// RunOrFallback → RunWithOptions does) keeps it disabled.
+	if out.FrameTimeout == 0 {
 		out.FrameTimeout = DefaultFrameTimeout
-	case out.FrameTimeout < 0:
-		out.FrameTimeout = 0
 	}
 	return &out
 }
@@ -218,21 +216,12 @@ func validateInputs(t *topology.Tree, load []int, caps []int) error {
 
 // RunWithOptions is RunCaps with explicit transport options: custom
 // dialers and listener wrappers (fault injection), per-frame I/O
-// deadlines, the dial retry policy, and optional metrics.
+// deadlines and the dial retry policy.
 func RunWithOptions(ctx context.Context, t *topology.Tree, load []int, caps []int, k int, opts *Options) (*Result, error) {
 	if err := validateInputs(t, load, caps); err != nil {
-		return nil, err // malformed problems are not "runs attempted"
+		return nil, err
 	}
 	opts = opts.withDefaults()
-	t0 := time.Now()
-	res, err := runWithOptions(ctx, t, load, caps, k, opts)
-	opts.Metrics.noteRun(t0, t.N(), err)
-	return res, err
-}
-
-// runWithOptions is the instrumentation-free body of RunWithOptions;
-// opts has already been defaulted and the inputs validated.
-func runWithOptions(ctx context.Context, t *topology.Tree, load []int, caps []int, k int, opts *Options) (*Result, error) {
 	if k < 0 {
 		k = 0
 	}
@@ -340,11 +329,10 @@ type edge struct {
 	r       *bufio.Reader
 	w       *bufio.Writer
 	timeout time.Duration
-	met     *Metrics // may be nil: then frames record nothing
 }
 
-func newEdge(conn net.Conn, timeout time.Duration, met *Metrics) *edge {
-	return &edge{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), timeout: timeout, met: met}
+func newEdge(conn net.Conn, timeout time.Duration) *edge {
+	return &edge{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), timeout: timeout}
 }
 
 func (e *edge) send(m wire.Message) error {
@@ -356,7 +344,6 @@ func (e *edge) send(m wire.Message) error {
 	if err == nil {
 		err = e.w.Flush()
 	}
-	e.met.noteFrame(false, t0, err)
 	return err
 }
 
@@ -366,9 +353,7 @@ func recv[M wire.Message](e *edge) (M, error) {
 	if e.timeout > 0 {
 		e.conn.SetReadDeadline(t0.Add(e.timeout))
 	}
-	m, err := wire.ReadTyped[M](e.r)
-	e.met.noteFrame(true, t0, err)
-	return m, err
+	return wire.ReadTyped[M](e.r)
 }
 
 func (e *edge) close() {
@@ -395,28 +380,23 @@ func accept(ln net.Listener, timeout time.Duration) (net.Conn, error) {
 // dial failures (the network analogue of a lost SYN) back off
 // exponentially with jitter until the policy is exhausted or ctx dies.
 func dialWithRetry(ctx context.Context, opts *Options, node int, addr string) (net.Conn, error) {
-	t0 := time.Now()
 	var lastErr error
 	attempts := opts.Retry.attempts()
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
 			if err := sleepBackoff(ctx, opts.Retry, attempt-1); err != nil {
-				opts.Metrics.noteDial(t0, attempt-1, err)
 				return nil, err
 			}
 		}
 		conn, err := opts.Dial(ctx, node, addr)
 		if err == nil {
-			opts.Metrics.noteDial(t0, attempt, nil)
 			return conn, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			opts.Metrics.noteDial(t0, attempt, lastErr)
 			return nil, lastErr
 		}
 	}
-	opts.Metrics.noteDial(t0, attempts, lastErr)
 	return nil, fmt.Errorf("dial parent: %d attempts exhausted: %w", attempts, lastErr)
 }
 
@@ -441,7 +421,7 @@ func runNode(ctx context.Context, t *topology.Tree, v, loadV int, hasLoad bool,
 			return fmt.Errorf("accept: %w", err)
 		}
 		bindToCtx(ctx, conn)
-		e := newEdge(conn, opts.FrameTimeout, opts.Metrics)
+		e := newEdge(conn, opts.FrameTimeout)
 		hello, err := recv[*wire.Hello](e)
 		if err != nil {
 			conn.Close()
@@ -487,7 +467,7 @@ func runNode(ctx context.Context, t *topology.Tree, v, loadV int, hasLoad bool,
 		return err
 	}
 	bindToCtx(ctx, conn)
-	up := newEdge(conn, opts.FrameTimeout, opts.Metrics)
+	up := newEdge(conn, opts.FrameTimeout)
 	defer up.close()
 	if err := up.send(&wire.Hello{Child: uint32(v)}); err != nil {
 		return err
@@ -558,7 +538,7 @@ func runDestination(ctx context.Context, ln net.Listener, k, capRoot int, res *R
 		return fmt.Errorf("destination accept: %w", err)
 	}
 	bindToCtx(ctx, conn)
-	e := newEdge(conn, opts.FrameTimeout, opts.Metrics)
+	e := newEdge(conn, opts.FrameTimeout)
 	defer e.close()
 	if _, err := recv[*wire.Hello](e); err != nil {
 		return fmt.Errorf("destination hello: %w", err)

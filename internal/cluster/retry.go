@@ -43,7 +43,6 @@ func RunOrFallback(ctx context.Context, t *topology.Tree, load []int, caps []int
 		res, err := RunWithOptions(ctx, t, load, caps, k, opts)
 		if err == nil {
 			res.Attempts = attempt
-			opts.Metrics.noteAttempts(attempt)
 			return res, nil
 		}
 		lastErr = err
@@ -54,8 +53,6 @@ func RunOrFallback(ctx context.Context, t *topology.Tree, load []int, caps []int
 	res := solveLocal(t, load, caps, k)
 	res.Attempts = attempts
 	res.Cause = lastErr
-	opts.Metrics.noteAttempts(attempts)
-	opts.Metrics.noteDegraded()
 	return res, nil
 }
 

@@ -143,37 +143,6 @@ func (c *Client) SaveCheckpoint(ctx context.Context) (path string, size int64, e
 	return out.Path, out.Bytes, nil
 }
 
-// ClientClusterResult is the client-side view of a loopback cluster
-// replay (POST /v1/cluster).
-type ClientClusterResult struct {
-	Blue           []int   `json:"blue"`
-	Cost           float64 `json:"cost"`
-	ReduceMessages int64   `json:"reduce_messages"`
-	ReducePhi      float64 `json:"reduce_phi"`
-	Degraded       bool    `json:"degraded"`
-	Attempts       int     `json:"attempts"`
-	Cause          string  `json:"cause,omitempty"`
-}
-
-// ClusterRun asks the daemon to replay lease id's problem over its
-// loopback cluster runtime.
-func (c *Client) ClusterRun(ctx context.Context, id int64) (*ClientClusterResult, error) {
-	body, err := json.Marshal(clusterRequest{ID: id})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/cluster", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	var out ClientClusterResult
-	if err := c.do(req, http.StatusOK, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Shards fetches per-shard membership from a sharded daemon (GET
 // /v1/shards). A non-sharded daemon answers 404.
 func (c *Client) Shards(ctx context.Context) ([]ShardInfo, error) {

@@ -21,7 +21,6 @@ package naas
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,11 +28,9 @@ import (
 	"strconv"
 	"strings"
 
-	"soar/internal/cluster"
 	"soar/internal/ha"
 	"soar/internal/obs"
 	"soar/internal/sched"
-	"soar/internal/topology"
 )
 
 // ErrNotFound is returned for operations on unknown tenant ids.
@@ -54,7 +51,6 @@ type Stats = sched.Stats
 //	GET    /v1/residual                                     → {"residual": [...]}
 //	GET    /v1/checkpoint                                   → checkpoint stream (octet-stream)
 //	POST   /v1/checkpoint                                   → {"path": ..., "bytes": n} (durable save)
-//	POST   /v1/cluster        {"id": 7}                     → cluster-run JSON (loopback replay)
 //	GET    /v1/trace?n=64                                   → {"spans": [...]} newest first
 //	GET    /v1/shards                                       → {"shards": [...]} (sharded front only)
 //	GET    /v1/healthz                                      → 200 {"status":"ok"} (liveness)
@@ -64,9 +60,9 @@ type Stats = sched.Stats
 // Stats, residual, checkpoint GET, trace and metrics read one scheduler:
 // ?shard=K names shard K (a single node is shard 0; out of range is 400,
 // a shard mid-failover 503). Without ?shard a single node answers from
-// its scheduler, while a cluster serves its soar_ha_* and soar_cluster_*
-// families on /metrics and answers 400 on the others, since no one shard
-// speaks for it. Residual ids under ?shard=K are shard-local. Tenant ids
+// its scheduler, while a cluster serves its soar_ha_* families on
+// /metrics and answers 400 on the others, since no one shard speaks
+// for it. Residual ids under ?shard=K are shard-local. Tenant ids
 // are global on both fronts.
 //
 // All bodies are JSON — except /metrics, which speaks the Prometheus
@@ -134,7 +130,6 @@ func statusOf(err error) int {
 type Front struct {
 	probes
 	adm  admission
-	tree *topology.Tree
 	pick resolver
 	// reg is what GET /metrics without ?shard serves.
 	reg *obs.Registry
@@ -142,17 +137,12 @@ type Front struct {
 	// save, when set, persists a checkpoint durably (POST /v1/checkpoint
 	// and the daemon's periodic/shutdown saves all funnel through it).
 	save func() (path string, size int64, err error)
-
-	// cmet records the loopback cluster runs of POST /v1/cluster in reg.
-	cmet *cluster.Metrics
-	logf func(format string, args ...interface{})
 }
 
-// FromScheduler fronts one running scheduler. Its metrics registry and
-// trace ring also record the loopback cluster runs, so one scrape covers
-// scheduler, checkpoint and cluster families alike.
+// FromScheduler fronts one running scheduler: bare GET /metrics serves
+// its registry.
 func FromScheduler(sc *sched.Scheduler) *Front {
-	return newFront(sc, sc.Tree(), sc.Registry(), sc.Trace(), resolver{
+	return newFront(sc, sc.Registry(), resolver{
 		shards: 1,
 		shard:  func(int) *sched.Scheduler { return sc },
 		home:   sc,
@@ -162,33 +152,22 @@ func FromScheduler(sc *sched.Scheduler) *Front {
 // NewSharded fronts a running replicated cluster: admissions resolve to
 // the pod shard their load lives in and ride out failovers behind the
 // cluster's routing retries. Bare GET /metrics serves the cluster's
-// registry — its soar_ha_* families and the front's loopback cluster
-// runs — and ?shard=K shard K's scheduler families: every shard
-// registers the same families in its own registry, so one merged page
-// would define them twice. Like a scheduler, a cluster takes one front:
-// a second would register the cluster-run families again and panic.
+// registry — its soar_ha_* families — and ?shard=K shard K's scheduler
+// families: every shard registers the same families in its own
+// registry, so one merged page would define them twice.
 func NewSharded(cl *ha.Cluster) *Front {
-	return newFront(cl, cl.Partitioning().Tree, cl.Registry(), nil, resolver{
+	return newFront(cl, cl.Registry(), resolver{
 		shards:  cl.Shards(),
 		shard:   cl.ShardScheduler,
 		members: cl.Status,
 	})
 }
 
-// newFront registers the cluster-run families in reg, the registry bare
-// GET /metrics serves, and their spans in tr (nil: a private ring).
-func newFront(adm admission, t *topology.Tree, reg *obs.Registry, tr *obs.Trace, pick resolver) *Front {
-	f := &Front{adm: adm, tree: t, pick: pick, reg: reg, cmet: cluster.NewMetrics(reg, tr)}
+// newFront serves reg on bare GET /metrics.
+func newFront(adm admission, reg *obs.Registry, pick resolver) *Front {
+	f := &Front{adm: adm, pick: pick, reg: reg}
 	f.ready.Store(true)
 	return f
-}
-
-// SetLogf routes the front's operational log lines — degraded or
-// retried cluster runs — to fn (e.g. log.Printf); nil (the default)
-// silences them. Like SetCheckpointSaver it must be called before the
-// front starts serving HTTP traffic.
-func (f *Front) SetLogf(fn func(format string, args ...interface{})) {
-	f.logf = fn
 }
 
 // SetCheckpointSaver registers the durable checkpoint sink invoked by
@@ -207,7 +186,6 @@ func (f *Front) Handler() http.Handler {
 	mux.HandleFunc("/v1/stats", f.handleStats)
 	mux.HandleFunc("/v1/residual", f.handleResidual)
 	mux.HandleFunc("/v1/checkpoint", f.handleCheckpoint)
-	mux.HandleFunc("/v1/cluster", f.handleCluster)
 	mux.HandleFunc("/v1/trace", f.handleTrace)
 	mux.HandleFunc("/v1/shards", f.handleShards)
 	mux.HandleFunc("/v1/healthz", handleHealthz)
@@ -351,92 +329,6 @@ func (f *Front) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	default:
 		httpError(w, http.StatusMethodNotAllowed, errors.New("GET or POST only"))
 	}
-}
-
-// clusterRequest asks for a loopback cluster replay of one lease.
-type clusterRequest struct {
-	ID int64 `json:"id"`
-}
-
-// clusterResultJSON is the wire form of a cluster.Result. Blue is the
-// list of blue switch ids, matching the lease JSON convention.
-type clusterResultJSON struct {
-	Blue           []int   `json:"blue"`
-	Cost           float64 `json:"cost"`
-	ReduceMessages int64   `json:"reduce_messages"`
-	ReducePhi      float64 `json:"reduce_phi"`
-	Degraded       bool    `json:"degraded"`
-	Attempts       int     `json:"attempts"`
-	Cause          string  `json:"cause,omitempty"`
-}
-
-// handleCluster replays a lease's problem over the loopback cluster
-// runtime (see clusterRun).
-func (f *Front) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	var req clusterRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	lease, err := f.adm.Lookup(req.ID)
-	if err != nil {
-		httpError(w, statusOf(err), err)
-		return
-	}
-	res, err := f.clusterRun(r.Context(), lease)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	out := clusterResultJSON{
-		Blue:           []int{},
-		Cost:           res.Cost,
-		ReduceMessages: res.ReduceMessages,
-		ReducePhi:      res.ReducePhi,
-		Degraded:       res.Degraded,
-		Attempts:       res.Attempts,
-	}
-	for v, b := range res.Blue {
-		if b {
-			out.Blue = append(out.Blue, v)
-		}
-	}
-	if res.Cause != nil {
-		out.Cause = res.Cause.Error()
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// clusterRun replays lease's placement problem over the loopback
-// cluster runtime (internal/cluster): every switch gets a real TCP
-// listener, the SOAR tables travel as wire frames, and transport
-// faults degrade to a local solve instead of erroring
-// (cluster.RunOrFallback). The run solves the tenant's problem on the
-// bare tree — residual capacities from other tenants are not charged —
-// so it verifies the wire protocol against the tenant's own optimum,
-// not the admission-time placement. Its counts land in the
-// soar_cluster_* families; the cause of a degraded run goes to the log.
-func (f *Front) clusterRun(ctx context.Context, lease *Lease) (*cluster.Result, error) {
-	res, err := cluster.RunOrFallback(ctx, f.tree, lease.Load, nil, lease.K,
-		&cluster.Options{Metrics: f.cmet})
-	if err != nil {
-		return nil, err
-	}
-	if f.logf != nil {
-		switch {
-		case res.Degraded:
-			f.logf("naas: cluster run for lease %d DEGRADED after %d attempts: %v", lease.ID, res.Attempts, res.Cause)
-		case res.Attempts > 1:
-			f.logf("naas: cluster run for lease %d recovered on attempt %d", lease.ID, res.Attempts)
-		}
-	}
-	return res, nil
 }
 
 // handleTrace dumps the newest spans from a scheduler's trace ring.

@@ -341,9 +341,6 @@ func Serve(tab *Table, cfg Config) *Scheduler {
 	return s
 }
 
-// Tree returns the scheduler's network.
-func (s *Scheduler) Tree() *topology.Tree { return s.t }
-
 // Close stops the scheduler: in-flight and queued requests are answered
 // (with ErrClosed if they had not been admitted yet), background
 // goroutines exit, and subsequent requests fail with ErrClosed. Close is
