@@ -94,7 +94,7 @@ func TestCapsZeroOneBitwiseIdentical(t *testing.T) {
 // TestCapsNilIsUniform: caps == nil must mean "capacity 1 everywhere",
 // i.e. exactly Solve with every switch available.
 func TestCapsNilIsUniform(t *testing.T) {
-	tr, loads, _, k := randomInstance(3, 40, 6)
+	tr, loads, _, k := randomInstance(3, 40, 6, false)
 	a := Solve(tr, loads, nil, k)
 	b := SolveCaps(tr, loads, nil, k)
 	if a.Cost != b.Cost {
@@ -202,7 +202,7 @@ func TestQuickCapsMatchesReference(t *testing.T) {
 func TestQuickCapsUniformWeightReduction(t *testing.T) {
 	f := func(seed int64, cRaw uint8) bool {
 		c := 1 + int(cRaw%5)
-		tr, loads, _, k := randomInstance(seed, 40, 8)
+		tr, loads, _, k := randomInstance(seed, 40, 8, false)
 		caps := make([]int, tr.N())
 		for v := range caps {
 			caps[v] = c

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,14 +11,23 @@ import (
 	"soar/internal/topology"
 )
 
+// entryPoint is one solver entry point of TestAllEnginesAgree.
+type entryPoint struct {
+	name  string
+	solve func(loads []int, avail []bool, caps []int, k int) Result
+}
+
 // TestAllEnginesAgree is the cross-engine table: every solver entry
 // point the package exports — Solve, SolveCaps, SolveMemo, SolveMemoCaps,
-// NewIncremental, NewIncrementalCaps and BatchSolver.Solve — over the
-// instance shapes {every switch available, restricted Λ, capacity
-// vector, k = 0, k ≥ n}, each checked against the independent reference
-// DP (reference_test.go) and required to return bitwise-identical costs
-// and placements: all of them share computeNode's clamped tables and
-// tie-breaking, so their blue sets must match switch for switch. A
+// NewIncremental, NewIncrementalCaps (through Solve and through the
+// serving path's SolveInto) and BatchSolver.Solve — over the instance
+// shapes {every switch available, restricted Λ, capacity vector, k = 0,
+// k ≥ n}, on dense loads and on sparse ones (most loads zero, so
+// load-free subtrees reach every merge position), each checked against
+// the independent reference DP (reference_test.go) and required to
+// return bitwise-identical costs and placements: all of them share
+// computeNode's clamped tables and tie-breaking, so their blue sets must
+// match switch for switch. A
 // uniform-model instance reaches the *Caps entry points as its 0/1
 // vector; a genuine capacity vector only has the *Caps entry points.
 // One Memo per tree serves every memoized solve of every shape, so the
@@ -27,15 +37,14 @@ func TestAllEnginesAgree(t *testing.T) {
 	// over them.
 	var tr *topology.Tree
 	var m *Memo
-	type entryPoint struct {
-		name  string
-		solve func(loads []int, avail []bool, caps []int, k int) Result
-	}
 	weighted := []entryPoint{
 		{"SolveCaps", func(loads []int, _ []bool, caps []int, k int) Result { return SolveCaps(tr, loads, caps, k) }},
 		{"SolveMemoCaps", func(loads []int, _ []bool, caps []int, k int) Result { return SolveMemoCaps(m, loads, caps, k) }},
 		{"NewIncrementalCaps", func(loads []int, _ []bool, caps []int, k int) Result {
 			return NewIncrementalCaps(tr, loads, caps, k).Solve()
+		}},
+		{"NewIncrementalCaps.SolveInto", func(loads []int, _ []bool, caps []int, k int) Result {
+			return solveInto(NewIncrementalCaps(tr, loads, caps, k))
 		}},
 	}
 	all := append([]entryPoint{
@@ -43,6 +52,9 @@ func TestAllEnginesAgree(t *testing.T) {
 		{"SolveMemo", func(loads []int, avail []bool, _ []int, k int) Result { return SolveMemo(m, loads, avail, k) }},
 		{"NewIncremental", func(loads []int, avail []bool, _ []int, k int) Result {
 			return NewIncremental(tr, loads, avail, k).Solve()
+		}},
+		{"NewIncremental.SolveInto", func(loads []int, avail []bool, _ []int, k int) Result {
+			return solveInto(NewIncremental(tr, loads, avail, k))
 		}},
 		{"BatchSolver.Solve", func(loads []int, avail []bool, _ []int, k int) Result {
 			return solveBatch(m, [][]int{loads}, avail, k)[0]
@@ -95,6 +107,16 @@ func TestAllEnginesAgree(t *testing.T) {
 		for v := range loads {
 			loads[v] = rng.Intn(6)
 		}
+		// The sparse form keeps about one load in five, from a stream of
+		// its own, so the dense instances stay as they were and every
+		// shape, model and budget corner runs on both load forms.
+		mask := rand.New(rand.NewSource(int64(trial)))
+		sparse := make([]int, n)
+		for v := range sparse {
+			if mask.Intn(5) == 0 {
+				sparse[v] = loads[v]
+			}
+		}
 		m = NewMemo(tr)
 		for _, sh := range shapes {
 			avail, caps, k := sh.draw(n, trial)
@@ -105,45 +127,59 @@ func TestAllEnginesAgree(t *testing.T) {
 					weights = capsFromAvail(tr, avail)
 				}
 			}
-			want := referenceCostCaps(tr, loads, weights, k)
-			var first Result
-			for i, e := range engines {
-				res := e.solve(loads, avail, weights, k)
-				if math.Abs(res.Cost-want) > 1e-9 {
-					t.Fatalf("trial %d %s: %s φ=%v, reference φ=%v", trial, sh.name, e.name, res.Cost, want)
-				}
-				if sim := reduce.Utilization(tr, loads, res.Blue); math.Abs(sim-res.Cost) > 1e-9 {
-					t.Fatalf("trial %d %s: %s placement costs %v, reported %v", trial, sh.name, e.name, sim, res.Cost)
-				}
-				spent := 0
-				for v, b := range res.Blue {
-					if !b {
-						continue
-					}
-					w := 1
-					if weights != nil {
-						w = weights[v]
-					}
-					if w == 0 {
-						t.Fatalf("trial %d %s: %s colored unavailable switch %d", trial, sh.name, e.name, v)
-					}
-					spent += w
-				}
-				if spent > k {
-					t.Fatalf("trial %d %s: %s spent %d budget units of %d", trial, sh.name, e.name, spent, k)
-				}
-				if i == 0 {
-					first = res
-					continue
-				}
-				if res.Cost != first.Cost {
-					t.Fatalf("trial %d %s: %s φ=%v, %s φ=%v", trial, sh.name, e.name, res.Cost, engines[0].name, first.Cost)
-				}
-				for v := range first.Blue {
-					if res.Blue[v] != first.Blue[v] {
-						t.Fatalf("trial %d %s: %s placement differs from %s at switch %d", trial, sh.name, e.name, engines[0].name, v)
-					}
-				}
+			for _, form := range []struct {
+				name  string
+				loads []int
+			}{{"dense", loads}, {"sparse", sparse}} {
+				checkEnginesAgree(t, fmt.Sprintf("trial %d %s %s", trial, sh.name, form.name), tr, engines, form.loads, avail, weights, k)
+			}
+		}
+	}
+}
+
+// checkEnginesAgree runs one instance through every entry point of
+// TestAllEnginesAgree: each must match the reference DP's φ, report the
+// cost of its own placement, color no unavailable switch, stay within
+// the budget, and agree with the first entry point bitwise.
+func checkEnginesAgree(t *testing.T, label string, tr *topology.Tree, engines []entryPoint, loads []int, avail []bool, weights []int, k int) {
+	t.Helper()
+	want := referenceCostCaps(tr, loads, weights, k)
+	var first Result
+	for i, e := range engines {
+		res := e.solve(loads, avail, weights, k)
+		if math.Abs(res.Cost-want) > 1e-9 {
+			t.Fatalf("%s: %s φ=%v, reference φ=%v", label, e.name, res.Cost, want)
+		}
+		if sim := reduce.Utilization(tr, loads, res.Blue); math.Abs(sim-res.Cost) > 1e-9 {
+			t.Fatalf("%s: %s placement costs %v, reported %v", label, e.name, sim, res.Cost)
+		}
+		spent := 0
+		for v, b := range res.Blue {
+			if !b {
+				continue
+			}
+			w := 1
+			if weights != nil {
+				w = weights[v]
+			}
+			if w == 0 {
+				t.Fatalf("%s: %s colored unavailable switch %d", label, e.name, v)
+			}
+			spent += w
+		}
+		if spent > k {
+			t.Fatalf("%s: %s spent %d budget units of %d", label, e.name, spent, k)
+		}
+		if i == 0 {
+			first = res
+			continue
+		}
+		if math.Float64bits(res.Cost) != math.Float64bits(first.Cost) {
+			t.Fatalf("%s: %s φ=%v, %s φ=%v", label, e.name, res.Cost, engines[0].name, first.Cost)
+		}
+		for v := range first.Blue {
+			if res.Blue[v] != first.Blue[v] {
+				t.Fatalf("%s: %s placement differs from %s at switch %d", label, e.name, engines[0].name, v)
 			}
 		}
 	}
@@ -287,4 +323,43 @@ func TestIncrementalRejectsNegativeLoad(t *testing.T) {
 		}
 	}()
 	inc.UpdateLoad(3, -loads[3]-1)
+}
+
+// TestIncrementalRepointKeepsTablesExact re-points one warm engine across
+// dense and sparse load vectors of one tree, the way the scheduler's
+// pooled engines move between tenants: subtrees go load-free and loaded
+// again in recycled storage. After every flush its tables — values,
+// colors and every breadcrumb a traceback can read — must match the
+// scalar reference Gather bitwise, and the serving path's SolveInto must
+// return the reference placement and φ.
+func TestIncrementalRepointKeepsTablesExact(t *testing.T) {
+	for seed := int64(0); seed < 80; seed++ {
+		tr, dense, avail, k := randomInstance(seed, 30, 6, false)
+		rng := rand.New(rand.NewSource(seed))
+		inc := NewIncremental(tr, dense, avail, k)
+		blue := make([]bool, tr.N())
+		for step := 0; step < 6; step++ {
+			loads := dense
+			if step%3 != 2 {
+				loads = make([]int, tr.N())
+				for v := range loads {
+					if rng.Intn(4) == 0 {
+						loads[v] = dense[v]
+					}
+				}
+			}
+			inc.SetLoads(loads)
+			want := gatherScalar(tr, loads, avail, nil, k)
+			requireKernelTables(t, seed, fmt.Sprintf("re-point %d", step), tr, inc.Tables(), want)
+			wantBlue, wantCost := scalarColorPhase(want)
+			if phi := inc.SolveInto(blue); math.Float64bits(phi) != math.Float64bits(wantCost) {
+				t.Fatalf("seed %d re-point %d: SolveInto φ=%v, reference φ=%v", seed, step, phi, wantCost)
+			}
+			for v := range wantBlue {
+				if blue[v] != wantBlue[v] {
+					t.Fatalf("seed %d re-point %d: SolveInto placement differs at switch %d", seed, step, v)
+				}
+			}
+		}
+	}
 }

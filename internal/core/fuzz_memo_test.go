@@ -18,7 +18,7 @@ func FuzzMemoMatchesGather(f *testing.F) {
 	f.Add(int64(-3))
 	f.Add(int64(1 << 33))
 	f.Fuzz(func(t *testing.T, seed int64) {
-		tr, loads, avail, k := randomInstance(seed, 25, 6)
+		tr, loads, avail, k := randomInstance(seed, 25, 6, false)
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		if rng.Intn(2) == 0 {
 			// Sparsify: the zero-load fast path is the dominant regime of

@@ -23,6 +23,12 @@ type nodeTables struct {
 	// (strictly better than red; ties resolve to red, as in the paper's
 	// Alg. 4 line 6).
 	isBlue []bool
+	// zero records that T_v carries no load, so x ≡ 0, isBlue ≡ false
+	// and every split is 0: computeNode sets it on every call and a
+	// parent's fold then treats the table as the merge identity without
+	// reading it. Tables built elsewhere (XTable frames, the memo's shared
+	// zero slab) leave it false and take the ordinary, equally exact path.
+	zero bool
 	// splits[m-2] records, for the merge of child m (m = 2..C(v)), the
 	// optimal number of blue switches assigned to that child's subtree
 	// under a RED v: splits[m-2][l*(cap+1)+i], tableCells per merge. A
@@ -157,8 +163,8 @@ func appendChildTables(dst []*nodeTables, tb *Tables, v int) []*nodeTables {
 // and the per-switch protocol engine (NodeState) behind internal/cluster.
 //
 // nt must arrive pre-sized for cap (arena.node, newNodeStorage or
-// ensureNodeStorage). Every cell of nt is overwritten, so recycled
-// storage needs no clearing.
+// ensureNodeStorage). Every cell of nt, and nt.zero, is overwritten, so
+// recycled storage needs no clearing.
 //
 // Parameters: load is L(v); hasLoad is whether T_v's total load is
 // positive (a blue v sends min(1, subtree load) messages upward — see the
@@ -172,18 +178,27 @@ func appendChildTables(dst []*nodeTables, tb *Tables, v int) []*nodeTables {
 // through its own cap+1 columns. This turns the paper's O(n·h·k²) sweep
 // into ~O(n·h·k) (the tree-knapsack bound Σ_v Σ_m cap_prefix·cap_child =
 // O(n·k)) while keeping tables, breadcrumbs and placements bitwise
-// identical to the unbounded DP.
+// identical to the unbounded DP. A load-free subtree is the identity of
+// the merge (DESIGN.md "A load-free subtree is the merge identity"), so
+// under sparse loads the sweep costs O(loaded subtrees), not O(n).
 //
 //soar:hotpath
 func computeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *nodeTables, children []*nodeTables, sc *scratch) {
 	depth := t.Depth(v)
 	capv := nt.cap
 	nt.capw = capw
-	w := capv + 1
-	bsend := 0.0
-	if hasLoad {
-		bsend = 1.0
+	nt.zero = !hasLoad
+	if !hasLoad {
+		// No message ever leaves T_v: every candidate is ρ·0 = 0, red wins
+		// every tie, and every first argmin is j = 0.
+		clear(nt.x)
+		clear(nt.isBlue)
+		for _, sp := range nt.splits {
+			clear(sp)
+		}
+		return
 	}
+	w := capv + 1
 	// Blue is feasible at all iff some budget column can pay for v:
 	// capw ≤ capv ⟺ capw ≤ k (capv ≥ min(k, capw) and capv ≤ k).
 	blueOK := capw >= 1 && capw <= capv
@@ -201,12 +216,12 @@ func computeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *node
 				nt.x[idx] = red
 				nt.isBlue[idx] = false // recycled storage: every cell is rewritten
 			}
-			if blueOK && l > 0 { // at ℓ = 0 both colors cost 0 and red wins the tie
+			// A blue v sends min(1, L(T_v)) = 1 message, costing ρ. At
+			// ℓ = 0 both colors cost 0 and red wins the tie.
+			if blueOK && l > 0 && rho < red {
 				idx := l*w + capw
-				if blue := rho * bsend; blue < red {
-					nt.x[idx] = blue
-					nt.isBlue[idx] = true
-				}
+				nt.x[idx] = rho
+				nt.isBlue[idx] = true
 			}
 		}
 		return
@@ -227,16 +242,25 @@ func computeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *node
 		rho := t.RhoUp(v, l)
 		// m = 1 (paper Alg. 3 lines 14-19): fold in the first child. capR
 		// tracks the effective cap of the running Y row: min(capv, Σ caps
-		// of the merged children).
+		// of the merged children). flat records that only load-free
+		// children are merged so far: the row is then the constant
+		// 0 + redBase (== redBase, as redBase ≥ +0) in every column.
 		c1 := children[0]
-		redRow := c1.x[(l+1)*(c1.cap+1):]
 		redBase := rho * float64(load)
 		capR := min(capv, c1.cap)
-		for i := 0; i <= capR; i++ {
-			yr[i] = redRow[i] + redBase
-		}
-		for i := capR + 1; i <= capv; i++ {
-			yr[i] = yr[capR]
+		flat := c1.zero
+		if flat {
+			for i := range yr {
+				yr[i] = redBase
+			}
+		} else {
+			redRow := c1.x[(l+1)*(c1.cap+1):]
+			for i := 0; i <= capR; i++ {
+				yr[i] = redRow[i] + redBase
+			}
+			for i := capR + 1; i <= capv; i++ {
+				yr[i] = yr[capR]
+			}
 		}
 		// m ≥ 2 (paper Alg. 3 lines 20-25): min-plus merge per child via
 		// the SoA kernel (kernel.go), recording the argmin split for the
@@ -247,11 +271,24 @@ func computeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *node
 		// could have picked.
 		for m := 1; m < len(children); m++ {
 			cm := children[m]
+			spRed := nt.splits[m-1][l*w : (l+1)*w]
+			newCapR := min(capv, capR+cm.cap)
+			if cm.zero {
+				// The merge identity: y[i-j] + 0 is smallest at j = 0
+				// (y is non-increasing) and y[i] + 0.0 == y[i], so the row
+				// stays as it is and every split is 0.
+				clear(spRed)
+				capR = newCapR
+				continue
+			}
 			wcm := cm.cap + 1
 			xRed := cm.x[(l+1)*wcm : (l+1)*wcm+wcm] // child sees ℓ+1 below a red v
-			spRed := nt.splits[m-1][l*w:]
-			newCapR := min(capv, capR+cm.cap)
-			mergeMinPlus(newYR, spRed, yr, xRed, newCapR, cm.cap)
+			if flat {
+				mergeFlat(newYR, spRed, yr[0], xRed, newCapR, cm.cap)
+				flat = false
+			} else {
+				mergeMinPlus(newYR, spRed, yr, xRed, newCapR, cm.cap)
+			}
 			for i := newCapR + 1; i <= capv; i++ {
 				newYR[i] = newYR[newCapR]
 				spRed[i] = spRed[newCapR]
@@ -270,9 +307,8 @@ func computeNode(t *topology.Tree, v, load int, hasLoad bool, capw int, nt *node
 		copy(row, yr)
 		clear(rowBlue) // recycled storage: every cell is rewritten
 		if blueOK && l > 0 {
-			blueBase := rho * bsend
 			for i := capw; i <= capv; i++ {
-				if yb := r0[i-capw] + blueBase; yb < yr[i] {
+				if yb := r0[i-capw] + rho; yb < yr[i] { // ρ(v, Aℓ)·min(1, L(T_v))
 					row[i] = yb
 					rowBlue[i] = true
 				}

@@ -23,6 +23,10 @@ import (
 // of computeNode (at most O(Depth(v)·C(v)·k²), usually far less), so one
 // flushed update is roughly O(h²·C·k) versus the full sweep's O(n·h·k) —
 // a ~n/h saving (about two orders of magnitude on the paper's BT(2048)).
+// Load-free children cost no merge (the merge identity of computeNode),
+// and a switch whose subtree lost its last load only clears its tables,
+// so re-pointing a warm engine from one sparse tenant to another costs
+// the merges of the two tenants' loaded spines, not of the whole paths.
 // The engine maintains the subtree capacity sums Σ_{u ∈ T_v} c(u) under
 // SetAvail/SetCap, so the caps the tables are clamped to always match a
 // from-scratch EffectiveCaps/EffectiveCapsVec. Batched updates coalesce:
@@ -244,25 +248,6 @@ func (inc *Incremental) SetCap(v, c int) {
 	}
 }
 
-// SetCaps patches the engine's whole capacity vector to equal caps (nil
-// means capacity 1 everywhere), dirtying only the root paths of switches
-// whose weight actually changed — the bulk companion of SetLoads for the
-// heterogeneous model.
-//
-//soar:hotpath
-func (inc *Incremental) SetCaps(caps []int) {
-	if caps != nil && len(caps) != inc.t.N() {
-		panic(fmt.Sprintf("core: incremental SetCaps has %d entries for %d switches", len(caps), inc.t.N()))
-	}
-	for v := 0; v < inc.t.N(); v++ {
-		c := 1
-		if caps != nil {
-			c = caps[v]
-		}
-		inc.SetCap(v, c)
-	}
-}
-
 // SetLoads patches the engine's whole load vector to equal loads,
 // dirtying only the root paths of switches whose load actually changed.
 // It is the bulk reset used by pooled engines (internal/sched): repointing
@@ -288,7 +273,7 @@ func (inc *Incremental) SetLoads(loads []int) {
 // of SetLoads for engine pooling. Like SetAvail, it is a uniform-model
 // operation: every available switch's capacity weight becomes 1, so on
 // an engine tracking heterogeneous capacities it discards the weights —
-// use SetCaps to bulk-patch those instead.
+// use SetCap per switch to patch those instead.
 //
 //soar:hotpath
 func (inc *Incremental) SetAvails(avail []bool) {

@@ -37,6 +37,10 @@ import "math"
 // Effective caps keep real cap widths tiny (min(k, subtree capacity)),
 // so on the paper's fat-tree instances nearly every merge takes an
 // unrolled variant.
+//
+// mergeFlat is the fourth, O(hi + cw) case computeNode routes to when
+// the running row is one constant (only load-free children merged so
+// far): it needs no min at all, only the first-argmin scan.
 
 // mergeMinPlus computes the bounded (min,+) convolution above, writing
 // newY[0..hi] and the first-argmin breadcrumbs sp[0..hi]. y must have
@@ -175,5 +179,28 @@ func mergeGeneric(newY []float64, sp []int32, y, x []float64, hi, cw int) {
 				sp[i] = int32(j)
 			}
 		}
+	}
+}
+
+// mergeFlat is mergeMinPlus for a constant running row y ≡ y0 and a
+// non-increasing child row x (every DP row is non-increasing in the
+// budget). The candidates y0 + x[j] are then non-increasing in j — float
+// addition is monotone — so the minimum over j ≤ min(i, cw) is the last
+// candidate, y0 + x[min(i, cw)], the very sum mergeScalar keeps, and the
+// first argmin is the lowest j whose sum equals it. That j never
+// decreases as i grows, so one forward scan finds every split: O(hi + cw)
+// instead of O(hi·cw), bitwise equal to mergeScalar.
+//
+//soar:hotpath
+func mergeFlat(newY []float64, sp []int32, y0 float64, x []float64, hi, cw int) {
+	cw = min(cw, hi)
+	j := 0
+	for i := 0; i <= hi; i++ {
+		best := y0 + x[min(i, cw)]
+		for y0+x[j] > best {
+			j++
+		}
+		newY[i] = best
+		sp[i] = int32(j)
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"soar/internal/topology"
@@ -304,25 +306,60 @@ func randomMergeRows(rng *rand.Rand) (y, x []float64, hi, cw int) {
 	return y, x, hi, cw
 }
 
+// randomFlatRows builds one invocation of the constant-row kernel: a
+// running row y ≡ y0 and a non-increasing child row, the only rows
+// computeNode hands to mergeFlat (every DP row is non-increasing in the
+// budget). Sorting a randomMergeRows child row keeps its ties and its
+// +Inf cells, which sort first.
+func randomFlatRows(rng *rand.Rand) (y, x []float64, hi, cw int) {
+	y, x, hi, cw = randomMergeRows(rng)
+	for i := range y {
+		y[i] = y[0]
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(x)))
+	return y, x, hi, cw
+}
+
+// requireMergeMatchesScalar fails unless merge, run on (y, x, hi, cw),
+// reproduces mergeScalar bitwise: every value and every first-argmin
+// breadcrumb of cells 0..hi.
+func requireMergeMatchesScalar(t *testing.T, what string, y, x []float64, hi, cw int, merge func(newY []float64, sp []int32)) {
+	t.Helper()
+	wantY := make([]float64, hi+1)
+	wantSp := make([]int32, hi+1)
+	mergeScalar(wantY, wantSp, y, x, 0, hi, min(cw, hi))
+	gotY := make([]float64, hi+1)
+	gotSp := make([]int32, hi+1)
+	merge(gotY, gotSp)
+	for i := 0; i <= hi; i++ {
+		if math.Float64bits(gotY[i]) != math.Float64bits(wantY[i]) || gotSp[i] != wantSp[i] {
+			t.Fatalf("%s (hi=%d cw=%d): cell %d got (%v,%d) want (%v,%d)",
+				what, hi, cw, i, gotY[i], gotSp[i], wantY[i], wantSp[i])
+		}
+	}
+}
+
+// requireKernelsMatchScalar checks one random row pair through the
+// dispatcher and one constant-row pair through mergeFlat.
+func requireKernelsMatchScalar(t *testing.T, what string, rng *rand.Rand) {
+	t.Helper()
+	y, x, hi, cw := randomMergeRows(rng)
+	requireMergeMatchesScalar(t, what+" mergeMinPlus", y, x, hi, cw, func(newY []float64, sp []int32) {
+		mergeMinPlus(newY, sp, y, x, hi, cw)
+	})
+	y, x, hi, cw = randomFlatRows(rng)
+	requireMergeMatchesScalar(t, what+" mergeFlat", y, x, hi, cw, func(newY []float64, sp []int32) {
+		mergeFlat(newY, sp, y[0], x, hi, cw)
+	})
+}
+
 // TestMergeKernelMatchesScalar sweeps every (hi, cw) shape through the
-// dispatcher and checks values and first-argmin breadcrumbs against
-// mergeScalar bitwise.
+// dispatcher, and constant running rows through mergeFlat, and checks
+// values and first-argmin breadcrumbs against mergeScalar bitwise.
 func TestMergeKernelMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 5000; round++ {
-		y, x, hi, cw := randomMergeRows(rng)
-		wantY := make([]float64, hi+1)
-		wantSp := make([]int32, hi+1)
-		mergeScalar(wantY, wantSp, y, x, 0, hi, min(cw, hi))
-		gotY := make([]float64, hi+1)
-		gotSp := make([]int32, hi+1)
-		mergeMinPlus(gotY, gotSp, y, x, hi, cw)
-		for i := 0; i <= hi; i++ {
-			if gotY[i] != wantY[i] || gotSp[i] != wantSp[i] {
-				t.Fatalf("round %d (hi=%d cw=%d): cell %d got (%v,%d) want (%v,%d)",
-					round, hi, cw, i, gotY[i], gotSp[i], wantY[i], wantSp[i])
-			}
-		}
+		requireKernelsMatchScalar(t, fmt.Sprintf("round %d", round), rng)
 	}
 }
 
@@ -359,8 +396,10 @@ func TestMergeKernelAllInfinite(t *testing.T) {
 // on fuzzer-chosen instances the kernel-backed Gather must reproduce the
 // scalar-merge reference gather cell for cell — values, color flags and
 // split breadcrumbs — under uniform availability and capacity vectors,
-// and the resulting placements must match. Random raw rows (widths the
-// DP may never hit) are fuzzed against mergeScalar too.
+// on dense and sparse loads, and the resulting placements must match.
+// Random raw rows (widths the DP may never hit) are fuzzed against
+// mergeScalar too, through the dispatcher and, on constant running
+// rows, through mergeFlat.
 func FuzzKernelMatchesGather(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))
@@ -369,38 +408,28 @@ func FuzzKernelMatchesGather(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		for round := 0; round < 32; round++ {
-			y, x, hi, cw := randomMergeRows(rng)
-			wantY := make([]float64, hi+1)
-			wantSp := make([]int32, hi+1)
-			mergeScalar(wantY, wantSp, y, x, 0, hi, min(cw, hi))
-			gotY := make([]float64, hi+1)
-			gotSp := make([]int32, hi+1)
-			mergeMinPlus(gotY, gotSp, y, x, hi, cw)
-			for i := 0; i <= hi; i++ {
-				if gotY[i] != wantY[i] || gotSp[i] != wantSp[i] {
-					t.Fatalf("seed %d row (hi=%d cw=%d): cell %d got (%v,%d) want (%v,%d)",
-						seed, hi, cw, i, gotY[i], gotSp[i], wantY[i], wantSp[i])
+			requireKernelsMatchScalar(t, fmt.Sprintf("seed %d row", seed), rng)
+		}
+
+		for _, sparse := range []bool{false, true} {
+			tr, loads, avail, k := randomInstance(seed, 25, 6, sparse)
+			requireKernelTables(t, seed, "uniform", tr, Gather(tr, loads, avail, k), gatherScalar(tr, loads, avail, nil, k))
+			res := Solve(tr, loads, avail, k)
+			wantBlue, wantCost := scalarColorPhase(gatherScalar(tr, loads, avail, nil, k))
+			if math.Float64bits(res.Cost) != math.Float64bits(wantCost) {
+				t.Fatalf("seed %d sparse=%v: kernel φ=%v, scalar φ=%v", seed, sparse, res.Cost, wantCost)
+			}
+			for v := range wantBlue {
+				if res.Blue[v] != wantBlue[v] {
+					t.Fatalf("seed %d sparse=%v: placement differs at switch %d", seed, sparse, v)
 				}
 			}
-		}
 
-		tr, loads, avail, k := randomInstance(seed, 25, 6)
-		requireKernelTables(t, seed, "uniform", tr, Gather(tr, loads, avail, k), gatherScalar(tr, loads, avail, nil, k))
-		res := Solve(tr, loads, avail, k)
-		wantBlue, wantCost := scalarColorPhase(gatherScalar(tr, loads, avail, nil, k))
-		if res.Cost != wantCost {
-			t.Fatalf("seed %d: kernel φ=%v, scalar φ=%v", seed, res.Cost, wantCost)
-		}
-		for v := range wantBlue {
-			if res.Blue[v] != wantBlue[v] {
-				t.Fatalf("seed %d: placement differs at switch %d", seed, v)
+			caps := make([]int, tr.N())
+			for v := range caps {
+				caps[v] = rng.Intn(4)
 			}
+			requireKernelTables(t, seed, "caps", tr, GatherCaps(tr, loads, caps, k), gatherScalar(tr, loads, nil, caps, k))
 		}
-
-		caps := make([]int, tr.N())
-		for v := range caps {
-			caps[v] = rng.Intn(4)
-		}
-		requireKernelTables(t, seed, "caps", tr, GatherCaps(tr, loads, caps, k), gatherScalar(tr, loads, nil, caps, k))
 	})
 }

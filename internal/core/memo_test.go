@@ -47,7 +47,7 @@ func requirePlacementBitwise(t *testing.T, label string, got, want Result) {
 // tables and placements against the plain engine.
 func TestMemoMatchesGatherRandom(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
-		tr, loads, avail, k := randomInstance(int64(1000+trial), 40, 8)
+		tr, loads, avail, k := randomInstance(int64(1000+trial), 40, 8, false)
 		want := Gather(tr, loads, avail, k)
 		wantRes := Solve(tr, loads, avail, k)
 		m := NewMemo(tr)
@@ -63,7 +63,7 @@ func TestMemoMatchesGatherRandom(t *testing.T) {
 // TestMemoCapsMatchesGatherCaps is the capacity-vector counterpart.
 func TestMemoCapsMatchesGatherCaps(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
-		tr, loads, _, k := randomInstance(int64(2000+trial), 35, 8)
+		tr, loads, _, k := randomInstance(int64(2000+trial), 35, 8, false)
 		rng := rand.New(rand.NewSource(int64(3000 + trial)))
 		caps := make([]int, tr.N())
 		for v := range caps {
@@ -144,7 +144,7 @@ func TestMemoZeroLoadSharing(t *testing.T) {
 // (1-byte budget) and checks the tables survive the epoch changes
 // bitwise.
 func TestMemoEvictionKeepsCorrectness(t *testing.T) {
-	tr, loads, avail, k := randomInstance(42, 30, 6)
+	tr, loads, avail, k := randomInstance(42, 30, 6, false)
 	m := NewMemo(tr)
 	m.SetBudget(1)
 	want := Gather(tr, loads, avail, k)
@@ -160,7 +160,7 @@ func TestMemoEvictionKeepsCorrectness(t *testing.T) {
 // the class tuples carry the effective budgets, so cross-k reuse is
 // sound — and observable where the clamp makes tables k-independent.
 func TestMemoAcrossBudgets(t *testing.T) {
-	tr, loads, avail, _ := randomInstance(99, 30, 0)
+	tr, loads, avail, _ := randomInstance(99, 30, 0, false)
 	m := NewMemo(tr)
 	for _, k := range []int{0, 3, 7, 3, 30} {
 		requireTablesBitwise(t, "cross-k", tr, GatherMemo(m, loads, avail, k), Gather(tr, loads, avail, k), k)

@@ -96,6 +96,27 @@ func TestTableApplyValidation(t *testing.T) {
 	}
 }
 
+// TestAuditIDBoundary pins Audit's id check at its boundary: a lease
+// filed at nextID − 1 is sound, a lease at nextID is one the table would
+// issue again — the id-reissue fault the check exists to catch.
+func TestAuditIDBoundary(t *testing.T) {
+	tr := topology.MustBT(8)
+	tb := newTable(tr, NewLedger(tr.N(), 1))
+	if err := tb.Apply(&wire.LeaseDelta{Seq: 1, Op: wire.DeltaPlace, ID: 4, K: 1, Blue: []uint32{0}}); err != nil {
+		t.Fatal(err)
+	}
+	if tb.nextID != 5 {
+		t.Fatalf("next id %d after filing lease 4, want 5", tb.nextID)
+	}
+	if err := tb.Audit(); err != nil {
+		t.Fatalf("lease at next id − 1: %v", err)
+	}
+	tb.nextID = 4 // the lease's own id is now the next one to be issued
+	if err := tb.Audit(); err == nil {
+		t.Fatal("audit passed a lease whose id is the next id")
+	}
+}
+
 // hostileHeader is a well-formed checkpoint header claiming tenants
 // tenant frames, followed by a ledger frame and nothing else.
 func hostileHeader(t testing.TB, tr *topology.Tree, tenants uint64) []byte {
