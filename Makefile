@@ -17,12 +17,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The robustness acceptance test: churning tenants under checkpoint/
-# kill/restore cycles plus the cluster protocol under injected
-# transport faults, all under the race detector (CI's race job runs them).
+# The robustness acceptance tests, all under the race detector (CI's
+# race job runs them): churning tenants under checkpoint/kill/restore
+# cycles, the cluster protocol under injected transport faults, and
+# shard failover under churn (TestFailoverSoak, the HA acceptance test).
 soak:
 	$(GO) test -race -count=1 -run '^TestChaosSoak$$' -v ./internal/sched
 	$(GO) test -race -count=1 -run 'Chaos|Fallback|Retry|FrameTimeout' ./internal/cluster
+	$(GO) test -race -count=1 -run '^TestFailoverSoak$$' -v ./internal/ha
 
 fmt:
 	gofmt -l .
@@ -50,7 +52,9 @@ soarlint:
 # cold sample. BENCH_sched.json tracks the serving layer (scheduler,
 # re-packer, checkpoint save/restore against tenant count);
 # BENCH_core.json tracks the solver hot path (plain, memoized, sparse
-# and incremental Gather). A few minutes on two cores.
+# and incremental Gather). A few minutes on two cores. Records compare
+# only when their cpu strings match: across hosts the spread is the
+# machine's, not the code's.
 BENCHFLAGS = -run '^$$' -benchtime 300ms -count 5
 COMMIT = $(shell git rev-parse --short HEAD)$(shell git diff --quiet HEAD || echo -dirty)
 

@@ -22,19 +22,12 @@
 // The daemon is also replication-aware (internal/ha):
 //
 //	soar-naasd -shard 1 -replicas 2        # replicated, sharded control plane
-//	soar-naasd -shard 1 -join HOST:PORT -join-shard 0
 //
 // With -shard L the fabric splits into per-pod shards rooted at tree
 // level L, each served by one primary scheduler with -replicas warm
 // standbys; failover is automatic and epoch-fenced, and clients keep
 // talking to this one endpoint (admissions route to the shard their
-// load lives in). GET /v1/shards shows membership. With -join the
-// daemon instead attaches to a running primary's replication listener
-// as an out-of-process warm replica: it keeps a live copy of the
-// primary's lease table (checkpoint, then per-commit deltas applied as
-// they arrive), serves /v1/readyz as a standby (503), and
-// promotes itself into a serving primary when the primary falls silent
-// past the heartbeat budget.
+// load lives in). GET /v1/shards shows membership.
 //
 // The daemon is observable in production terms: GET /metrics serves a
 // Prometheus text scrape of every subsystem, GET /v1/trace dumps the
@@ -62,7 +55,7 @@
 //	GET    /v1/residual    (per scheduler; shard-local switch ids)
 //	GET    /v1/healthz     (liveness)
 //	GET    /v1/readyz      (readiness: restored + not draining)
-//	GET    /v1/shards      (sharded and -join only: membership)
+//	GET    /v1/shards      (sharded only: membership)
 //	GET    /v1/checkpoint  (per scheduler; octet-stream snapshot)
 //	POST   /v1/checkpoint  (persist to -checkpoint path; 503 without one)
 //	GET    /v1/trace?n=64  (per scheduler; newest spans, JSON)
@@ -86,7 +79,6 @@ import (
 	"os"
 	"os/signal"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -111,10 +103,8 @@ func main() {
 	ckptTimeout := flag.Duration("checkpoint-timeout", 10*time.Second, "deadline per checkpoint save; a write that outlives it is abandoned to the background instead of wedging the ticker or shutdown (0 = wait forever)")
 	shardLevel := flag.Int("shard", -1, "replicated mode: shard the fabric into per-pod subtrees rooted at this tree level, one primary + -replicas standbys each (-1 = single-node)")
 	replicas := flag.Int("replicas", 1, "warm standbys per shard (with -shard)")
-	haHeartbeat := flag.Duration("ha-heartbeat", 250*time.Millisecond, "primary heartbeat period (with -shard or -join)")
-	haMiss := flag.Int("ha-miss", 4, "missed heartbeats before failover (with -shard or -join)")
-	joinAddr := flag.String("join", "", "join a running primary's replication listener (host:port) as an out-of-process warm replica; requires -shard for the pod level")
-	joinShard := flag.Int("join-shard", 0, "shard index to mirror (with -join)")
+	haHeartbeat := flag.Duration("ha-heartbeat", 250*time.Millisecond, "primary heartbeat period (with -shard)")
+	haMiss := flag.Int("ha-miss", 4, "missed heartbeats before failover (with -shard)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this second address (empty = off; keep it private)")
 	flag.Parse()
 
@@ -152,13 +142,6 @@ func main() {
 		}()
 	}
 
-	if *joinAddr != "" {
-		if *shardLevel < 0 {
-			log.Fatal("soar-naasd: -join requires -shard (the pod level the primary's cluster was built at)")
-		}
-		runJoin(ctx, tr, schedCfg, *addr, *joinAddr, *shardLevel, *joinShard, *haHeartbeat, *haMiss)
-		return
-	}
 	var (
 		front  *naas.Front
 		sch    *sched.Scheduler // nil when sharded: shards replicate instead of checkpointing
@@ -296,70 +279,6 @@ func serve(ctx context.Context, front *naas.Front, sch *sched.Scheduler, addr, b
 		} else {
 			log.Printf("soar-naasd: checkpointed %d bytes to %s", size, ckptPath)
 		}
-	}
-}
-
-// joinNode tags the out-of-process replica in logs and protocol frames;
-// in-process replicas use (shard+1)*100+slot, so 999 cannot collide.
-const joinNode = 999
-
-// runJoin attaches to a running primary as an out-of-process warm
-// replica. While mirroring it serves probes and metrics only (readyz
-// 503 standby, naas.MirrorHandler); when the primary falls silent past
-// the heartbeat budget it promotes — Audit, then a scheduler on the
-// mirrored table — and swaps in the full serving API.
-func runJoin(ctx context.Context, tr *topology.Tree, cfg sched.Config, addr, primary string, level, shard int, heartbeat time.Duration, miss int) {
-	var handler atomic.Value // http.Handler, swapped on promotion
-	var promoted atomic.Bool
-	var mirror *ha.Mirror
-
-	promote := func(lastEpoch uint64) {
-		if !promoted.CompareAndSwap(false, true) {
-			return
-		}
-		log.Printf("soar-naasd: primary silent past budget (last epoch %d), promoting", lastEpoch)
-		sch, err := mirror.Promote(cfg)
-		if err != nil {
-			// The mirror is spent; without state there is nothing to
-			// serve and a supervisor should restart us to re-join.
-			log.Fatalf("soar-naasd: promotion failed: %v", err)
-		}
-		handler.Store(naas.FromScheduler(sch).Handler())
-		log.Printf("soar-naasd: serving shard %d as promoted primary (%d tenants)", shard, sch.Snapshot().Tenants)
-	}
-
-	m, err := ha.NewMirror(tr, level, primary, ha.MirrorConfig{
-		Shard:      shard,
-		Node:       joinNode,
-		Heartbeat:  heartbeat,
-		MissBudget: miss,
-		Logf:       log.Printf,
-		OnSilence:  promote,
-	})
-	if err != nil {
-		log.Fatalf("soar-naasd: %v", err)
-	}
-	mirror = m
-	defer m.Close()
-	handler.Store(naas.MirrorHandler(m))
-
-	srv := &http.Server{
-		Addr: addr,
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			handler.Load().(http.Handler).ServeHTTP(w, r)
-		}),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(shutdownCtx)
-	}()
-
-	fmt.Printf("soar-naasd: joined %s as warm replica of shard %d, probes on %s\n", primary, shard, addr)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
 	}
 }
 

@@ -122,7 +122,7 @@ func NewCluster(t *topology.Tree, opts Options) (*Cluster, error) {
 	if opts.Obs == nil {
 		opts.Obs = obs.NewRegistry()
 	}
-	c := &Cluster{part: part, opts: opts, reg: opts.Obs, met: NewMetrics(opts.Obs)}
+	c := &Cluster{part: part, opts: opts, reg: opts.Obs, met: newMetrics(opts.Obs)}
 	for _, spec := range part.Shards {
 		sh, err := newShard(spec, &c.opts, c.met, c.reg, opts.Logf)
 		if err != nil {

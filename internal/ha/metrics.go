@@ -28,8 +28,8 @@ type Metrics struct {
 	promoteSeconds *obs.Histogram
 }
 
-// NewMetrics registers the soar_ha_* families in reg.
-func NewMetrics(reg *obs.Registry) *Metrics {
+// newMetrics registers the soar_ha_* families in reg.
+func newMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		epochRejections: reg.Counter("soar_ha_epoch_rejections_total",
 			"Commits rejected by epoch fencing (stale primary).", nil),

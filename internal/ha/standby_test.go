@@ -3,6 +3,7 @@ package ha
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -610,5 +611,81 @@ func TestPromotedEpochNeverReissuesAckedID(t *testing.T) {
 	}
 	if err := cl.Audit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnsyncedStandbyNeverPromoted: when a primary dies and none of its
+// standbys holds a table, the shard stays headless rather than serve
+// an empty one. Shard 0's standbys attach, then each refuses a delta
+// and drops its table; shard 1's never attach at all. Past the silence
+// budget neither shard has changed epoch or promoted anyone, and both
+// refuse admissions with ErrNoPrimary.
+func TestUnsyncedStandbyNeverPromoted(t *testing.T) {
+	tr := topology.CompleteKAry(3, 3)
+	var refuse atomic.Bool
+	var log captureLog
+	opts := fastOpts()
+	opts.RouteTimeout = 200 * time.Millisecond
+	opts.Logf = log.logf
+	opts.Dial = func(ctx context.Context, node int, addr string) (net.Conn, error) {
+		// Shard s's replicas are nodes (s+1)·100 + slot.
+		if node/100 == 2 || (node/100 == 1 && refuse.Load()) {
+			return nil, errors.New("standby dial refused")
+		}
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}
+	cl, err := NewCluster(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	p := cl.Partitioning()
+
+	// Shard 0's standbys hear epoch 1, so their silence verdict counts;
+	// then their tables go off offer and they cannot re-attach.
+	if _, err := cl.Place(podLoad(p, 0), 2); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "shard 0 replicated", func() bool { return standbysCaughtUp(cl, 0) })
+	refuse.Store(true)
+	sh := cl.shards[0]
+	sh.mu.Lock()
+	standbys := append([]*standby(nil), sh.standbys...)
+	sh.mu.Unlock()
+	for _, sb := range standbys {
+		st, _ := sb.state()
+		if err := sb.absorb(&wire.LeaseDelta{Seq: st.seq + 1, Op: wire.DeltaRelease, ID: 1 << 40}); err == nil {
+			t.Fatal("a release of an unknown lease was applied")
+		}
+	}
+
+	for si := 0; si < 2; si++ {
+		if cl.CrashPrimary(si) == nil {
+			t.Fatalf("shard %d: no primary to crash", si)
+		}
+	}
+	waitFor(t, 5*time.Second, "shard 0's silence verdict", func() bool {
+		return log.contains("shard 0: silence verdict but no standby has state")
+	})
+	time.Sleep(2 * time.Duration(opts.MissBudget) * opts.Heartbeat) // and its retries
+
+	for si := 0; si < 2; si++ {
+		st := cl.Status()[si]
+		if st.Epoch != 1 || st.Standbys != opts.Replicas {
+			t.Errorf("shard %d: epoch %d with %d standbys, want epoch 1 with all %d", si, st.Epoch, st.Standbys, opts.Replicas)
+		}
+		if cl.ShardScheduler(si) != nil {
+			t.Errorf("shard %d serves a table no standby held", si)
+		}
+		if _, err := cl.Place(podLoad(p, si), 2); !errors.Is(err, ErrNoPrimary) {
+			t.Errorf("shard %d: Place = %v, want ErrNoPrimary", si, err)
+		}
+	}
+	if n := cl.Metrics().Failovers(); n != 0 {
+		t.Errorf("%d failovers without a replica to promote", n)
+	}
+	if _, err := cl.Place(podLoad(p, 2), 2); err != nil {
+		t.Fatalf("shard 2 stopped serving: %v", err)
 	}
 }

@@ -16,7 +16,7 @@
 // one scheduler, NewSharded a replicated cluster. Both get the same
 // routes, handlers and error statuses (Handler); they differ only in
 // which scheduler a request's ?shard=K names. Client (client.go) is the
-// Go consumer, MirrorHandler the surface of a replica before promotion.
+// Go consumer.
 package naas
 
 import (

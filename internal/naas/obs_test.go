@@ -6,6 +6,10 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -136,5 +140,69 @@ func TestObservabilityEndpoints(t *testing.T) {
 	var strict Stats
 	if err := dec.Decode(&strict); err != nil {
 		t.Fatalf("/v1/stats is not Stats alone: %v", err)
+	}
+}
+
+// TestReadmeListsServedMetrics holds README's "Metric families" table
+// to what a daemon serves, in both directions: every family a
+// single-node or sharded front exposes — on the bare page and on
+// ?shard=0 — has a row, and every row names a family one of them
+// exposes.
+func TestReadmeListsServedMetrics(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	_, table, ok := strings.Cut(string(readme), "Metric families (all prefixed `soar_`):\n\n")
+	if !ok {
+		t.Fatal("README has no metric families table")
+	}
+	name := regexp.MustCompile("`([a-z0-9_]+)(\\{[^}]*\\})?`")
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		first := strings.Split(line, "|")[1]
+		for _, m := range name.FindAllStringSubmatch(first, -1) {
+			documented[strings.TrimPrefix(m[1], "soar_")] = true
+		}
+	}
+
+	tr, _ := paper.Figure2()
+	_, single := serveScheduler(t, tr, 2)
+	sharded := httptest.NewServer(NewSharded(newTestCluster(t)).Handler())
+	t.Cleanup(sharded.Close)
+	served := map[string]bool{}
+	for _, base := range []string{single.URL, sharded.URL} {
+		for _, page := range []string{"/metrics", "/metrics?shard=0"} {
+			text, _ := scrape(t, base+page)
+			for _, line := range strings.Split(text, "\n") {
+				if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+					fam, _, _ := strings.Cut(rest, " ")
+					served[strings.TrimPrefix(fam, "soar_")] = true
+				}
+			}
+		}
+	}
+
+	var undocumented, unserved []string
+	for fam := range served {
+		if !documented[fam] {
+			undocumented = append(undocumented, fam)
+		}
+	}
+	for fam := range documented {
+		if !served[fam] {
+			unserved = append(unserved, fam)
+		}
+	}
+	sort.Strings(undocumented)
+	sort.Strings(unserved)
+	if len(undocumented) > 0 {
+		t.Errorf("served but missing from README's metric families: %v", undocumented)
+	}
+	if len(unserved) > 0 {
+		t.Errorf("in README's metric families but served by no front: %v", unserved)
 	}
 }

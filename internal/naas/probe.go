@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync/atomic"
 
-	"soar/internal/ha"
 	"soar/internal/obs"
 )
 
@@ -89,32 +88,4 @@ func serveMetrics(w http.ResponseWriter, reg *obs.Registry) {
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(http.StatusOK)
 	buf.WriteTo(w) // best effort; the status line is already out
-}
-
-// MirrorHandler is the surface of a -join replica before promotion:
-// liveness, standby readiness (always 503), replication progress under
-// GET /v1/shards, and the mirror's metrics.
-func MirrorHandler(m *ha.Mirror) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/healthz", handleHealthz)
-	mux.HandleFunc("/v1/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if getOnly(w, r) {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "standby"})
-		}
-	})
-	mux.HandleFunc("/v1/shards", func(w http.ResponseWriter, r *http.Request) {
-		if !getOnly(w, r) {
-			return
-		}
-		st := m.Status()
-		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"shard": m.Shard(), "synced": st.Synced, "epoch": st.Epoch, "seq": st.Seq,
-		})
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if getOnly(w, r) {
-			serveMetrics(w, m.Registry())
-		}
-	})
-	return mux
 }

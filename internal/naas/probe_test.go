@@ -32,16 +32,15 @@ const (
 
 func j(status int) reply { return reply{status, jsonType} }
 
-// TestProbeSurfaceOfEveryFront walks every route × method of the three
-// muxes a daemon can serve — single-node, sharded, and a -join mirror
-// before promotion — and checks status and Content-Type against one
-// table. The single node and the cluster run the same handlers and
-// differ only in how ?shard resolves: a single node is shard 0 and
-// answers without ?shard; a cluster needs ?shard=K on every
-// per-scheduler route except /metrics, whose bare page is the cluster's
-// own and counts the front's cluster runs. Every JSON error carries an
-// "error" field. A crashed shard then answers 503 on its tenant and
-// per-scheduler routes while the others keep serving.
+// TestProbeSurfaceOfEveryFront walks every route × method of the two
+// muxes a daemon can serve — single-node and sharded — and checks
+// status and Content-Type against one table. The single node and the
+// cluster run the same handlers and differ only in how ?shard resolves:
+// a single node is shard 0 and answers without ?shard; a cluster needs
+// ?shard=K on every per-scheduler route except /metrics, whose bare
+// page is the cluster's own. Every JSON error carries an "error" field.
+// A crashed shard then answers 503 on its tenant and per-scheduler
+// routes while the others keep serving.
 func TestProbeSurfaceOfEveryFront(t *testing.T) {
 	tr := topology.CompleteKAry(3, 4)
 	// A failover that never comes: the standbys' silence budget outlasts
@@ -59,13 +58,6 @@ func TestProbeSurfaceOfEveryFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	m, err := ha.NewMirror(tr, 1, cl.Status()[0].PrimaryAddr, ha.MirrorConfig{
-		Shard: 0, Node: 999, Heartbeat: 25 * time.Millisecond, MissBudget: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
 	single := sched.New(tr, sched.Config{Capacity: 2})
 	t.Cleanup(single.Close)
 
@@ -82,67 +74,65 @@ func TestProbeSurfaceOfEveryFront(t *testing.T) {
 		cross[v] += n
 	}
 
-	nf := reply{http.StatusNotFound, muxType} // the mirror has no such route
+	nf := reply{http.StatusNotFound, muxType} // no such route
 	metrics := reply{http.StatusOK, obs.TextContentType}
-	all := func(r reply) [3]reply { return [3]reply{r, r, r} }
+	both := func(r reply) [2]reply { return [2]reply{r, r} }
 	// {id} is a live lease of the front under test.
 	rows := []struct {
 		method, path, body string
-		want               [3]reply // single, sharded, mirror
+		want               [2]reply // single, sharded
 	}{
-		{"POST", "/v1/tenants", place, [3]reply{j(201), j(201), nf}},
-		{"POST", "/v1/tenants", `{"load":[1],"k":1}`, [3]reply{j(400), j(400), nf}},
-		{"POST", "/v1/tenants", body(cross), [3]reply{j(201), j(400), nf}},
-		{"POST", "/v1/tenants", `{"load":[1],"k":1,"x":0}`, [3]reply{j(400), j(400), nf}},
-		{"GET", "/v1/tenants", "", [3]reply{j(405), j(405), nf}},
-		{"GET", "/v1/tenants/{id}", "", [3]reply{j(200), j(200), nf}},
-		{"GET", "/v1/tenants/abc", "", [3]reply{j(400), j(400), nf}},
-		{"GET", "/v1/tenants/99999", "", [3]reply{j(404), j(404), nf}},
-		{"PUT", "/v1/tenants/{id}", "", [3]reply{j(405), j(405), nf}},
+		{"POST", "/v1/tenants", place, [2]reply{j(201), j(201)}},
+		{"POST", "/v1/tenants", `{"load":[1],"k":1}`, [2]reply{j(400), j(400)}},
+		{"POST", "/v1/tenants", body(cross), [2]reply{j(201), j(400)}},
+		{"POST", "/v1/tenants", `{"load":[1],"k":1,"x":0}`, [2]reply{j(400), j(400)}},
+		{"GET", "/v1/tenants", "", [2]reply{j(405), j(405)}},
+		{"GET", "/v1/tenants/{id}", "", [2]reply{j(200), j(200)}},
+		{"GET", "/v1/tenants/abc", "", [2]reply{j(400), j(400)}},
+		{"GET", "/v1/tenants/99999", "", [2]reply{j(404), j(404)}},
+		{"PUT", "/v1/tenants/{id}", "", [2]reply{j(405), j(405)}},
 
-		{"GET", "/v1/stats", "", [3]reply{j(200), j(400), nf}},
-		{"GET", "/v1/stats?shard=0", "", [3]reply{j(200), j(200), nf}},
-		{"GET", "/v1/stats?shard=2", "", [3]reply{j(400), j(200), nf}},
-		{"GET", "/v1/stats?shard=3", "", [3]reply{j(400), j(400), nf}},
-		{"GET", "/v1/stats?shard=x", "", [3]reply{j(400), j(400), nf}},
-		{"POST", "/v1/stats", "", [3]reply{j(405), j(405), nf}},
-		{"GET", "/v1/residual", "", [3]reply{j(200), j(400), nf}},
-		{"GET", "/v1/residual?shard=1", "", [3]reply{j(400), j(200), nf}},
-		{"POST", "/v1/residual", "", [3]reply{j(405), j(405), nf}},
-		{"GET", "/v1/checkpoint", "", [3]reply{{200, binType}, j(400), nf}},
-		{"GET", "/v1/checkpoint?shard=0", "", [3]reply{{200, binType}, {200, binType}, nf}},
-		{"POST", "/v1/checkpoint", "", [3]reply{j(503), j(503), nf}}, // no saver
-		{"PUT", "/v1/checkpoint", "", [3]reply{j(405), j(405), nf}},
-		{"POST", "/v1/cluster", `{"id":{id}}`, all(nf)}, // no loopback replay route
-		{"GET", "/v1/trace", "", [3]reply{j(200), j(400), nf}},
-		{"GET", "/v1/trace?shard=0&n=8", "", [3]reply{j(200), j(200), nf}},
-		{"GET", "/v1/trace?shard=0&n=0", "", [3]reply{j(400), j(400), nf}},
-		{"POST", "/v1/trace", "", [3]reply{j(405), j(405), nf}},
+		{"GET", "/v1/stats", "", [2]reply{j(200), j(400)}},
+		{"GET", "/v1/stats?shard=0", "", [2]reply{j(200), j(200)}},
+		{"GET", "/v1/stats?shard=2", "", [2]reply{j(400), j(200)}},
+		{"GET", "/v1/stats?shard=3", "", [2]reply{j(400), j(400)}},
+		{"GET", "/v1/stats?shard=x", "", [2]reply{j(400), j(400)}},
+		{"POST", "/v1/stats", "", [2]reply{j(405), j(405)}},
+		{"GET", "/v1/residual", "", [2]reply{j(200), j(400)}},
+		{"GET", "/v1/residual?shard=1", "", [2]reply{j(400), j(200)}},
+		{"POST", "/v1/residual", "", [2]reply{j(405), j(405)}},
+		{"GET", "/v1/checkpoint", "", [2]reply{{200, binType}, j(400)}},
+		{"GET", "/v1/checkpoint?shard=0", "", [2]reply{{200, binType}, {200, binType}}},
+		{"POST", "/v1/checkpoint", "", [2]reply{j(503), j(503)}}, // no saver
+		{"PUT", "/v1/checkpoint", "", [2]reply{j(405), j(405)}},
+		{"POST", "/v1/cluster", `{"id":{id}}`, both(nf)}, // no loopback replay route
+		{"GET", "/v1/trace", "", [2]reply{j(200), j(400)}},
+		{"GET", "/v1/trace?shard=0&n=8", "", [2]reply{j(200), j(200)}},
+		{"GET", "/v1/trace?shard=0&n=0", "", [2]reply{j(400), j(400)}},
+		{"POST", "/v1/trace", "", [2]reply{j(405), j(405)}},
 
-		{"GET", "/v1/shards", "", [3]reply{j(404), j(200), j(200)}},
-		{"POST", "/v1/shards", "{}", all(j(405))},
-		{"GET", "/v1/healthz", "", all(j(200))},
-		{"POST", "/v1/healthz", "{}", all(j(405))},
-		{"GET", "/v1/readyz", "", [3]reply{j(200), j(200), j(503)}},
-		{"POST", "/v1/readyz", "{}", all(j(405))},
-		{"GET", "/metrics", "", all(metrics)},
-		{"GET", "/metrics?shard=0", "", all(metrics)}, // the mirror has one page
-		{"GET", "/metrics?shard=3", "", [3]reply{j(400), j(400), metrics}},
-		{"POST", "/metrics", "{}", all(j(405))},
+		{"GET", "/v1/shards", "", [2]reply{j(404), j(200)}},
+		{"POST", "/v1/shards", "{}", both(j(405))},
+		{"GET", "/v1/healthz", "", both(j(200))},
+		{"POST", "/v1/healthz", "{}", both(j(405))},
+		{"GET", "/v1/readyz", "", both(j(200))},
+		{"POST", "/v1/readyz", "{}", both(j(405))},
+		{"GET", "/metrics", "", both(metrics)},
+		{"GET", "/metrics?shard=0", "", both(metrics)},
+		{"GET", "/metrics?shard=3", "", both(j(400))},
+		{"POST", "/metrics", "{}", both(j(405))},
 
-		{"DELETE", "/v1/tenants/{id}", "", [3]reply{{204, ""}, {204, ""}, nf}},
-		{"DELETE", "/v1/tenants/{id}", "", [3]reply{j(404), j(404), nf}},
+		{"DELETE", "/v1/tenants/{id}", "", [2]reply{{204, ""}, {204, ""}}},
+		{"DELETE", "/v1/tenants/{id}", "", [2]reply{j(404), j(404)}},
 	}
 
 	sharded := NewSharded(cl).Handler()
 	fronts := []struct {
 		name    string
 		handler http.Handler
-		ready   string // what GET /v1/readyz reports
 	}{
-		{"single", FromScheduler(single).Handler(), "ready"},
-		{"sharded", sharded, "ready"},
-		{"mirror", MirrorHandler(m), "standby"},
+		{"single", FromScheduler(single).Handler()},
+		{"sharded", sharded},
 	}
 	for fi, front := range fronts {
 		srv := httptest.NewServer(front.handler)
@@ -166,8 +156,8 @@ func TestProbeSurfaceOfEveryFront(t *testing.T) {
 			}
 			switch {
 			case row.method == "GET" && path == "/v1/readyz":
-				if fields["status"] != front.ready {
-					t.Errorf("%s: readyz says %v, want %q", front.name, fields["status"], front.ready)
+				if fields["status"] != "ready" {
+					t.Errorf("%s: readyz says %v, want ready", front.name, fields["status"])
 				}
 			case want.status >= 400:
 				if _, ok := fields["error"]; !ok {
@@ -230,22 +220,6 @@ func TestProbeSurfaceOfEveryFront(t *testing.T) {
 			t.Errorf("crashed shard 0: %s %s = %d %q, want %d %q: %s", row.method, row.path,
 				got.status, got.ctype, row.want.status, row.want.ctype, text)
 		}
-	}
-
-	// A mirror reports where its table stands, and nothing of a journal.
-	rec := httptest.NewRecorder()
-	MirrorHandler(m).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/shards", nil))
-	var got map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"shard", "synced", "epoch", "seq"} {
-		if _, ok := got[key]; !ok {
-			t.Errorf("mirror /v1/shards lacks %q: %v", key, got)
-		}
-	}
-	if _, ok := got["journal"]; ok || len(got) != 4 {
-		t.Errorf("mirror /v1/shards = %v, want exactly shard, synced, epoch, seq", got)
 	}
 }
 
