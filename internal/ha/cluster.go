@@ -28,8 +28,8 @@ func SplitID(id int64) (shard int, local int64) {
 
 // Options tunes a Cluster. Heartbeat, MissBudget and Replicas have
 // working defaults; Sched carries the per-shard scheduler tuning
-// (capacity, batching, re-packing) — its Journal, Fence, Obs and Trace
-// fields are owned by the cluster and must be left nil.
+// (capacity, batching, re-packing) — its Journal and Fence fields are
+// owned by the cluster and must be left nil.
 type Options struct {
 	// Level is the depth pod roots live at (root = 0); one shard per
 	// switch at this level.
@@ -46,10 +46,6 @@ type Options struct {
 	RouteTimeout time.Duration
 	// Sched is the base scheduler configuration applied to every shard.
 	Sched sched.Config
-	// Obs is the cluster metrics registry (soar_ha_*); nil gets a
-	// private one. Per-shard scheduler families live in per-incarnation
-	// registries, see ShardScheduler.
-	Obs *obs.Registry
 	// Dial opens a connection from the given replica node; nil uses a
 	// plain TCP dialer. chaos.Injector.Dial plugs in here.
 	Dial func(ctx context.Context, node int, addr string) (net.Conn, error)
@@ -66,13 +62,15 @@ type ShardStatus struct {
 	Index, Root int
 	// Epoch is the shard's current fencing epoch.
 	Epoch uint64
-	// PrimaryNode is the serving replica's node id (-1 mid failover);
-	// PrimaryAddr its replication listener.
+	// PrimaryNode is the serving replica's node id (-1 from a crash or
+	// a promotion's start until a promotion lands); PrimaryAddr its
+	// replication listener.
 	PrimaryNode int
 	PrimaryAddr string
 	// Standbys is the number of warm standbys attached or attaching.
 	Standbys int
-	// Seq is the primary's journal sequence; Tenants its live leases.
+	// Seq is the primary's journal sequence; Tenants its live leases
+	// (both 0 while there is no primary).
 	Seq     uint64
 	Tenants int
 }
@@ -119,10 +117,8 @@ func NewCluster(t *topology.Tree, opts Options) (*Cluster, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	if opts.Obs == nil {
-		opts.Obs = obs.NewRegistry()
-	}
-	c := &Cluster{part: part, opts: opts, reg: opts.Obs, met: newMetrics(opts.Obs)}
+	reg := obs.NewRegistry()
+	c := &Cluster{part: part, opts: opts, reg: reg, met: newMetrics(reg)}
 	for _, spec := range part.Shards {
 		sh, err := newShard(spec, &c.opts, c.met, c.reg, opts.Logf)
 		if err != nil {
@@ -156,10 +152,7 @@ func (c *Cluster) ShardScheduler(s int) *sched.Scheduler {
 	if s < 0 || s >= len(c.shards) {
 		return nil
 	}
-	if inc := c.shards[s].cur.Load(); inc != nil && !inc.crashed.Load() {
-		return inc.sch
-	}
-	return nil
+	return c.shards[s].scheduler()
 }
 
 // Place routes one admission and returns its lease; see PlaceInto.

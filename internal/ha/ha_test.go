@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -307,9 +308,12 @@ func TestFailoverPreservesLeases(t *testing.T) {
 	})
 }
 
-// TestStalePrimaryNACK: a hello advertising a higher epoch makes the
-// primary self-depose and stop serving.
-func TestStalePrimaryNACK(t *testing.T) {
+// TestForeignHelloDoesNotFence: a hello advertising a higher epoch,
+// from a connection no standby of the shard owns, changes nothing — the
+// shard's epoch register is the only fence. A lease placed after it
+// reaches the standby, no failover happens past the silence budget,
+// and the lease survives the failover of a real crash.
+func TestForeignHelloDoesNotFence(t *testing.T) {
 	tr := topology.CompleteKAry(2, 3)
 	opts := fastOpts()
 	opts.Replicas = 1
@@ -318,6 +322,8 @@ func TestStalePrimaryNACK(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	p := cl.Partitioning()
+	sh := cl.shards[0]
 
 	st := cl.Status()[0]
 	conn, err := net.Dial("tcp", st.PrimaryAddr)
@@ -328,7 +334,100 @@ func TestStalePrimaryNACK(t *testing.T) {
 	if err := wire.Write(conn, &wire.Epoch{Shard: 0, Epoch: st.Epoch + 5, Node: 999}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "self-depose", func() bool {
-		return cl.shards[0].cur.Load().prim.deposed.Load()
+	// The primary's answer proves the hello was handled.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := wire.ReadTyped[*wire.Epoch](conn); err != nil {
+		t.Fatal(err)
+	}
+
+	lease, err := cl.Place(podLoad(p, 0), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := cl.ShardScheduler(0).JournalSeq()
+	waitFor(t, 5*time.Second, "the standby to apply the lease", func() bool {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		st, ok := sh.standbys[0].state()
+		return ok && st.seq >= seq
 	})
+	time.Sleep(2 * time.Duration(opts.MissBudget) * opts.Heartbeat)
+	if st := cl.Status()[0]; st.Epoch != 1 || st.PrimaryNode != sh.nodeID(0) {
+		t.Fatalf("after a foreign hello: epoch %d served by node %d, want epoch 1 served by node %d", st.Epoch, st.PrimaryNode, sh.nodeID(0))
+	}
+	if n := cl.Metrics().Failovers(); n != 0 {
+		t.Fatalf("%d failovers after a foreign hello", n)
+	}
+
+	if cl.CrashPrimary(0) == nil {
+		t.Fatal("no primary to crash")
+	}
+	waitFor(t, 10*time.Second, "promotion", func() bool {
+		st := cl.Status()[0]
+		return st.Epoch == 2 && st.PrimaryNode >= 0
+	})
+	got, err := cl.Lookup(lease.ID)
+	if err != nil {
+		t.Fatalf("lease placed after the foreign hello lost in failover: %v", err)
+	}
+	if math.Float64bits(got.Phi) != math.Float64bits(lease.Phi) {
+		t.Fatalf("lease Φ changed across failover")
+	}
+}
+
+// TestCrashedPrimaryLeavesRouting: from CrashPrimary until a standby
+// is promoted the shard has no primary in any view — membership, reads,
+// the drain inventory and the audit — while the other shards serve;
+// once the silence verdict promotes a standby every view serves again.
+func TestCrashedPrimaryLeavesRouting(t *testing.T) {
+	tr := topology.CompleteKAry(3, 3)
+	opts := fastOpts()
+	opts.MissBudget = 1000 // no watchdog fires in the test's lifetime
+	cl, err := NewCluster(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	p := cl.Partitioning()
+
+	crashed, err := cl.Place(podLoad(p, 0), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := cl.Place(podLoad(p, 1), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "standbys caught up", func() bool { return standbysCaughtUp(cl, 0) })
+	if cl.CrashPrimary(0) == nil {
+		t.Fatal("no primary to crash")
+	}
+
+	if st := cl.Status()[0]; st.PrimaryNode != -1 || st.Tenants != 0 {
+		t.Errorf("crashed shard reports primary node %d with %d tenants, want -1 with 0", st.PrimaryNode, st.Tenants)
+	}
+	if _, err := cl.Lookup(crashed.ID); !errors.Is(err, ErrNoPrimary) {
+		t.Errorf("Lookup on the crashed shard: %v, want ErrNoPrimary", err)
+	}
+	if ids := cl.LeaseIDs(); len(ids) != 1 || ids[0] != other.ID {
+		t.Errorf("LeaseIDs = %v, want only %d", ids, other.ID)
+	}
+	if err := cl.Audit(); err == nil || !strings.Contains(err.Error(), "shard 0") {
+		t.Errorf("Audit = %v, want shard 0 named", err)
+	}
+
+	sh := cl.shards[0]
+	sh.onSilence(sh.epoch.Load())
+	if st := cl.Status()[0]; st.Epoch != 2 || st.PrimaryNode < 0 || st.Tenants != 1 {
+		t.Fatalf("after promotion: epoch %d, primary node %d, %d tenants; want 2, a node, 1", st.Epoch, st.PrimaryNode, st.Tenants)
+	}
+	if _, err := cl.Lookup(crashed.ID); err != nil {
+		t.Errorf("Lookup after promotion: %v", err)
+	}
+	if ids := cl.LeaseIDs(); len(ids) != 2 {
+		t.Errorf("LeaseIDs after promotion = %v, want both leases", ids)
+	}
+	if err := cl.Audit(); err != nil {
+		t.Errorf("Audit after promotion: %v", err)
+	}
 }

@@ -5,7 +5,7 @@ import (
 )
 
 // Metrics is the cluster-level replication instrumentation, registered
-// in the cluster registry (Options.Obs) — distinct from the per-shard
+// in the cluster registry (Cluster.Registry) — distinct from the per-shard
 // scheduler registries, which each belong to exactly one scheduler
 // incarnation. All families are soar_ha_*.
 type Metrics struct {
@@ -21,8 +21,8 @@ type Metrics struct {
 	deltas *obs.Counter
 	// ckptStreams counts checkpoint streams served to attaching standbys.
 	ckptStreams *obs.Counter
-	// attaches counts standby attach attempts that reached the epoch
-	// handshake (successful or NACKed).
+	// attaches counts attach attempts that reached the epoch handshake,
+	// whether or not the checkpoint stream that follows completed.
 	attaches *obs.Counter
 	// promoteSeconds observes silence-to-serving promotion latency.
 	promoteSeconds *obs.Histogram
@@ -50,7 +50,7 @@ func newMetrics(reg *obs.Registry) *Metrics {
 }
 
 // EpochRejections returns the fencing counter's current value — the
-// soak asserts it advances when a deposed primary's late commit is
+// soak asserts it advances when a superseded primary's late commit is
 // rejected.
 func (m *Metrics) EpochRejections() uint64 { return m.epochRejections.Value() }
 

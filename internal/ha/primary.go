@@ -42,10 +42,6 @@ type primaryConfig struct {
 	heartbeat time.Duration
 	met       *Metrics
 	logf      func(format string, args ...any)
-	// onDeposed fires (once, from a connection goroutine) when a peer
-	// proves a higher epoch exists: the incarnation is stale and has
-	// closed itself.
-	onDeposed func(higher uint64)
 }
 
 // primary is one serving incarnation of a shard's control plane: the
@@ -60,12 +56,6 @@ type primary struct {
 	ln   net.Listener
 	cfg  primaryConfig
 
-	// crashed is shared with the shard's fence closure: setting it
-	// makes every subsequent commit fail, the in-process stand-in for
-	// the process dying between two batches.
-	crashed *atomic.Bool
-
-	deposed   atomic.Bool
 	closeOnce sync.Once
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -77,16 +67,15 @@ type primary struct {
 // newPrimary starts serving replication on ln. The scheduler must have
 // been created with feed.journal as its Journal hook and the shard's
 // fence as its Fence.
-func newPrimary(sch *sched.Scheduler, f *feed, h *hub, ln net.Listener, crashed *atomic.Bool, cfg primaryConfig) *primary {
+func newPrimary(sch *sched.Scheduler, f *feed, h *hub, ln net.Listener, cfg primaryConfig) *primary {
 	p := &primary{
-		sch:     sch,
-		feed:    f,
-		hub:     h,
-		ln:      ln,
-		cfg:     cfg,
-		crashed: crashed,
-		stop:    make(chan struct{}),
-		conns:   make(map[net.Conn]struct{}),
+		sch:   sch,
+		feed:  f,
+		hub:   h,
+		ln:    ln,
+		cfg:   cfg,
+		stop:  make(chan struct{}),
+		conns: make(map[net.Conn]struct{}),
 	}
 	p.wg.Add(2)
 	go p.acceptLoop()
@@ -97,7 +86,7 @@ func newPrimary(sch *sched.Scheduler, f *feed, h *hub, ln net.Listener, crashed 
 func (p *primary) addr() string { return p.ln.Addr().String() }
 
 // close tears the incarnation's network down: listener, heartbeats,
-// every attached stream. The scheduler is NOT closed — a deposed
+// every attached stream. The scheduler is NOT closed — a retired
 // primary's scheduler stays alive (fenced) so late commits are
 // observable rejections, and the cluster closes it on shutdown.
 func (p *primary) close() {
@@ -112,19 +101,6 @@ func (p *primary) close() {
 		p.connMu.Unlock()
 	})
 	p.wg.Wait()
-}
-
-// depose marks the incarnation stale (a peer proved epoch `higher`
-// exists) and closes it. Idempotent; the callback fires once.
-func (p *primary) depose(higher uint64) {
-	if !p.deposed.CompareAndSwap(false, true) {
-		return
-	}
-	if p.cfg.onDeposed != nil {
-		p.cfg.onDeposed(higher)
-	}
-	// close waits for the calling goroutine via wg, so detach it.
-	go p.close()
 }
 
 func (p *primary) heartbeatLoop() {
@@ -170,7 +146,11 @@ func (p *primary) dropConn(conn net.Conn) {
 
 // serve runs one standby attachment: epoch handshake, checkpoint
 // stream, then the live delta/heartbeat stream until the standby falls
-// behind, the connection dies, or the incarnation closes.
+// behind, the connection dies, or the incarnation closes. Nothing is
+// read after the hello, and its epoch changes nothing here: the shard's
+// epoch register is the only fence. A dead standby ends the stream at
+// the next write error or write deadline; a heartbeat is written every
+// period.
 func (p *primary) serve(conn net.Conn) {
 	defer p.wg.Done()
 	defer p.dropConn(conn)
@@ -184,15 +164,6 @@ func (p *primary) serve(conn net.Conn) {
 		return
 	}
 	p.cfg.met.attaches.Inc()
-	if hello.Epoch > p.cfg.epoch {
-		// The standby has seen a newer primary: this incarnation is
-		// stale. NACK by echoing its epoch, then self-depose.
-		conn.SetWriteDeadline(time.Now().Add(hsTimeout))
-		wire.Write(conn, &wire.Epoch{Shard: p.cfg.shard, Epoch: hello.Epoch, Node: uint32(p.cfg.node)})
-		p.depose(hello.Epoch)
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
 
 	// Subscribe BEFORE snapshotting: every event committed after the
 	// snapshot's sequence is then guaranteed to reach the buffer (the
@@ -221,24 +192,6 @@ func (p *primary) serve(conn net.Conn) {
 		return
 	}
 	p.cfg.met.ckptStreams.Inc()
-
-	// Reader: the only legal inbound frame after attach is an Epoch
-	// NACK proving a newer incarnation; anything else (including EOF)
-	// ends the stream.
-	go func() {
-		for {
-			m, err := wire.Read(conn)
-			if err != nil {
-				conn.Close()
-				return
-			}
-			if e, ok := m.(*wire.Epoch); ok && e.Shard == p.cfg.shard && e.Epoch > p.cfg.epoch {
-				p.depose(e.Epoch)
-				conn.Close()
-				return
-			}
-		}
-	}()
 
 	for m := range sub.ch {
 		conn.SetWriteDeadline(time.Now().Add(hsTimeout))

@@ -39,7 +39,8 @@ type incarnation struct {
 	// as a standby when it was promoted (0 for a bootstrap primary).
 	applied int
 	// crashed is the in-process stand-in for the primary's process
-	// dying: set by CrashPrimary, read by the fence closure.
+	// dying: set by CrashPrimary, read by the fence closure, so a
+	// commit already in flight when the crash lands fails.
 	crashed *atomic.Bool
 	prim    *primary
 }
@@ -61,8 +62,9 @@ type shard struct {
 	// the fence under its commit lock.
 	epoch atomic.Uint64
 
-	// cur is the serving incarnation, nil while a promotion is being
-	// built (routing retries until it lands).
+	// cur is the serving incarnation, the one record of who serves the
+	// shard: nil from a crash or the start of a promotion until a
+	// promotion lands (routing retries until then).
 	cur atomic.Pointer[incarnation]
 
 	// mu serializes membership changes: promotion, crash, close.
@@ -156,8 +158,6 @@ func (s *shard) spawnPrimary(node int, epoch uint64, tab *sched.Table) (*incarna
 	cfg.Capacities = s.caps
 	cfg.Journal = f.journal
 	cfg.Fence = s.fenceFor(epoch, crashed)
-	cfg.Obs = obs.NewRegistry() // a registry belongs to one scheduler
-	cfg.Trace = nil
 	var sch *sched.Scheduler
 	if tab != nil {
 		sch = sched.Serve(tab, cfg)
@@ -173,7 +173,7 @@ func (s *shard) spawnPrimary(node int, epoch uint64, tab *sched.Table) (*incarna
 	if s.opts.WrapListener != nil {
 		ln = s.opts.WrapListener(node, ln)
 	}
-	prim := newPrimary(sch, f, h, ln, crashed, primaryConfig{
+	prim := newPrimary(sch, f, h, ln, primaryConfig{
 		shard:     uint32(s.idx),
 		epoch:     epoch,
 		node:      node,
@@ -201,8 +201,8 @@ func (s *shard) spawnStandby(node int, primaryAddr string) *standby {
 // whole missed-heartbeat budget. obsEpoch is the epoch the standby
 // last heard a primary at — a fire for an epoch that is no longer
 // current is stale news (the promotion it asks for already happened),
-// unless the shard has no serving incarnation at all (a previous
-// promotion failed and must be retried).
+// unless the shard has no serving incarnation at all (its primary
+// crashed, or a previous promotion failed and must be retried).
 func (s *shard) onSilence(obsEpoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -249,13 +249,7 @@ func (s *shard) promoteLocked() {
 
 	newEpoch := s.epoch.Load() + 1
 	s.epoch.Store(newEpoch) // fencing moment: older incarnations now reject
-
-	old := s.cur.Load()
-	s.cur.Store(nil)
-	if old != nil {
-		s.retired = append(s.retired, old)
-		go old.prim.close()
-	}
+	s.retireLocked()
 
 	sb := s.standbys[best]
 	s.standbys = append(s.standbys[:best], s.standbys[best+1:]...)
@@ -286,18 +280,29 @@ func (s *shard) promoteLocked() {
 	}
 	// Refill the replica set: the dead primary's slot comes back as a
 	// standby (its dials fail until the node heals, like a rebooting
-	// machine).
-	if old != nil {
-		s.standbys = append(s.standbys, s.spawnStandby(old.node, inc.prim.addr()))
+	// machine). Exactly one incarnation is retired between two promotions
+	// that land — by a crash, or by the retirement above — so the newest
+	// retired one holds the slot still empty.
+	dead := s.retired[len(s.retired)-1]
+	s.standbys = append(s.standbys, s.spawnStandby(dead.node, inc.prim.addr()))
+}
+
+// retireLocked takes the serving incarnation out of routing, if there
+// is one: its network closes in the background, and its scheduler stays
+// alive, fenced, until the shard closes. Caller holds mu.
+func (s *shard) retireLocked() {
+	if old := s.cur.Swap(nil); old != nil {
+		s.retired = append(s.retired, old)
+		go old.prim.close()
 	}
 }
 
 // crashPrimary kills the serving incarnation the way a process death
 // would: every future commit fails (fenced via the crashed flag, so
-// in-flight requests get errors rather than ACKs) and its network goes
-// away. Standbys notice the silence and fail over. Returns the crashed
-// incarnation's scheduler so tests can assert its late commits fence,
-// or nil if the shard had no serving primary.
+// in-flight requests get errors rather than ACKs), it leaves routing and
+// its network goes away. Standbys notice the silence and fail over.
+// Returns the crashed incarnation's scheduler so tests can assert its
+// late commits fence, or nil if the shard had no serving primary.
 func (s *shard) crashPrimary() *sched.Scheduler {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -306,7 +311,7 @@ func (s *shard) crashPrimary() *sched.Scheduler {
 		return nil
 	}
 	inc.crashed.Store(true)
-	go inc.prim.close()
+	s.retireLocked()
 	return inc.sch
 }
 
@@ -323,7 +328,7 @@ func retriable(err error) bool {
 func (s *shard) place(load []int, k int, lease *sched.Lease) error {
 	deadline := time.Now().Add(s.opts.RouteTimeout)
 	for {
-		if inc := s.cur.Load(); inc != nil && !inc.crashed.Load() {
+		if inc := s.cur.Load(); inc != nil {
 			err := inc.sch.PlaceInto(load, k, lease)
 			if err == nil || !retriable(err) {
 				return err
@@ -342,7 +347,7 @@ func (s *shard) place(load []int, k int, lease *sched.Lease) error {
 func (s *shard) release(id int64) error {
 	deadline := time.Now().Add(s.opts.RouteTimeout)
 	for {
-		if inc := s.cur.Load(); inc != nil && !inc.crashed.Load() {
+		if inc := s.cur.Load(); inc != nil {
 			err := inc.sch.Release(id)
 			if err == nil || !retriable(err) {
 				return err

@@ -25,7 +25,7 @@ import (
 //
 //   - recovery: the shard promotes a standby (epoch bump, serving
 //     primary) within a small multiple of the heartbeat budget;
-//   - fencing: the deposed primary's scheduler handle still accepts
+//   - fencing: the superseded primary's scheduler handle still accepts
 //     calls but every commit returns ErrFenced, and the
 //     soar_ha_epoch_rejections_total counter advances — a stale
 //     primary cannot diverge the cluster (the acceptance criterion);
@@ -234,7 +234,7 @@ func TestFailoverSoak(t *testing.T) {
 			time.Sleep(heartbeat / 2)
 		}
 
-		// Fencing: the deposed primary still answers calls, but every
+		// Fencing: the superseded primary still answers calls, but every
 		// commit is rejected and counted. (On crash rounds the crashed
 		// flag fences without counting, so assert the counter only on
 		// network kills, where the process is "alive but partitioned".)

@@ -227,9 +227,8 @@ func (s *standby) attach(conn net.Conn) error {
 		return fmt.Errorf("primary serves shard %d, want %d", reply.Shard, s.cfg.shard)
 	}
 	if reply.Epoch < s.knownEpoch() {
-		// Stale primary: NACK with the newer epoch so it self-deposes,
-		// then walk away.
-		wire.Write(conn, &wire.Epoch{Shard: s.cfg.shard, Epoch: s.knownEpoch(), Node: uint32(s.cfg.node)})
+		// A primary older than one already heard: walk away. Its
+		// commits are fenced by the shard's epoch register.
 		return fmt.Errorf("primary at stale epoch %d < %d", reply.Epoch, s.knownEpoch())
 	}
 	offer, err := wire.ReadTyped[*wire.CkptOffer](conn)

@@ -57,12 +57,12 @@ type metrics struct {
 	started time.Time
 }
 
-// initMetrics registers every scheduler family in reg and interns the
-// span operations in tr. Called once from New, before any goroutine
-// starts. A registry belongs to one Scheduler: registering a second
-// one in the same registry panics on the duplicate families.
-func (s *Scheduler) initMetrics(reg *obs.Registry, tr *obs.Trace) {
+// initMetrics registers every scheduler family in a registry of the
+// scheduler's own and interns the span operations in its own 1024-span
+// ring. Called once from New, before any goroutine starts.
+func (s *Scheduler) initMetrics() {
 	m := &s.met
+	reg, tr := obs.NewRegistry(), obs.NewTrace(1024)
 	m.reg, m.tr = reg, tr
 	m.started = time.Now()
 
@@ -225,9 +225,8 @@ func (m *metrics) noteRepack(moved int, recovered float64) {
 	m.phiRecovered.Add(recovered)
 }
 
-// Registry returns the scheduler's metrics registry — the one Config.Obs
-// supplied, or the private registry New created. Scrape it with
-// WriteText; naas serves it as GET /metrics.
+// Registry returns the scheduler's metrics registry, created by New.
+// Scrape it with WriteText; naas serves it as GET /metrics.
 func (s *Scheduler) Registry() *obs.Registry { return s.met.reg }
 
 // Trace returns the scheduler's span ring: per-stage timings for the

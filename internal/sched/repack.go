@@ -117,7 +117,7 @@ func (s *Scheduler) repack(maxMoves int) (moved int, recovered float64) {
 		s.mu.Lock()
 		fenced := false
 		if s.cfg.Fence != nil && s.cfg.Fence() != nil {
-			// A deposed primary must not migrate: restore the slots and
+			// A superseded primary must not migrate: restore the slots and
 			// end the round (every further candidate would fence too).
 			fenced = true
 		}

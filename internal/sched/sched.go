@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"soar/internal/obs"
 	"soar/internal/topology"
 	"soar/internal/wire"
 )
@@ -145,17 +144,9 @@ type Config struct {
 	// Fence, when non-nil, is consulted under the commit lock before
 	// every admission, release and migration commits; a non-nil error
 	// aborts the mutation and is returned to the caller. internal/ha
-	// installs an epoch check here so a deposed primary's late commits
-	// are rejected instead of diverging from the promoted standby.
+	// installs an epoch check here so a superseded primary's late
+	// commits are rejected instead of diverging from the promoted standby.
 	Fence func() error
-	// Obs, when non-nil, is the metrics registry the scheduler registers
-	// its families in (soar_sched_*, soar_ckpt_*); nil gets
-	// a private registry. A registry belongs to at most one Scheduler —
-	// a second registration of the same families panics.
-	Obs *obs.Registry
-	// Trace, when non-nil, is the span ring per-stage timings are
-	// recorded in; nil gets a private 1024-span ring.
-	Trace *obs.Trace
 }
 
 type opcode uint8
@@ -321,14 +312,7 @@ func Serve(tab *Table, cfg Config) *Scheduler {
 	for i := range s.workers {
 		s.workers[i] = &worker{s: s, wake: make(chan struct{}, 1)}
 	}
-	reg, trace := cfg.Obs, cfg.Trace
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	if trace == nil {
-		trace = obs.NewTrace(1024)
-	}
-	s.initMetrics(reg, trace)
+	s.initMetrics()
 	s.bg.Add(1 + len(s.workers))
 	go s.dispatch()
 	for _, w := range s.workers {
@@ -700,7 +684,7 @@ func (s *Scheduler) commit(r *request) {
 	s.mu.Lock()
 	// The fence runs under the commit lock: internal/ha flips the shard
 	// epoch before the promoted standby serves, so every mutation of a
-	// deposed primary from that point on lands here and is rejected.
+	// superseded primary from that point on lands here and is rejected.
 	if s.cfg.Fence != nil {
 		if err := s.cfg.Fence(); err != nil { //soar:coldpath replication fencing enabled
 			s.mu.Unlock()

@@ -97,7 +97,7 @@ func FuzzDecodeReplicationStream(f *testing.F) {
 		&LeaseDelta{Shard: 0, Epoch: 1, Seq: 5, Op: DeltaRelease, ID: 1},
 		&Heartbeat{Shard: 0, Epoch: 1, Seq: 5},
 	))
-	// A fencing exchange: stale primary heartbeat, NACK with higher epoch.
+	// A heartbeat followed by an Epoch frame of a higher term.
 	f.Add(stream(
 		&Heartbeat{Shard: 1, Epoch: 1, Seq: 10},
 		&Epoch{Shard: 1, Epoch: 2, Node: 7},

@@ -9,16 +9,18 @@ import (
 // Replication frames (internal/ha) continue the numbering. A primary
 // scheduler streams its state to warm standbys over this framing:
 //
-//	Epoch       (either direction: announce/negotiate the shard's term)
+//	Epoch       (standby → primary, then primary → standby: the hello
+//	             and its answer, each naming the sender's term)
 //	CkptOffer   (primary → standby: a full PR-7 checkpoint follows)
 //	...raw checkpoint stream, exactly CkptOffer.Bytes bytes...
 //	LeaseDelta  × many (primary → standby: one committed mutation each)
 //	Heartbeat   (primary → standby: liveness + journal high-water mark)
 //
-// Every frame carries the shard id and the sender's epoch; receivers
-// reject frames from a lower epoch by answering with their own Epoch
-// frame, which fences a stale primary at the wire as well as at the
-// ledger (sched.Config.Fence).
+// Every frame carries the shard id and the sender's epoch. A standby
+// walks away from a primary whose epoch is below the highest it has
+// heard; a primary does not act on the epoch a hello names. Commits are
+// fenced in one place, the shard's epoch register the scheduler
+// consults under its commit lock (sched.Config.Fence), not at the wire.
 const (
 	TypeHeartbeat Type = iota + 32
 	TypeEpoch
@@ -65,10 +67,9 @@ func (h *Heartbeat) parseBody(b []byte) error {
 	return nil
 }
 
-// Epoch announces or rejects a term. A standby opens its attachment
-// with the highest epoch it has seen; a primary answers with its own.
-// Either side NACKs a stale peer by sending the higher epoch it knows,
-// upon which the stale primary must stop committing (self-depose).
+// Epoch names a term. A standby opens its attachment with the highest
+// epoch it has seen; a primary answers with its own, and the standby
+// leaves a primary whose epoch is the lower of the two.
 type Epoch struct {
 	Shard uint32
 	Epoch uint64
