@@ -95,7 +95,7 @@ func main() {
 	n := flag.Int("n", 256, "network size")
 	capacity := flag.Int("capacity", 4, "per-switch aggregation capacity (0 = unlimited)")
 	seed := flag.Int64("seed", 1, "seed for random topologies")
-	workers := flag.Int("workers", 0, "scheduler engine-pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "scheduler engine-pool size (0 = GOMAXPROCS); while idle, the pool also runs the lanes of a lone dense solve")
 	repackEvery := flag.Duration("repack-every", time.Second, "background re-packing period (0 = off)")
 	repackMoves := flag.Int("repack-moves", 8, "migration budget per re-packing round")
 	ckptPath := flag.String("checkpoint", "", "checkpoint file: restored on start if present, written periodically, on POST /v1/checkpoint and on shutdown (empty = off)")

@@ -220,12 +220,143 @@ func TestStaleNamesFindsEachForm(t *testing.T) {
 	}
 }
 
+// cli is what the two binaries accept, read from their sources:
+// soar-naasd's flags and the commands soarctl's main dispatches.
+type cli struct {
+	flags, cmds map[string]bool
+}
+
+// parseCLI collects every flag.X("name", ...) definition in
+// cmd/soar-naasd/main.go and every string case in cmd/soarctl/main.go.
+func parseCLI(t *testing.T) cli {
+	t.Helper()
+	c := cli{flags: map[string]bool{}, cmds: map[string]bool{}}
+	parse := func(path string, visit func(ast.Node)) {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			visit(n)
+			return true
+		})
+	}
+	str := func(e ast.Expr) (string, bool) {
+		lit, ok := e.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return "", false
+		}
+		v, err := strconv.Unquote(lit.Value)
+		return v, err == nil
+	}
+	parse("cmd/soar-naasd/main.go", func(n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "flag" {
+				if name, ok := str(call.Args[0]); ok {
+					c.flags[name] = true
+				}
+			}
+		}
+	})
+	parse("cmd/soarctl/main.go", func(n ast.Node) {
+		if cc, ok := n.(*ast.CaseClause); ok {
+			for _, e := range cc.List {
+				if name, ok := str(e); ok {
+					c.cmds[name] = true
+				}
+			}
+		}
+	})
+	if len(c.flags) == 0 || len(c.cmds) == 0 {
+		t.Fatalf("read %d daemon flags and %d soarctl commands from the sources", len(c.flags), len(c.cmds))
+	}
+	return c
+}
+
+var (
+	// codeRe matches a fenced block or a backtick span: the places docs
+	// write a command line.
+	codeRe = regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
+	// flagRe matches a flag token (-name or -name=value), not -1.
+	flagRe = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(=.*)?$`)
+	// flagRowRe matches the backticked flags of a flag-table row.
+	flagRowRe = regexp.MustCompile("`-([A-Za-z][\\w-]*)")
+)
+
+// staleCLI returns each command line in doc's code — a soar-naasd
+// invocation's flags, a soarctl invocation's command — that the
+// binaries do not accept, and each row of the "Daemon flags:" table
+// whose flag soar-naasd does not define.
+func (c cli) staleCLI(doc string) []string {
+	var stale []string
+	for _, code := range codeRe.FindAllString(doc, -1) {
+		for _, line := range strings.Split(strings.Trim(code, "`"), "\n") {
+			fields := strings.Fields(line)
+			for i, f := range fields {
+				switch f[strings.LastIndex(f, "/")+1:] {
+				case "soar-naasd":
+				flags:
+					for _, tok := range fields[i+1:] {
+						switch {
+						case strings.ContainsAny(tok[:1], "&|;#>"):
+							break flags
+						case flagRe.MatchString(tok):
+							if name := flagRe.FindStringSubmatch(tok)[1]; !c.flags[name] {
+								stale = append(stale, "soar-naasd -"+name)
+							}
+						}
+					}
+				case "soarctl":
+					if i+1 < len(fields) && !strings.HasPrefix(fields[i+1], "<") && !c.cmds[fields[i+1]] {
+						stale = append(stale, "soarctl "+fields[i+1])
+					}
+				}
+			}
+		}
+	}
+	if _, table, ok := strings.Cut(doc, "Daemon flags:\n\n"); ok {
+		for _, row := range strings.Split(table, "\n") {
+			if !strings.HasPrefix(row, "|") {
+				break
+			}
+			for _, m := range flagRowRe.FindAllStringSubmatch(strings.Split(row, "|")[1], -1) {
+				if !c.flags[m[1]] {
+					stale = append(stale, "flag table row -"+m[1])
+				}
+			}
+		}
+	}
+	return stale
+}
+
+// TestStaleCLIFindsEachForm: a flag soar-naasd does not define, in an
+// invocation or a flag-table row, and a command soarctl does not
+// dispatch, are found; what the binaries accept passes.
+func TestStaleCLIFindsEachForm(t *testing.T) {
+	c := parseCLI(t)
+	doc := "`soar-naasd -n 64 -shard -1 -capacity=4 -nosuch x` and `soarctl top -once`, `soarctl nosuch -x`,\n" +
+		"```sh\ngo run ./cmd/soar-naasd -addr :7070 -gone & go run ./cmd/soarctl <command>\n```\n" +
+		"Daemon flags:\n\n| flag | meaning |\n|---|---|\n| `-replicas N`, `-stale N` | x |\n\nafter `-table`\n"
+	want := []string{"soar-naasd -nosuch", "soarctl nosuch", "soar-naasd -gone", "flag table row -stale"}
+	if got := c.staleCLI(doc); !slices.Equal(got, want) {
+		t.Fatalf("staleCLI =\n%q\nwant\n%q", got, want)
+	}
+}
+
 // TestDocsNameOnlyDeclaredCode fails when README.md or DESIGN.md names,
 // in backticks, a test, fuzz target, benchmark or package-qualified
-// identifier the tree does not declare. CHANGES.md, EXPERIMENTS.md and
+// identifier the tree does not declare; when a soar-naasd invocation in
+// their code, or a row of README's daemon flag table, names a flag
+// cmd/soar-naasd does not define; and when a soarctl invocation names a
+// command cmd/soarctl does not dispatch. CHANGES.md, EXPERIMENTS.md and
 // ROADMAP.md record history and are not checked.
 func TestDocsNameOnlyDeclaredCode(t *testing.T) {
 	tr := parseTree(t, ".")
+	c := parseCLI(t)
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		b, err := os.ReadFile(doc)
 		if err != nil {
@@ -233,6 +364,9 @@ func TestDocsNameOnlyDeclaredCode(t *testing.T) {
 		}
 		for _, s := range tr.staleNames(string(b)) {
 			t.Errorf("%s names what the tree does not declare: %s", doc, s)
+		}
+		for _, s := range c.staleCLI(string(b)) {
+			t.Errorf("%s names what the binaries do not accept: %s", doc, s)
 		}
 	}
 }

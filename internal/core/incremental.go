@@ -55,6 +55,25 @@ type Incremental struct {
 	cbuf    []*nodeTables // reusable child-table buffer for flushes
 	cs      colorState    // reusable SOAR-Color scratch for SolveInto
 	flushed int           // switches the last non-empty flush (or the constructing Gather) recomputed
+	ordered bool          // the pending queue is ordered and flushed counted (prepare ran)
+	// Split-flush state (Lanes): lanes hold disjoint subtrees of the
+	// ordered queue, queue[:top] in all; Flush recomputes queue[top:],
+	// the switches above the cut, once every lane has run. part is a
+	// per-switch work array of the cut. lanes and part are allocated on
+	// the first split (growLanes).
+	lanes []lane
+	top   int
+	part  []int32
+}
+
+// lane is one independent part of a split flush: the dirty switches of
+// a set of disjoint subtrees, deepest first, with the merge scratch and
+// child buffer computeNode needs, so lanes share nothing they write.
+type lane struct {
+	q    []int // a window of qbuf
+	size int32
+	sc   *scratch
+	cbuf []*nodeTables
 }
 
 // NewIncremental runs one full SOAR-Gather and returns an engine holding
@@ -294,17 +313,36 @@ func (inc *Incremental) markDirty(u int) {
 	if !inc.dirty[u] {
 		inc.dirty[u] = true
 		inc.queue = append(inc.queue, u)
+		inc.ordered = false // a refused split's order no longer covers the queue
 	}
 }
 
 // Flush recomputes every dirty table, children before parents. Shared
-// path prefixes from a batch of updates are recomputed once.
+// path prefixes from a batch of updates are recomputed once. After a
+// split (Lanes) it recomputes only the switches above the cut.
 //
 //soar:hotpath
 func (inc *Incremental) Flush() {
 	if len(inc.queue) == 0 {
 		return
 	}
+	inc.prepare()
+	inc.cbuf = inc.recompute(inc.queue[inc.top:], inc.sc, inc.cbuf)
+	inc.queue = inc.queue[:0]
+	inc.top = 0
+	inc.ordered = false
+}
+
+// prepare orders the pending queue bottom-up, counts it as the flush's
+// Recomputed, and sizes the merge scratch; it runs once per flush,
+// whether Lanes or Flush reaches it first.
+//
+//soar:hotpath
+func (inc *Incremental) prepare() {
+	if inc.ordered {
+		return
+	}
+	inc.ordered = true
 	inc.flushed = len(inc.queue)
 	inc.orderQueue()
 	if rootCap := inc.cap(inc.t.Root()); rootCap > inc.scCap {
@@ -313,18 +351,140 @@ func (inc *Incremental) Flush() {
 		inc.scCap = rootCap
 		inc.sc = newScratch(rootCap) //soar:coldpath capacity raise
 	}
-	for _, v := range inc.queue {
-		// Reuse the node's existing backing arrays (resized if SetAvail
-		// moved its cap), plus the engine-lifetime merge scratch and
-		// child buffer: a steady-state flush allocates nothing.
+}
+
+// recompute runs computeNode over queue, an ordered slice of the dirty
+// set, with the given merge scratch and child buffer, and returns the
+// buffer for reuse. It reuses each node's backing arrays (resized if
+// SetCap moved its cap): a steady-state flush allocates nothing. Every
+// switch it writes is its own, and every child table it reads is either
+// on queue before its parent or clean, so slices of disjoint subtrees
+// may run concurrently.
+//
+//soar:hotpath
+func (inc *Incremental) recompute(queue []int, sc *scratch, cbuf []*nodeTables) []*nodeTables {
+	for _, v := range queue {
 		nt := &inc.tb.nodes[v]
 		ensureNodeStorage(nt, inc.t.Depth(v), inc.cap(v), inc.t.NumChildren(v))
-		inc.cbuf = appendChildTables(inc.cbuf[:0], inc.tb, v)
+		cbuf = appendChildTables(cbuf[:0], inc.tb, v)
 		computeNode(inc.t, v, inc.load[v], inc.subLoad[v] > 0,
-			inc.caps[v], nt, inc.cbuf, inc.sc)
+			inc.caps[v], nt, cbuf, sc)
 		inc.dirty[v] = false
 	}
-	inc.queue = inc.queue[:0]
+	return cbuf
+}
+
+// Lanes splits the pending flush into n lanes of disjoint subtrees that
+// FlushLane may recompute concurrently, and returns n; it returns 0 and
+// leaves the flush serial unless the flush is dense — it dirties at
+// least half of the switches — and n ≥ 2. The cut is the shallowest
+// depth holding at least n dirty switches: each lane gets whole subtrees
+// rooted there (greedily, the least-loaded lane takes the next subtree),
+// in depth order, and the switches above the cut are left to Flush. A
+// tree with no such depth (a path) is not split either.
+//
+// After Lanes returns n > 0 the caller must run FlushLane(i) for every
+// i < n, from any goroutines, and then Flush (or any call that flushes)
+// once all have returned; no other method may run in between. Each
+// switch runs the same computeNode on the same inputs as in a serial
+// flush, so tables, breadcrumbs, φ and placements are bitwise identical,
+// and Recomputed counts the whole flush. The engine starts no goroutines.
+//
+//soar:hotpath
+func (inc *Incremental) Lanes(n int) int {
+	t := inc.t
+	if n < 2 || 2*len(inc.queue) < t.N() {
+		return 0
+	}
+	inc.prepare()
+	q := inc.queue
+	// The queue is deepest first, so each depth is one run and the
+	// shallowest run ends the queue: walk the runs upward from the root
+	// until one holds n switches, the cut roots q[lo:end].
+	lo, end := len(q), len(q)
+	for {
+		if end == 0 {
+			return 0
+		}
+		d := t.Depth(q[end-1])
+		for lo = end - 1; lo > 0 && t.Depth(q[lo-1]) == d; lo-- {
+		}
+		if end-lo >= n {
+			break
+		}
+		end = lo
+	}
+	if len(inc.lanes) < n || len(inc.lanes[0].sc.yr) <= inc.scCap {
+		inc.growLanes(n) //soar:coldpath first split or capacity raise
+	}
+	lanes := inc.lanes[:n]
+	for i := range lanes {
+		lanes[i].size = 0
+	}
+	// part[v] first counts the dirty switches of T_v (deepest first, so
+	// children have added theirs), then names v's lane (shallowest
+	// first, so a parent is named before its children).
+	part := inc.part
+	for _, v := range q[:end] {
+		part[v] = 0
+	}
+	cutDepth := t.Depth(q[end-1])
+	for _, v := range q[:end] {
+		part[v]++
+		if t.Depth(v) > cutDepth {
+			part[t.Parent(v)] += part[v]
+		}
+	}
+	for _, r := range q[lo:end] {
+		best := 0
+		for i := 1; i < n; i++ {
+			if lanes[i].size < lanes[best].size {
+				best = i
+			}
+		}
+		lanes[best].size += part[r]
+		part[r] = int32(best)
+	}
+	for i := lo - 1; i >= 0; i-- {
+		part[q[i]] = part[t.Parent(q[i])]
+	}
+	// Cut qbuf (free once orderQueue has run) into the lanes' windows
+	// and deal the switches out in queue order, which keeps each lane
+	// deepest first.
+	off := 0
+	for i := range lanes {
+		sz := off + int(lanes[i].size)
+		lanes[i].q = inc.qbuf[off:off:sz]
+		off = sz
+	}
+	for _, v := range q[:end] {
+		ln := &lanes[part[v]]
+		ln.q = append(ln.q, v)
+	}
+	inc.top = end
+	return n
+}
+
+// growLanes allocates the split state: the per-switch cut array and at
+// least n lanes, each with a merge scratch as wide as the engine's.
+func (inc *Incremental) growLanes(n int) {
+	if inc.part == nil {
+		inc.part = make([]int32, inc.t.N())
+	}
+	inc.lanes = make([]lane, max(n, len(inc.lanes)))
+	for i := range inc.lanes {
+		inc.lanes[i].sc = newScratch(inc.scCap)
+	}
+}
+
+// FlushLane recomputes lane i of the split the last Lanes call made. It
+// touches only the lane's own switches, scratch and child buffer, so
+// distinct lanes may run on distinct goroutines.
+//
+//soar:hotpath
+func (inc *Incremental) FlushLane(i int) {
+	ln := &inc.lanes[i]
+	ln.cbuf = inc.recompute(ln.q, ln.sc, ln.cbuf)
 }
 
 // orderQueue orders the dirty queue deeper switches first; a parent on

@@ -32,8 +32,8 @@ var AnalyzerHotpath = &Analyzer{
 }
 
 // hotpathStdlib is the allowlist of stdlib functions a hotpath may
-// call: synchronization leaves, in-place sorts and clock reads, all
-// non-allocating on the steady state.
+// call: synchronization leaves (a scheduler yield among them), in-place
+// sorts and clock reads, all non-allocating on the steady state.
 var hotpathStdlib = map[string]bool{
 	"sync.Mutex.Lock":       true,
 	"sync.Mutex.Unlock":     true,
@@ -48,6 +48,7 @@ var hotpathStdlib = map[string]bool{
 	"sync.WaitGroup.Add":    true,
 	"sync.WaitGroup.Done":   true,
 	"sync.WaitGroup.Wait":   true,
+	"runtime.Gosched":       true,
 	"slices.Sort":           true,
 	"slices.SortFunc":       true,
 	"time.Now":              true,

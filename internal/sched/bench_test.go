@@ -208,6 +208,43 @@ func BenchmarkSchedulerSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerDense/lone is dense_bigk's admission in isolation:
+// one dense tenant (every rack loaded) in flight at a time on BT(2048)
+// with k = 32, so each Place is a lone batch whose solve re-points the
+// dispatcher's engine at every switch and spreads the flush over the
+// idle worker pool. The pool is the default, GOMAXPROCS workers. Like
+// the steady state, it must allocate nothing.
+func BenchmarkSchedulerDense(b *testing.B) {
+	b.Run("lone", func(b *testing.B) {
+		const k, capacity = 32, 128
+		tr := topology.MustBT(2048)
+		rng := rand.New(rand.NewSource(23))
+		pool := make([][]int, 8)
+		for i := range pool {
+			pool[i] = load.Generate(tr, load.PaperPowerLaw(), load.LeavesOnly, rng)
+		}
+		s := New(tr, Config{Capacity: capacity})
+		defer s.Close()
+		var lease Lease
+		cycle := func(i int) {
+			if err := s.PlaceInto(pool[i%len(pool)], k, &lease); err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Release(lease.ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := range pool { // warm: engines built, lanes sized, leases pooled
+			cycle(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cycle(i)
+		}
+	})
+}
+
 // BenchmarkRepackRound measures one background re-packing round over a
 // fragmented BT(2048) tenant population with migration budget 16.
 func BenchmarkRepackRound(b *testing.B) {

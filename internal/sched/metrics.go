@@ -28,6 +28,7 @@ type metrics struct {
 	released  *obs.Counter
 	notFound  *obs.Counter
 	conflicts *obs.Counter
+	splits    *obs.Counter
 	batches   *obs.Counter
 	batchSize *obs.Histogram
 	batchMax  *obs.Gauge
@@ -74,6 +75,8 @@ func (s *Scheduler) initMetrics() {
 		"Releases of unknown tenant ids.", nil)
 	m.conflicts = reg.Counter("soar_sched_conflicts_total",
 		"Batch placements re-solved at commit after losing a capacity race.", nil)
+	m.splits = reg.Counter("soar_sched_split_solves_total",
+		"Dispatcher solves whose dense flush was split across the idle worker pool.", nil)
 	m.batches = reg.Counter("soar_sched_batches_total",
 		"Batches dispatched.", nil)
 	m.batchSize = reg.Histogram("soar_sched_batch_size",

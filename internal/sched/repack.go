@@ -112,6 +112,7 @@ func (s *Scheduler) repack(maxMoves int) (moved int, recovered float64) {
 		ten.load.scatter(s.bgLoad)
 		eng := s.bgSol.ensure(s.t, s.bgLoad, s.tab.ledger.Avail(), ten.k)
 		ten.load.clear(s.bgLoad)
+		s.spread(eng)
 		newPhi := eng.SolveInto(s.bgBlue)
 
 		s.mu.Lock()

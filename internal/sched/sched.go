@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"soar/internal/core"
 	"soar/internal/topology"
 	"soar/internal/wire"
 )
@@ -120,7 +121,9 @@ type Config struct {
 	Capacities []int
 	// Workers is the engine-pool size: the number of concurrent SOAR
 	// solves (default GOMAXPROCS). Each worker owns one reusable
-	// core.Incremental engine.
+	// core.Incremental engine. While the pool is idle — a lone
+	// placement, a conflict re-solve, a re-pack candidate — the workers
+	// also serve the lanes of the dispatcher's dense flushes.
 	Workers int
 	// Window is ignored.
 	//
@@ -237,8 +240,9 @@ type Scheduler struct {
 	tenPool sync.Pool
 
 	// Dispatch state. Touched only by the dispatcher goroutine; workers
-	// read places/ledger.avail strictly inside the wake→batchWG window,
-	// during which the dispatcher is quiescent.
+	// read places/ledger.avail (or split/splitN) strictly inside the
+	// wake→batchWG window, during which the dispatcher is quiescent or
+	// flushing lanes of split itself.
 	workers   []*worker
 	batch     []*request
 	places    []*request
@@ -246,7 +250,14 @@ type Scheduler struct {
 	batchNext atomic.Int64
 	batchWG   sync.WaitGroup
 	bgSol     solver // dispatcher-owned: single solves, conflicts, re-packing
-	bgBlue    []bool
+	// crew is how many goroutines run the lanes of a dense bgSol flush:
+	// the dispatcher and crew-1 idle workers, no more than GOMAXPROCS
+	// in all. split is the engine whose lanes a window serves (nil: the
+	// window solves places), splitN its lane count.
+	crew   int
+	split  *core.Incremental
+	splitN int
+	bgBlue []bool
 	// bgLoad is the re-packer's dense view of one candidate's load: all
 	// zero between candidates (repack scatters the pairs in for the
 	// engine, which copies them, and clears exactly those entries).
@@ -305,6 +316,7 @@ func Serve(tab *Table, cfg Config) *Scheduler {
 		tab:    tab,
 		bgBlue: make([]bool, t.N()),
 		bgLoad: make([]int, t.N()),
+		crew:   min(cfg.Workers+1, runtime.GOMAXPROCS(0)),
 	}
 	s.reqPool.New = func() any { return &request{done: make(chan struct{}, 1)} }
 	s.tenPool.New = func() any { return new(tenant) }
@@ -617,12 +629,16 @@ func (s *Scheduler) runBatch() {
 
 // solveOn solves r's placement on sol's engine — rebuilt only if the
 // budget changed, otherwise patched in place (see solver.ensure) — and
-// records the outputs on r.
+// records the outputs on r. The dispatcher's own engine solves only
+// while the pool is idle, so its flush is spread over the pool.
 //
 //soar:hotpath
 func (s *Scheduler) solveOn(sol *solver, r *request) {
 	t0 := time.Now()
 	eng := sol.ensure(s.t, r.load, s.tab.ledger.Avail(), r.k)
+	if sol == &s.bgSol {
+		s.spread(eng)
+	}
 	if cap(r.blue) < s.t.N() {
 		r.blue = make([]bool, s.t.N()) //soar:coldpath first use of a pooled request
 	}
@@ -630,6 +646,62 @@ func (s *Scheduler) solveOn(sol *solver, r *request) {
 	r.phi = eng.SolveInto(r.blue)
 	r.allRed = s.allRed(r.load)
 	s.met.noteSolve(t0, int64(r.k), int64(eng.Recomputed()))
+}
+
+// lanesPerCrew is how many lanes a split flush gets per goroutine of
+// the crew. A goroutine can join late — its P was busy or asleep —
+// and with one lane each the others then run its lane too; with
+// several, the latecomer still takes the lanes that are left.
+const lanesPerCrew = 4
+
+// spread runs the pending flush of the dispatcher's engine across the
+// idle worker pool when it is dense (core.Incremental.Lanes): the
+// dispatcher and crew-1 workers take lanes from the batch cursor in
+// the usual wake→batchWG window, and the switches above the cut are
+// left to the solve's own flush. A sparse flush stays on the
+// dispatcher. Only the dispatcher calls it, and only while no batch is
+// out on the pool.
+//
+//soar:hotpath
+func (s *Scheduler) spread(eng *core.Incremental) {
+	if s.crew < 2 {
+		return
+	}
+	n := eng.Lanes(s.crew * lanesPerCrew)
+	if n == 0 {
+		return
+	}
+	s.split, s.splitN = eng, n
+	s.batchNext.Store(0)
+	s.batchWG.Add(s.crew - 1) // crew ≤ Workers+1
+	for _, w := range s.workers[:s.crew-1] {
+		w.wake <- struct{}{}
+	}
+	// A woken goroutine is queued to run next on the waker's own P,
+	// where it waits for the dispatcher to block unless an idle P
+	// steals it, which on a 2-vCPU box often took longer than the
+	// dispatcher's own lanes. Yielding lets the worker start here and
+	// puts the dispatcher on the global queue, which an idle P checks
+	// before it steals.
+	runtime.Gosched()
+	s.flushLanes()
+	s.batchWG.Wait()
+	s.split = nil
+	s.met.splits.Inc()
+}
+
+// flushLanes takes lanes of the split engine from the batch cursor
+// until none is left; the dispatcher and the woken workers all run it.
+//
+//soar:hotpath
+func (s *Scheduler) flushLanes() {
+	for {
+		i := int(s.batchNext.Add(1)) - 1
+		if i >= s.splitN {
+			return
+		}
+		s.split.FlushLane(i)
+	}
 }
 
 // allRed returns φ with no aggregation at all: every server's messages

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"soar/internal/core"
@@ -119,27 +120,75 @@ func (b *seqBaseline) observeRepack(t *testing.T, s *Scheduler, live []int64) {
 
 // runSequentialEquivalence drives scheduler and baseline through one
 // request order; repackEvery > 0 also runs a re-packing round every
-// that many steps.
+// that many steps. A quarter of the tenants are dense (every rack
+// loaded), so the dispatcher's solves split across the idle pool: a
+// lone dense placement, and a re-pack candidate when rounds run. Every
+// 25 steps a burst of dense placements queues up behind one parked in
+// the commit fence and commits as one batch, so an optimistic solve
+// loses a capacity race and is re-solved, split, at commit. The split
+// solves of each kind are counted and required.
 func runSequentialEquivalence(t *testing.T, repackEvery int) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		// A split needs two lanes, which GOMAXPROCS bounds.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	tr := topology.MustBT(128)
-	s := New(tr, Config{Capacity: 2, Workers: 3})
+	var armed atomic.Bool
+	parked, resume := make(chan struct{}), make(chan struct{})
+	s := New(tr, Config{Capacity: 2, Workers: 3, Fence: func() error {
+		if armed.CompareAndSwap(true, false) {
+			parked <- struct{}{}
+			<-resume
+		}
+		return nil
+	}})
 	base := newSeqBaseline(tr, 2)
 	rng := rand.New(rand.NewSource(42))
 	var live []int64
+	tenant := func() ([]int, int) {
+		k := []int{2, 4, 8}[rng.Intn(3)]
+		if rng.Intn(4) == 0 {
+			return load.Generate(tr, load.PaperPowerLaw(), load.LeavesOnly, rng), k
+		}
+		return load.GenerateSparse(tr, load.PaperPowerLaw(), 4+rng.Intn(8), rng), k
+	}
+	check := func(step int, got, want *Lease) {
+		t.Helper()
+		if got.ID != want.ID || got.K != want.K || got.Phi != want.Phi || got.AllRed != want.AllRed {
+			t.Fatalf("step %d: lease %+v, want %+v", step, got, want)
+		}
+		if !reflect.DeepEqual(got.Blue, want.Blue) {
+			t.Fatalf("step %d: blue %v, want %v", step, got.Blue, want.Blue)
+		}
+		if !reflect.DeepEqual(got.Load, want.Load) {
+			t.Fatalf("step %d: lease load mismatch", step)
+		}
+	}
 
 	rounds, migrating := 0, 0
+	loneSplits, repackSplits, conflictSplits := 0, 0, 0
 	for step := 0; step < 160; step++ {
 		if repackEvery > 0 && step%repackEvery == repackEvery-1 {
+			before := s.met.splits.Value()
 			moved, _, err := s.RepackNow(2)
 			if err != nil {
 				t.Fatalf("step %d: repack: %v", step, err)
 			}
+			repackSplits += int(s.met.splits.Value() - before)
 			assertScratchZero(t, s)
 			base.observeRepack(t, s, live)
 			rounds++
 			if moved > 0 {
 				migrating++
 			}
+		}
+		if step%25 == 24 {
+			leases := placeBurst(t, s, tr, rng, &armed, parked, resume, &conflictSplits)
+			for _, got := range leases {
+				check(step, got, base.place(got.Load, got.K))
+				live = append(live, got.ID)
+			}
+			continue
 		}
 		if len(live) > 0 && rng.Intn(5) < 2 {
 			id := live[rng.Intn(len(live))]
@@ -155,26 +204,22 @@ func runSequentialEquivalence(t *testing.T, repackEvery int) {
 			}
 			continue
 		}
-		loads := load.GenerateSparse(tr, load.PaperPowerLaw(), 4+rng.Intn(8), rng)
-		k := []int{2, 4, 8}[rng.Intn(3)]
+		loads, k := tenant()
+		before := s.met.splits.Value()
 		got, err := s.Place(loads, k)
 		if err != nil {
 			t.Fatalf("step %d: place: %v", step, err)
 		}
-		want := base.place(loads, k)
-		if got.ID != want.ID || got.K != want.K || got.Phi != want.Phi || got.AllRed != want.AllRed {
-			t.Fatalf("step %d: lease %+v, want %+v", step, got, want)
-		}
-		if !reflect.DeepEqual(got.Blue, want.Blue) {
-			t.Fatalf("step %d: blue %v, want %v", step, got.Blue, want.Blue)
-		}
-		if !reflect.DeepEqual(got.Load, want.Load) {
-			t.Fatalf("step %d: lease load mismatch", step)
-		}
+		loneSplits += int(s.met.splits.Value() - before)
+		check(step, got, base.place(loads, k))
 		live = append(live, got.ID)
 	}
 	if repackEvery > 0 && (migrating == 0 || migrating == rounds) {
 		t.Fatalf("%d of %d rounds migrated; the test needs rounds of both kinds", migrating, rounds)
+	}
+	if loneSplits == 0 || conflictSplits == 0 || repackEvery > 0 && repackSplits == 0 {
+		t.Fatalf("split solves: %d lone, %d conflict re-solves, %d re-pack candidates; the test needs each kind it drives",
+			loneSplits, conflictSplits, repackSplits)
 	}
 	if got := s.Residual(); !reflect.DeepEqual(got, base.residual) {
 		t.Fatalf("final residuals diverge")
@@ -184,6 +229,48 @@ func runSequentialEquivalence(t *testing.T, repackEvery int) {
 		t.Fatalf("%d tenants, want %d", st.Tenants, len(base.leases))
 	}
 	s.Close()
+}
+
+// placeBurst admits one dense tenant whose commit parks in the fence,
+// queues three more behind it, and releases the fence, so the three
+// commit as one batch. It returns all four leases in commit (id) order
+// and adds to *conflictSplits the split solves of that batch: its
+// placements fan out to the workers, which never split, so each one is
+// a conflict re-solve on the dispatcher's engine.
+func placeBurst(t *testing.T, s *Scheduler, tr *topology.Tree, rng *rand.Rand, armed *atomic.Bool, parked, resume chan struct{}, conflictSplits *int) []*Lease {
+	t.Helper()
+	const burst = 3
+	leases := make([]*Lease, 1+burst)
+	var wg sync.WaitGroup
+	place := func(i int, loads []int) {
+		defer wg.Done()
+		l, err := s.Place(loads, 8)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		leases[i] = l
+	}
+	armed.Store(true)
+	wg.Add(1)
+	go place(0, load.Generate(tr, load.PaperPowerLaw(), load.LeavesOnly, rng))
+	<-parked
+	before := s.met.splits.Value()
+	wg.Add(burst)
+	for i := 1; i <= burst; i++ {
+		go place(i, load.Generate(tr, load.PaperPowerLaw(), load.LeavesOnly, rng))
+	}
+	for len(s.reqs) < burst {
+		runtime.Gosched()
+	}
+	resume <- struct{}{}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	*conflictSplits += int(s.met.splits.Value() - before)
+	sort.Slice(leases, func(i, j int) bool { return leases[i].ID < leases[j].ID })
+	return leases
 }
 
 // TestBatchesFormDuringPreviousCommit pins the work-conserving batching

@@ -30,7 +30,9 @@ func (sol *solver) ensure(t *topology.Tree, load []int, avail []bool, k int) *co
 // worker is one slot of the engine pool: a goroutine owning one
 // reusable solver. Workers steal placements from the current batch via
 // the scheduler's atomic cursor, so a skewed batch (one huge tenant,
-// many small ones) still balances.
+// many small ones) still balances. Woken while the dispatcher spreads a
+// dense flush of its own engine (Scheduler.spread), a worker takes that
+// flush's lanes from the same cursor instead.
 //
 // Engine reuse is the point: a warm engine is patched to the next
 // tenant's load vector and the batch's availability snapshot with
@@ -49,6 +51,11 @@ type worker struct {
 func (w *worker) loop() {
 	defer w.s.bg.Done() //soar:coldpath runs once, at shutdown
 	for range w.wake {
+		if w.s.split != nil {
+			w.s.flushLanes()
+			w.s.batchWG.Done()
+			continue
+		}
 		for {
 			i := int(w.s.batchNext.Add(1)) - 1
 			if i >= len(w.s.places) {
