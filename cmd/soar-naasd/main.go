@@ -172,8 +172,8 @@ func main() {
 		banner = fmt.Sprintf("%d switches, %d shards × (1 primary + %d standbys), listening on %s",
 			tr.N(), cl.Shards(), *replicas, *addr)
 		for _, st := range cl.Status() {
-			log.Printf("soar-naasd: shard %d: pod root %d, primary node %d at %s",
-				st.Index, st.Root, st.PrimaryNode, st.PrimaryAddr)
+			log.Printf("soar-naasd: shard %d: pod root %d, primary node %d",
+				st.Index, st.Root, st.PrimaryNode)
 		}
 	}
 	serve(ctx, front, sch, *addr, banner, *ckptPath, *ckptEvery, *ckptTimeout)

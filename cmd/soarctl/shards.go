@@ -34,15 +34,14 @@ func runShards(args []string) error {
 
 func printShards(w io.Writer, shards []naas.ShardInfo) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "SHARD\tROOT\tEPOCH\tPRIMARY\tADDR\tSTANDBYS\tSEQ\tTENANTS")
+	fmt.Fprintln(tw, "SHARD\tROOT\tEPOCH\tPRIMARY\tSTANDBYS\tSEQ\tTENANTS")
 	for _, s := range shards {
 		primary := "-"
 		if s.PrimaryNode >= 0 {
 			primary = fmt.Sprintf("node %d", s.PrimaryNode)
 		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%s\t%s\t%d\t%d\t%d\n",
-			s.Index, s.Root, s.Epoch, primary, s.PrimaryAddr,
-			s.Standbys, s.Seq, s.Tenants)
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%s\t%d\t%d\t%d\n",
+			s.Index, s.Root, s.Epoch, primary, s.Standbys, s.Seq, s.Tenants)
 	}
 	return tw.Flush()
 }

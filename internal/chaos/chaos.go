@@ -1,7 +1,7 @@
 // Package chaos injects deterministic, seeded faults into network
 // transports. It wraps net.Conn, net.Listener and dial functions so that
-// the TCP deployment of SOAR (internal/cluster) can be exercised — in
-// tests, in the chaos soak, and interactively from soarctl — against the
+// the TCP mesh of internal/cluster and the in-process replication pipes
+// of internal/ha can be exercised — in tests, soaks and soarctl — against the
 // failure modes the paper's asynchronous message-passing model (Sec. 4.2)
 // must survive in a long-running deployment:
 //
@@ -17,9 +17,9 @@
 //     share a byte budget after which every one of them is severed,
 //     simulating the node's process dying mid-protocol;
 //   - targeted kills: KillNode severs a node's live connections with a
-//     hard RST and fails its future dials and accepts until HealNode,
-//     the primitive the failover soak (internal/ha) uses to take a
-//     shard primary down at a chosen moment rather than a drawn one.
+//     hard RST and fails its future dials, accepts and Conn calls until
+//     HealNode, the primitive the failover soak (internal/ha) uses to
+//     take a shard primary down at a chosen moment, not a drawn one.
 //
 // All randomness flows from one seeded source, so a given seed yields a
 // reproducible sequence of fault draws (the interleaving of concurrent
@@ -61,7 +61,8 @@ type Config struct {
 	// CutBytes bounds the cut byte budget (default 256).
 	CutBytes int
 	// Reset is the probability a new connection is closed with
-	// SO_LINGER(0) — a hard TCP RST — after a random byte budget.
+	// SO_LINGER(0) — a hard TCP RST — after a random byte budget; on a
+	// non-TCP conn (a pipe) it is a plain close, still counted in Resets.
 	Reset float64
 	// Delay is the probability one read or write stalls for a random
 	// duration in (0, MaxDelay].
@@ -69,9 +70,8 @@ type Config struct {
 	// MaxDelay bounds injected stalls (default 2ms).
 	MaxDelay time.Duration
 	// Crash schedules node deaths: Crash[v] = b severs every connection
-	// belonging to node v (dialed by it or accepted on its listener)
-	// once the node has moved b bytes in total; b = 0 kills the node's
-	// very first operation. Nodes absent from the map never crash.
+	// wrapped for node v once it has moved b bytes in total; b = 0 kills
+	// the node's very first operation. Nodes absent never crash.
 	Crash map[int]int64
 }
 
@@ -166,13 +166,13 @@ func (in *Injector) Stats() Stats {
 }
 
 // KillNode takes node down administratively: every live connection the
-// injector has wrapped for it — dialed by it or accepted on its
-// listener — is severed with a hard RST, and until HealNode every
-// future dial from it fails and every connection accepted on its
-// listener arrives already dead. Unlike the seeded Crash schedule this
-// is deterministic in time, not in bytes: the failover soak calls it to
-// kill a shard primary at a chosen moment mid-batch. Returns the number
-// of live connections severed; killing an already-dead node is a no-op.
+// injector has wrapped for it is severed with a hard RST, and until
+// HealNode every future dial or Conn from it fails and every connection
+// accepted on its listener arrives already dead. Unlike the seeded Crash
+// schedule this is deterministic in time, not in bytes: the failover
+// soak calls it to kill a shard primary at a chosen moment mid-batch.
+// Returns the number of live connections severed; killing an
+// already-dead node is a no-op.
 func (in *Injector) KillNode(node int) int {
 	in.killMu.Lock()
 	if in.killed[node] {
@@ -250,25 +250,45 @@ func (in *Injector) draw(node int) fate {
 	return f
 }
 
-// Dial returns a dialer compatible with cluster.Options.Dial: node is
-// the dialing switch. With probability DialFail the attempt fails before
-// touching the network; otherwise the established connection is wrapped
-// with the node's drawn fate.
-func (in *Injector) Dial(ctx context.Context, node int, addr string) (net.Conn, error) {
+// admit counts one dial attempt (what) from node and draws whether it
+// fails: always from a killed node, else with probability DialFail.
+func (in *Injector) admit(node int, what string) error {
 	in.dials.Add(1)
 	in.killMu.Lock()
 	dead := in.killed[node]
 	in.killMu.Unlock()
 	if dead {
 		in.kills.Add(1)
-		return nil, fmt.Errorf("chaos: dial %s from killed node %d: %w", addr, node, ErrInjected)
+		return fmt.Errorf("chaos: %s from killed node %d: %w", what, node, ErrInjected)
 	}
 	in.mu.Lock()
 	fail := in.cfg.DialFail > 0 && in.rng.Float64() < in.cfg.DialFail
 	in.mu.Unlock()
 	if fail {
 		in.dialsFailed.Add(1)
-		return nil, fmt.Errorf("chaos: dial %s from node %d: %w", addr, node, ErrInjected)
+		return fmt.Errorf("chaos: %s from node %d: %w", what, node, ErrInjected)
+	}
+	return nil
+}
+
+// Conn is Dial without the dial, compatible with ha.Options.Conn: it
+// wraps node's end c of an open connection (an in-process pipe) with
+// the node's drawn fate, or refuses it as Dial would, closing c.
+func (in *Injector) Conn(node int, c net.Conn) (net.Conn, error) {
+	if err := in.admit(node, "conn"); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return in.wrapConn(node, c), nil
+}
+
+// Dial returns a dialer compatible with cluster.Options.Dial: node is
+// the dialing switch. With probability DialFail the attempt fails before
+// touching the network; otherwise the established connection is wrapped
+// with the node's drawn fate.
+func (in *Injector) Dial(ctx context.Context, node int, addr string) (net.Conn, error) {
+	if err := in.admit(node, "dial "+addr); err != nil {
+		return nil, err
 	}
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -357,7 +377,8 @@ type faultConn struct {
 	downed atomic.Bool  // severed by cut/reset/crash
 }
 
-// sever kills the connection, optionally with a hard RST.
+// sever kills the connection, optionally with a hard RST (on a non-TCP
+// conn, a plain close counted as a reset).
 func (c *faultConn) sever(reset bool) {
 	if !c.downed.CompareAndSwap(false, true) {
 		return

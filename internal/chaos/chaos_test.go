@@ -311,3 +311,70 @@ func TestKillNodeDeadensAcceptedConns(t *testing.T) {
 		t.Fatalf("write on conn accepted by killed node: %v, want ErrInjected", err)
 	}
 }
+
+// TestConnInjectsOnPipe drives Conn on in-process pipes, the streams
+// internal/ha replicates over: a killed node's Conn is refused and its
+// pipe closed, a Crash budget severs a frame after its header, a reset
+// is a plain close counted as a reset, and every call counts as a dial.
+func TestConnInjectsOnPipe(t *testing.T) {
+	in := New(Config{Seed: 4, Crash: map[int]int64{5: 3}})
+
+	in.KillNode(4)
+	near, far := net.Pipe()
+	if _, err := in.Conn(4, near); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Conn from killed node: %v, want ErrInjected", err)
+	}
+	if _, err := far.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("read across a refused Conn: %v, want the pipe closed (io.EOF)", err)
+	}
+
+	// Node 5 crashes 3 bytes in: the 5-byte header crosses, the body
+	// never does, so the reader is left inside a frame.
+	near, far = net.Pipe()
+	c, err := in.Conn(5, near)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got := make(chan error, 1)
+	go func() {
+		if _, err := io.ReadFull(far, make([]byte, 5)); err != nil {
+			got <- err
+			return
+		}
+		_, err := io.ReadFull(far, make([]byte, 8))
+		got <- err
+	}()
+	if _, err := c.Write(make([]byte, 5)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("header write past the crash budget: %v, want ErrInjected", err)
+	}
+	if _, err := c.Write(make([]byte, 8)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("body write after the crash: %v, want ErrInjected", err)
+	}
+	select {
+	case err := <-got:
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("body read after the crash: %v, want io.EOF", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("reader never saw the crash")
+	}
+
+	reset := New(Config{Seed: 4, Reset: 1, CutBytes: 1})
+	near, far = net.Pipe()
+	defer far.Close()
+	if c, err = reset.Conn(6, near); err != nil {
+		t.Fatal(err)
+	}
+	go io.Copy(io.Discard, far)
+	if _, err := c.Write(make([]byte, 8)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("write past a 1-byte reset budget: %v, want ErrInjected", err)
+	}
+
+	if st := in.Stats(); st.Dials != 2 || st.Conns != 1 || st.Kills != 1 || st.Crashes == 0 {
+		t.Fatalf("stats %+v, want 2 dials, 1 conn, 1 kill and a crash", st)
+	}
+	if st := reset.Stats(); st.Dials != 1 || st.Resets != 1 {
+		t.Fatalf("reset stats %+v, want 1 dial and 1 reset", st)
+	}
+}

@@ -1,7 +1,6 @@
 package ha
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"time"
@@ -46,12 +45,10 @@ type Options struct {
 	RouteTimeout time.Duration
 	// Sched is the base scheduler configuration applied to every shard.
 	Sched sched.Config
-	// Dial opens a connection from the given replica node; nil uses a
-	// plain TCP dialer. chaos.Injector.Dial plugs in here.
-	Dial func(ctx context.Context, node int, addr string) (net.Conn, error)
-	// WrapListener wraps a replica node's listener; nil leaves it bare.
-	// chaos.Injector.WrapListener plugs in here.
-	WrapListener func(node int, ln net.Listener) net.Listener
+	// Conn wraps each end of a replication stream (an in-process pipe)
+	// for the replica node owning it; nil leaves both bare, an error
+	// refuses the attach. chaos.Injector.Conn plugs in here.
+	Conn func(node int, c net.Conn) (net.Conn, error)
 	// Logf receives membership and failover events; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -63,10 +60,8 @@ type ShardStatus struct {
 	// Epoch is the shard's current fencing epoch.
 	Epoch uint64
 	// PrimaryNode is the serving replica's node id (-1 from a crash or
-	// a promotion's start until a promotion lands); PrimaryAddr its
-	// replication listener.
+	// a promotion's start until a promotion lands).
 	PrimaryNode int
-	PrimaryAddr string
 	// Standbys is the number of warm standbys attached or attaching.
 	Standbys int
 	// Seq is the primary's journal sequence; Tenants its live leases
@@ -107,12 +102,6 @@ func NewCluster(t *topology.Tree, opts Options) (*Cluster, error) {
 	}
 	if opts.RouteTimeout <= 0 {
 		opts.RouteTimeout = 12 * time.Duration(opts.MissBudget) * opts.Heartbeat
-	}
-	if opts.Dial == nil {
-		opts.Dial = func(ctx context.Context, _ int, addr string) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr)
-		}
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}

@@ -3,7 +3,6 @@ package ha
 import (
 	"errors"
 	"math"
-	"net"
 	"sort"
 	"strings"
 	"testing"
@@ -309,10 +308,12 @@ func TestFailoverPreservesLeases(t *testing.T) {
 }
 
 // TestForeignHelloDoesNotFence: a hello advertising a higher epoch,
-// from a connection no standby of the shard owns, changes nothing — the
-// shard's epoch register is the only fence. A lease placed after it
-// reaches the standby, no failover happens past the silence budget,
-// and the lease survives the failover of a real crash.
+// from a stream no standby of the shard owns, changes nothing — the
+// shard's epoch register is the only fence. The stream comes from the
+// shard's own attach, under a node no replica has: a primary opens no
+// port, so only code inside the process can reach it. A lease placed
+// after the hello reaches the standby, no failover happens past the
+// silence budget, and the lease survives the failover of a real crash.
 func TestForeignHelloDoesNotFence(t *testing.T) {
 	tr := topology.CompleteKAry(2, 3)
 	opts := fastOpts()
@@ -326,7 +327,7 @@ func TestForeignHelloDoesNotFence(t *testing.T) {
 	sh := cl.shards[0]
 
 	st := cl.Status()[0]
-	conn, err := net.Dial("tcp", st.PrimaryAddr)
+	conn, err := sh.attach(999)
 	if err != nil {
 		t.Fatal(err)
 	}

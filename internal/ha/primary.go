@@ -46,14 +46,13 @@ type primaryConfig struct {
 
 // primary is one serving incarnation of a shard's control plane: the
 // scheduler that commits, the hub that fans its journal out, and the
-// listener standbys attach to. A primary never outlives its epoch —
+// streams its standbys attach on. A primary never outlives its epoch —
 // promotion builds a fresh incarnation around the promoted standby's
 // scheduler.
 type primary struct {
 	sch  *sched.Scheduler
 	feed *feed
 	hub  *hub
-	ln   net.Listener
 	cfg  primaryConfig
 
 	closeOnce sync.Once
@@ -64,35 +63,30 @@ type primary struct {
 	conns  map[net.Conn]struct{}
 }
 
-// newPrimary starts serving replication on ln. The scheduler must have
-// been created with feed.journal as its Journal hook and the shard's
-// fence as its Fence.
-func newPrimary(sch *sched.Scheduler, f *feed, h *hub, ln net.Listener, cfg primaryConfig) *primary {
+// newPrimary starts the incarnation's heartbeats; standbys attach
+// through adopt. The scheduler must have been created with feed.journal
+// as its Journal hook and the shard's fence as its Fence.
+func newPrimary(sch *sched.Scheduler, f *feed, h *hub, cfg primaryConfig) *primary {
 	p := &primary{
 		sch:   sch,
 		feed:  f,
 		hub:   h,
-		ln:    ln,
 		cfg:   cfg,
 		stop:  make(chan struct{}),
 		conns: make(map[net.Conn]struct{}),
 	}
-	p.wg.Add(2)
-	go p.acceptLoop()
+	p.wg.Add(1)
 	go p.heartbeatLoop()
 	return p
 }
 
-func (p *primary) addr() string { return p.ln.Addr().String() }
-
-// close tears the incarnation's network down: listener, heartbeats,
-// every attached stream. The scheduler is NOT closed — a retired
-// primary's scheduler stays alive (fenced) so late commits are
-// observable rejections, and the cluster closes it on shutdown.
+// close tears the incarnation's network down: heartbeats and every
+// attached stream. The scheduler is NOT closed — a retired primary's
+// scheduler stays alive (fenced) so late commits are observable
+// rejections, and the cluster closes it on shutdown.
 func (p *primary) close() {
 	p.closeOnce.Do(func() {
 		close(p.stop)
-		p.ln.Close()
 		p.hub.close()
 		p.connMu.Lock()
 		for c := range p.conns {
@@ -122,19 +116,21 @@ func (p *primary) heartbeatLoop() {
 	}
 }
 
-func (p *primary) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		p.connMu.Lock()
-		p.conns[conn] = struct{}{}
+// adopt serves one standby attachment on conn, the primary's end of
+// its stream; an incarnation that has closed closes conn instead.
+func (p *primary) adopt(conn net.Conn) {
+	p.connMu.Lock()
+	select {
+	case <-p.stop:
 		p.connMu.Unlock()
-		p.wg.Add(1)
-		go p.serve(conn)
+		conn.Close()
+		return
+	default:
 	}
+	p.conns[conn] = struct{}{}
+	p.wg.Add(1) // under connMu: close sweeps conns before it waits
+	p.connMu.Unlock()
+	go p.serve(conn)
 }
 
 func (p *primary) dropConn(conn net.Conn) {

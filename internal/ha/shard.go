@@ -106,7 +106,7 @@ func newShard(spec ShardSpec, opts *Options, met *Metrics, reg *obs.Registry, lo
 	}
 	s.cur.Store(inc)
 	for r := 0; r < opts.Replicas; r++ {
-		s.standbys = append(s.standbys, s.spawnStandby(s.nodeID(r+1), inc.prim.addr()))
+		s.standbys = append(s.standbys, s.spawnStandby(s.nodeID(r+1)))
 	}
 	label := obs.Labels{"shard": strconv.Itoa(s.idx)}
 	reg.GaugeFunc("soar_ha_shard_epoch", "Current fencing epoch per shard.", label,
@@ -139,7 +139,7 @@ func (s *shard) fenceFor(epoch uint64, crashed *atomic.Bool) func() error {
 
 // spawnPrimary builds one serving incarnation at the given epoch: a
 // scheduler journaling into a fresh hub, fenced against the shard's
-// epoch register, serving replication on its own listener. tab is the
+// epoch register, serving the streams attach hands it. tab is the
 // promoted replica's table, audited here before anything is built on
 // it; nil starts the shard on a fresh table at its configured
 // capacities.
@@ -164,16 +164,7 @@ func (s *shard) spawnPrimary(node int, epoch uint64, tab *sched.Table) (*incarna
 	} else {
 		sch = sched.New(s.spec.Pod.Tree, cfg)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		sch.Close()
-		h.close()
-		return nil, err
-	}
-	if s.opts.WrapListener != nil {
-		ln = s.opts.WrapListener(node, ln)
-	}
-	prim := newPrimary(sch, f, h, ln, primaryConfig{
+	prim := newPrimary(sch, f, h, primaryConfig{
 		shard:     uint32(s.idx),
 		epoch:     epoch,
 		node:      node,
@@ -184,17 +175,41 @@ func (s *shard) spawnPrimary(node int, epoch uint64, tab *sched.Table) (*incarna
 	return &incarnation{sch: sch, epoch: epoch, node: node, crashed: crashed, prim: prim}, nil
 }
 
-func (s *shard) spawnStandby(node int, primaryAddr string) *standby {
+func (s *shard) spawnStandby(node int) *standby {
 	return newStandby(standbyConfig{
 		shard:      uint32(s.idx),
 		node:       node,
 		tree:       s.spec.Pod.Tree,
 		heartbeat:  s.opts.Heartbeat,
 		missBudget: s.opts.MissBudget,
-		dial:       s.opts.Dial,
+		dial:       s.attach,
 		logf:       s.logf,
 		onSilence:  s.onSilence,
-	}, primaryAddr)
+	})
+}
+
+// attach opens a replication stream from replica node to the serving
+// incarnation: an in-process pipe whose other end the primary serves.
+// Options.Conn wraps each end under the node that owns it; its error,
+// or no serving primary, refuses the attach.
+func (s *shard) attach(node int) (net.Conn, error) {
+	inc := s.cur.Load()
+	if inc == nil {
+		return nil, fmt.Errorf("ha: shard %d: %w", s.idx, ErrNoPrimary)
+	}
+	near, far := net.Pipe()
+	if wrap := s.opts.Conn; wrap != nil {
+		var err error
+		if near, err = wrap(node, near); err != nil {
+			return nil, err // an unused pipe holds no resource
+		}
+		if far, err = wrap(inc.node, far); err != nil {
+			near.Close() // the hook may track the end it wrapped
+			return nil, err
+		}
+	}
+	inc.prim.adopt(far)
+	return near, nil
 }
 
 // onSilence is the failover trigger: a standby heard nothing for the
@@ -275,16 +290,13 @@ func (s *shard) promoteLocked() {
 	s.met.promoteSeconds.Observe(time.Since(start).Seconds())
 	s.logf("ha: shard %d: node %d promoted at epoch %d (seq %d, %d deltas applied live)",
 		s.idx, sb.cfg.node, newEpoch, st.seq, st.applied)
-	for _, other := range s.standbys {
-		other.setPrimaryAddr(inc.prim.addr())
-	}
 	// Refill the replica set: the dead primary's slot comes back as a
-	// standby (its dials fail until the node heals, like a rebooting
+	// standby (its attaches fail until the node heals, like a rebooting
 	// machine). Exactly one incarnation is retired between two promotions
 	// that land — by a crash, or by the retirement above — so the newest
 	// retired one holds the slot still empty.
 	dead := s.retired[len(s.retired)-1]
-	s.standbys = append(s.standbys, s.spawnStandby(dead.node, inc.prim.addr()))
+	s.standbys = append(s.standbys, s.spawnStandby(dead.node))
 }
 
 // retireLocked takes the serving incarnation out of routing, if there
@@ -392,7 +404,6 @@ func (s *shard) status() ShardStatus {
 	st.Standbys = s.standbyCount()
 	if inc := s.cur.Load(); inc != nil {
 		st.PrimaryNode = inc.node
-		st.PrimaryAddr = inc.prim.addr()
 		st.Seq = inc.sch.JournalSeq()
 		st.Tenants = inc.sch.Snapshot().Tenants
 	} else {

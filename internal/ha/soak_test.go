@@ -20,8 +20,8 @@ import (
 // across all of them, while each round kills a rotating shard's
 // primary mid-batch — alternating between an in-process crash
 // (CrashPrimary: commits start failing, network closes) and a chaos
-// network kill (the node's connections sever with RSTs and its dials
-// and accepts die until healed). After every round it asserts:
+// network kill (the node's stream ends sever and its attaches fail
+// until healed). After every round it asserts:
 //
 //   - recovery: the shard promotes a standby (epoch bump, serving
 //     primary) within a small multiple of the heartbeat budget;
@@ -92,8 +92,7 @@ func TestFailoverSoak(t *testing.T) {
 		MissBudget:   missBudget,
 		RouteTimeout: 2 * recoveryBudget,
 		Sched:        sched.Config{Capacity: 4},
-		Dial:         inj.Dial,
-		WrapListener: inj.WrapListener,
+		Conn:         inj.Conn,
 		Logf:         t.Logf,
 	})
 	if err != nil {

@@ -2,7 +2,6 @@ package ha
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -29,7 +28,7 @@ type standbyConfig struct {
 	tree       *topology.Tree
 	heartbeat  time.Duration
 	missBudget int
-	dial       func(ctx context.Context, node int, addr string) (net.Conn, error)
+	dial       func(node int) (net.Conn, error) // a stream to the serving primary
 	logf       func(format string, args ...any)
 	// onSilence fires (async, at most once per heartbeat budget) when
 	// the standby has heard nothing from any primary for the full
@@ -47,8 +46,6 @@ type standbyConfig struct {
 // is an audit and "serve this table". It builds no scheduler.
 type standby struct {
 	cfg standbyConfig
-
-	addr atomic.Value // string: current primary address
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -70,25 +67,13 @@ type standby struct {
 	applied int
 }
 
-func newStandby(cfg standbyConfig, primaryAddr string) *standby {
+func newStandby(cfg standbyConfig) *standby {
 	s := &standby{cfg: cfg, stop: make(chan struct{})}
-	s.addr.Store(primaryAddr)
 	s.lastHeard.Store(time.Now().UnixNano())
 	s.wg.Add(2)
 	go s.run()
 	go s.watchdog()
 	return s
-}
-
-// setPrimaryAddr re-points the standby (after a failover) and drops
-// any connection to the old primary so it re-attaches promptly.
-func (s *standby) setPrimaryAddr(addr string) {
-	s.addr.Store(addr)
-	s.mu.Lock()
-	if s.curConn != nil {
-		s.curConn.Close()
-	}
-	s.mu.Unlock()
 }
 
 // halt stops the standby's goroutines (promotion and shutdown path).
@@ -168,15 +153,13 @@ func (s *standby) watchdog() {
 	}
 }
 
-// run dials and attaches until halted, re-attaching after any stream
-// error (connection death, sequence gap, refused delta, stale primary).
+// run attaches to the serving incarnation until halted, re-attaching
+// after any stream error (connection death, sequence gap, refused
+// delta, stale or retired primary).
 func (s *standby) run() {
 	defer s.wg.Done()
 	for !s.stopped() {
-		addr, _ := s.addr.Load().(string)
-		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(s.cfg.missBudget)*s.cfg.heartbeat)
-		conn, err := s.cfg.dial(ctx, s.cfg.node, addr)
-		cancel()
+		conn, err := s.cfg.dial(s.cfg.node)
 		if err != nil {
 			select {
 			case <-s.stop:
@@ -287,12 +270,13 @@ func (s *standby) attach(conn net.Conn) error {
 }
 
 // streamNoise reports the stream-end causes that are routine under
-// churn and chaos — peer closes, resets, deadline kicks — and not
+// churn and chaos — peer closes (io.ErrClosedPipe when a failover
+// retires the primary mid-attach), resets, deadline kicks — and not
 // worth a log line each (gaps, refused deltas and protocol violations
 // are).
 func streamNoise(err error) bool {
 	var ne net.Error
-	return errors.Is(err, io.EOF) || errors.As(err, &ne)
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) || errors.As(err, &ne)
 }
 
 // absorb applies one delta to the table, skipping the prefix the

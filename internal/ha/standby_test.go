@@ -2,9 +2,9 @@ package ha
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -119,6 +119,41 @@ func TestAbsorbRejectsCorruptDelta(t *testing.T) {
 		}
 		if err := tab.Apply(good()); err != nil {
 			t.Errorf("%s: clean frame after the bad one: %v", tc.name, err)
+		}
+	}
+}
+
+// TestStreamNoise: the stream ends a failover or a chaos fault causes
+// every time are not logged, and the ones that say something is wrong
+// are. Each error is the one the standby really sees: a hello written
+// into a pipe whose primary end was closed, a read past its deadline.
+func TestStreamNoise(t *testing.T) {
+	near, far := net.Pipe()
+	far.Close()
+	closedPipe := wire.Write(near, &wire.Epoch{Shard: 0, Epoch: 1})
+
+	near, far = net.Pipe()
+	defer far.Close()
+	near.SetReadDeadline(time.Now().Add(-time.Second))
+	_, deadline := wire.Read(near)
+
+	gap := emptyStandby(t, topology.CompleteKAry(3, 4), 0).absorb(&wire.LeaseDelta{Seq: 3})
+
+	for _, tc := range []struct {
+		name  string
+		err   error
+		noise bool
+	}{
+		{"wrapped EOF", fmt.Errorf("wire: read header: %w", io.EOF), true},
+		{"hello into a closed pipe", closedPipe, true},
+		{"read deadline", deadline, true},
+		{"sequence gap", gap, false},
+	} {
+		if tc.err == nil {
+			t.Fatalf("%s: no error to classify", tc.name)
+		}
+		if got := streamNoise(tc.err); got != tc.noise {
+			t.Errorf("%s (%v): streamNoise = %v, want %v", tc.name, tc.err, got, tc.noise)
 		}
 	}
 }
@@ -507,20 +542,20 @@ func TestRefusedDeltaResyncs(t *testing.T) {
 	}
 }
 
-// gate makes shard 0's replication connections go deaf on demand: the
-// connections that exist when cut is called read nothing more from
-// their primary (a partition that drops frames but resets nothing)
-// until they are closed. Connections dialed afterwards, and other
-// shards, replicate undisturbed.
+// gate makes shard 0's standby stream ends go deaf on demand: the
+// streams that exist when cut is called read nothing more from their
+// primary (a partition that drops frames but resets nothing) until
+// they are closed. Streams attached afterwards, and other shards,
+// replicate undisturbed.
 type gate struct{ cuts atomic.Int64 }
 
 func (g *gate) cut() { g.cuts.Add(1) }
 
-func (g *gate) dial(ctx context.Context, node int, addr string) (net.Conn, error) {
-	var d net.Dialer
-	c, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil || node/100 != 1 { // shard s's replicas are nodes (s+1)·100 + slot
-		return c, err
+// conn is an Options.Conn hook. Shard s's replicas are nodes
+// (s+1)·100 + slot; the bootstrap primary's end (slot 0) passes bare.
+func (g *gate) conn(node int, c net.Conn) (net.Conn, error) {
+	if node/100 != 1 || node%100 == 0 {
+		return c, nil
 	}
 	return &gatedConn{Conn: c, gate: g, born: g.cuts.Load(), closed: make(chan struct{})}, nil
 }
@@ -528,7 +563,7 @@ func (g *gate) dial(ctx context.Context, node int, addr string) (net.Conn, error
 type gatedConn struct {
 	net.Conn
 	gate   *gate
-	born   int64 // the gate's cut count when the connection was dialed
+	born   int64 // the gate's cut count when the stream was attached
 	once   sync.Once
 	closed chan struct{}
 }
@@ -556,7 +591,7 @@ func TestPromotedEpochNeverReissuesAckedID(t *testing.T) {
 	g := new(gate)
 	opts := fastOpts()
 	opts.Replicas = 1
-	opts.Dial = g.dial
+	opts.Conn = g.conn
 	cl, err := NewCluster(tr, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -627,13 +662,13 @@ func TestUnsyncedStandbyNeverPromoted(t *testing.T) {
 	opts := fastOpts()
 	opts.RouteTimeout = 200 * time.Millisecond
 	opts.Logf = log.logf
-	opts.Dial = func(ctx context.Context, node int, addr string) (net.Conn, error) {
-		// Shard s's replicas are nodes (s+1)·100 + slot.
-		if node/100 == 2 || (node/100 == 1 && refuse.Load()) {
-			return nil, errors.New("standby dial refused")
+	opts.Conn = func(node int, c net.Conn) (net.Conn, error) {
+		// Shard s's replicas are nodes (s+1)·100 + slot; the bootstrap
+		// primary's end (slot 0) passes.
+		if node%100 != 0 && (node/100 == 2 || (node/100 == 1 && refuse.Load())) {
+			return nil, errors.New("standby attach refused")
 		}
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", addr)
+		return c, nil
 	}
 	cl, err := NewCluster(tr, opts)
 	if err != nil {

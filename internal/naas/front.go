@@ -364,7 +364,6 @@ type ShardInfo struct {
 	Root        int    `json:"root"`
 	Epoch       uint64 `json:"epoch"`
 	PrimaryNode int    `json:"primary_node"`
-	PrimaryAddr string `json:"primary_addr"`
 	Standbys    int    `json:"standbys"`
 	Seq         uint64 `json:"seq"`
 	Tenants     int    `json:"tenants"`
@@ -383,8 +382,8 @@ func (f *Front) handleShards(w http.ResponseWriter, r *http.Request) {
 	for i, st := range status {
 		shards[i] = ShardInfo{
 			Index: st.Index, Root: st.Root, Epoch: st.Epoch,
-			PrimaryNode: st.PrimaryNode, PrimaryAddr: st.PrimaryAddr,
-			Standbys: st.Standbys, Seq: st.Seq, Tenants: st.Tenants,
+			PrimaryNode: st.PrimaryNode, Standbys: st.Standbys,
+			Seq: st.Seq, Tenants: st.Tenants,
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"shards": shards})
